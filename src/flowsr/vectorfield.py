@@ -7,7 +7,15 @@ channel axis, projected to the model width, and processed by pre-norm
 transformer blocks whose normalization scale/shift/gate are produced from the
 time embedding (modulation projections and the output head are
 zero-initialized, so a fresh model predicts the zero field). ALiBi supplies
-the only position information.
+the only position information: a bias -slope_h * |p_i - p_j| on frame
+positions p (by default 0..frames-1).
+
+Attention is exact and computed in blocks of query rows, each scored against
+every key with its ALiBi bias generated for just those rows, so inference
+holds O(batch * heads * rows * frames) attention memory, with rows chosen to
+keep a block near ATTENTION_BLOCK_ELEMENTS scores, rather than a full
+[batch, heads, frames, frames] grid. A recorded forward pass still tapes
+every probability block, O(frames^2) in total.
 
 Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward(..., record=True)` and is
@@ -34,6 +42,9 @@ from .spectral import FeatureGrid
 
 LN_EPS = 1e-6
 TIME_SCALE = 1000.0  # sinusoidal input scaling; keeps frequencies well spread on [0, 1]
+# Score elements per attention block (8 MiB of float64). Training crops and
+# short utterances fit in one block, which is the dense computation unchanged.
+ATTENTION_BLOCK_ELEMENTS = 2 ** 20
 CHECKPOINT_FORMAT = "flowsr-model-v1"
 
 
@@ -158,12 +169,16 @@ def alibi_slopes(num_heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * h / num_heads)
 
 
-def alibi_bias(num_frames: int, num_heads: int) -> np.ndarray:
-    """Attention bias grid [heads, frames, frames]: -slope_h * |i - j|."""
-    if num_frames <= 0:
-        raise ValueError("num_frames must be positive")
-    idx = np.arange(num_frames)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+def alibi_bias(query_positions: np.ndarray, key_positions: np.ndarray,
+               num_heads: int) -> np.ndarray:
+    """Attention bias [heads, queries, keys]: -slope_h * |q_i - k_j| for
+    query and key frame positions."""
+    query_positions = np.asarray(query_positions, dtype=np.float64)
+    key_positions = np.asarray(key_positions, dtype=np.float64)
+    if query_positions.ndim != 1 or key_positions.ndim != 1:
+        raise ValueError(f"positions must be 1-D, got {query_positions.shape} "
+                         f"and {key_positions.shape}")
+    dist = np.abs(query_positions[:, None] - key_positions[None, :])
     return -alibi_slopes(num_heads)[:, None, None] * dist[None]
 
 
@@ -205,15 +220,6 @@ def _ln_backward(dy, y, inv):
                   - y * (dy * y).mean(axis=-1, keepdims=True))
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) \
-        + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-
-
 def _silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s
@@ -238,23 +244,70 @@ class ForwardTape:
     final: dict
 
 
-def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _attention_forward(q, k, v, positions, record):
+    """Exact softmax attention with ALiBi, one block of query rows at a time.
+
+    Every block sees every key, so each row's softmax is complete without an
+    online rescaling. q, k, v: [batch, heads, frames, head_dim]. Returns the
+    context [batch, frames, heads * head_dim] and, when recording, the list of
+    probability blocks [batch, heads, rows, frames] (empty otherwise).
+    """
+    batch, heads, frames, head_dim = q.shape
+    rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
+    k_t = k.transpose(0, 1, 3, 2)
+    ctx = np.empty((batch, frames, heads, head_dim))
+    attn_blocks = []
+    for start in range(0, frames, rows):
+        sel = slice(start, start + rows)
+        attn = q[:, :, sel] @ k_t
+        attn /= np.sqrt(head_dim)
+        attn += alibi_bias(positions[sel], positions, heads)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx[:, sel] = (attn @ v).transpose(0, 2, 1, 3)
+        if record:
+            attn_blocks.append(attn)
+    return ctx.reshape(batch, frames, heads * head_dim), attn_blocks
+
+
+def _attention_backward(dctx, q, k, v, attn_blocks):
+    """Gradients (dq, dk, dv) of `_attention_forward` given dctx shaped like q."""
+    scale = np.sqrt(q.shape[-1])
+    dq = np.empty(q.shape)
+    dk = np.zeros(k.shape)
+    dv = np.zeros(v.shape)
+    v_t = v.transpose(0, 1, 3, 2)
+    start = 0
+    for attn in attn_blocks:
+        sel = slice(start, start + attn.shape[2])
+        start = sel.stop
+        dctx_blk = dctx[:, :, sel]
+        dattn = dctx_blk @ v_t
+        dv += attn.transpose(0, 1, 3, 2) @ dctx_blk
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dq[:, :, sel] = dscores @ k / scale
+        dk += dscores.transpose(0, 1, 3, 2) @ q[:, :, sel] / scale
+    return dq, dk, dv
 
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
                   t: np.ndarray, record: bool = False,
-                  attn_bias: np.ndarray | None = None):
+                  positions: np.ndarray | None = None):
     """Batched forward pass on raw arrays.
+
+    Attention runs in blocks of query rows against all keys, so without
+    recording it holds O(batch * heads * rows * frames) attention memory
+    (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
+    grid. The tape of a recorded pass keeps every probability block: O(frames^2).
 
     Args:
         x_t: state grids [batch, channels, frames].
         cond: condition grids, same shape as x_t.
         t: times in [0, 1], shape [batch].
         record: also return a ForwardTape for `backward`.
-        attn_bias: optional [heads, frames, frames] override of the ALiBi grid.
+        positions: finite frame positions [frames] for the ALiBi distance
+            bias; default 0, 1, ..., frames - 1.
 
     Returns:
         Field prediction [batch, channels, frames], and the tape if recorded.
@@ -263,16 +316,24 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     p = model.params
     if x_t.shape != cond.shape:
         raise ValueError(f"state shape {x_t.shape} != condition shape {cond.shape}")
-    if x_t.ndim != 3 or x_t.shape[1] != cfg.feature_channels:
-        raise ValueError(f"expected [batch, {cfg.feature_channels}, frames] input, "
-                         f"got {x_t.shape}")
+    if x_t.ndim != 3 or x_t.shape[1] != cfg.feature_channels or x_t.size == 0:
+        raise ValueError(f"expected non-empty [batch, {cfg.feature_channels}, frames] "
+                         f"input, got {x_t.shape}")
     if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(cond))):
         raise ValueError("non-finite model input")
+    batch, _, frames = x_t.shape
     t = np.asarray(t, dtype=np.float64)
+    if t.shape != (batch,):
+        raise ValueError(f"times shape {t.shape} != {(batch,)} for input {x_t.shape}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError(f"times must lie in [0, 1], got {t}")
-    batch, _, frames = x_t.shape
-    dim, heads, head_dim = cfg.model_dim, cfg.num_heads, cfg.head_dim
+    if positions is None:
+        positions = np.arange(frames, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.shape != (frames,) or not np.all(np.isfinite(positions)):
+        raise ValueError(f"positions must be {(frames,)} finite values for input "
+                         f"{x_t.shape}, got shape {positions.shape}")
+    heads, head_dim = cfg.num_heads, cfg.head_dim
 
     u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)  # [B, L, 2C]
     h = u @ p["input_proj.weight"] + p["input_proj.bias"]
@@ -282,12 +343,6 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     a_t = _silu(z_t)
     c = a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"]
     silu_c = _silu(c)
-
-    if attn_bias is None:
-        attn_bias = alibi_bias(frames, heads)
-    elif attn_bias.shape != (heads, frames, frames):
-        raise ValueError(f"attention bias shape {attn_bias.shape} != "
-                         f"{(heads, frames, frames)}")
 
     blocks_tape = []
     for i in range(cfg.num_layers):
@@ -301,24 +356,25 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
         qkv = m1 @ p[f"block{i}.qkv.weight"] + p[f"block{i}.qkv.bias"]
         q, k, v = [a.reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
                    for a in np.split(qkv, 3, axis=2)]
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim) + attn_bias[None]
-        attn = _softmax(scores)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, frames, dim)
+        ctx, attn_blocks = _attention_forward(q, k, v, positions, record)
         attn_out = ctx @ p[f"block{i}.attn_out.weight"] + p[f"block{i}.attn_out.bias"]
         h_mid = h_in + gate_a[:, None, :] * attn_out
 
         n2, inv2 = _ln_forward(h_mid)
         m2 = n2 * (1.0 + scale_m)[:, None, :] + shift_m[:, None, :]
         z1 = m2 @ p[f"block{i}.ffn.weight1"] + p[f"block{i}.ffn.bias1"]
-        a1 = _gelu(z1)
+        cdf = 0.5 * (1.0 + erf(z1 / np.sqrt(2.0)))  # standard normal CDF
+        a1 = z1 * cdf
         ffn_out = a1 @ p[f"block{i}.ffn.weight2"] + p[f"block{i}.ffn.bias2"]
         h = h_mid + gate_m[:, None, :] * ffn_out
 
         if record:
+            # GELU derivative cdf(z) + z * pdf(z), taped in place of z1
+            gelu_grad = cdf + z1 * np.exp(-0.5 * z1 * z1) / np.sqrt(2.0 * np.pi)
             blocks_tape.append(dict(
-                h_in=h_in, n1=n1, inv1=inv1, m1=m1, q=q, k=k, v=v, attn=attn,
-                ctx=ctx, attn_out=attn_out, h_mid=h_mid, n2=n2, inv2=inv2,
-                m2=m2, z1=z1, a1=a1, ffn_out=ffn_out,
+                h_in=h_in, n1=n1, inv1=inv1, m1=m1, q=q, k=k, v=v,
+                attn_blocks=attn_blocks, ctx=ctx, attn_out=attn_out, h_mid=h_mid,
+                n2=n2, inv2=inv2, m2=m2, gelu_grad=gelu_grad, a1=a1, ffn_out=ffn_out,
                 scale_a=scale_a, gate_a=gate_a, scale_m=scale_m, gate_m=gate_m))
 
     mod_f = silu_c @ p["final_ada.weight"] + p["final_ada.bias"]
@@ -393,7 +449,7 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
         grads[f"block{i}.ffn.weight2"] += dW
         grads[f"block{i}.ffn.bias2"] += db
         da1 = dffn_out @ p[f"block{i}.ffn.weight2"].T
-        dz1 = da1 * _gelu_grad(blk["z1"])
+        dz1 = da1 * blk["gelu_grad"]
         dW, db = _linear_grads(blk["m2"].reshape(-1, dim),
                                dz1.reshape(-1, cfg.feedforward_dim))
         grads[f"block{i}.ffn.weight1"] += dW
@@ -413,12 +469,8 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
         grads[f"block{i}.attn_out.bias"] += db
         dctx = (dattn_out @ p[f"block{i}.attn_out.weight"].T) \
             .reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
-        dattn = dctx @ blk["v"].transpose(0, 1, 3, 2)
-        dv = blk["attn"].transpose(0, 1, 3, 2) @ dctx
-        # softmax backward
-        dscores = blk["attn"] * (dattn - (dattn * blk["attn"]).sum(axis=-1, keepdims=True))
-        dq = dscores @ blk["k"] / np.sqrt(head_dim)
-        dk = dscores.transpose(0, 1, 3, 2) @ blk["q"] / np.sqrt(head_dim)
+        dq, dk, dv = _attention_backward(dctx, blk["q"], blk["k"], blk["v"],
+                                         blk["attn_blocks"])
         dqkv = np.concatenate(
             [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
             axis=2)
@@ -459,7 +511,7 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
 
 
 def forward(model: VectorFieldModel, x_t: FeatureGrid, cond: ConditionInput,
-            t: float, record: bool = False, attn_bias: np.ndarray | None = None):
+            t: float, record: bool = False, positions: np.ndarray | None = None):
     """Single-utterance forward pass; see `forward_batch` for semantics.
 
     Output is a FeatureGrid of exactly the input shape, inheriting the
@@ -470,7 +522,7 @@ def forward(model: VectorFieldModel, x_t: FeatureGrid, cond: ConditionInput,
         raise ValueError(f"state shape {x_t.values.shape} != "
                          f"condition shape {cond_grid.values.shape}")
     result = forward_batch(model, x_t.values[None], cond_grid.values[None],
-                           np.asarray([t]), record=record, attn_bias=attn_bias)
+                           np.asarray([t]), record=record, positions=positions)
     field, tape = result if record else (result, None)
     out = FeatureGrid(field[0], layout=x_t.layout, stft_params=x_t.stft_params)
     return (out, tape) if record else out

@@ -1,12 +1,17 @@
 """Transformer vector-field estimator: conditioning, forward, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from flowsr import vectorfield
 from flowsr.flowpath import cfm_loss
 from flowsr.masking import ConditionInput, null_condition
 from flowsr.spectral import FeatureGrid
 from flowsr.vectorfield import (ModelConfig, TimeEmbedding, VectorFieldModel,
+                                _ln_forward, _silu, _time_embedding_batch,
                                 alibi_bias, alibi_slopes, adaptive_layer_norm,
                                 backward, forward, forward_batch,
                                 init_parameters, layer_norm, load_model,
@@ -23,6 +28,47 @@ def randomized(config, seed, scale=0.1):
     params = {name: scale * rng.standard_normal(shape)
               for name, shape in segment_shapes(config).items()}
     return VectorFieldModel(config=config, params=params)
+
+
+def dense_forward(model, x_t, cond, t):
+    """Reference forward pass: the full [batch, heads, frames, frames]
+    attention grid with a [heads, frames, frames] ALiBi grid and erf GELU,
+    in the arithmetic order of the blocked implementation's single block."""
+    cfg, p = model.config, model.params
+    batch, _, frames = x_t.shape
+    heads, head_dim = cfg.num_heads, cfg.head_dim
+    idx = np.arange(frames)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+    bias = -alibi_slopes(heads)[:, None, None] * dist[None]
+
+    def modulate(x, shift, scale):
+        return _ln_forward(x)[0] * (1.0 + scale)[:, None, :] + shift[:, None, :]
+
+    u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)
+    h = u @ p["input_proj.weight"] + p["input_proj.bias"]
+    temb = _time_embedding_batch(t, cfg.time_embed_dim)
+    a_t = _silu(temb @ p["time_mlp.weight1"] + p["time_mlp.bias1"])
+    silu_c = _silu(a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"])
+    for i in range(cfg.num_layers):
+        w = {name[len(f"block{i}."):]: arr for name, arr in p.items()
+             if name.startswith(f"block{i}.")}
+        mod = silu_c @ w["ada.weight"] + w["ada.bias"]
+        shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = np.split(mod, 6, axis=1)
+        qkv = modulate(h, shift_a, scale_a) @ w["qkv.weight"] + w["qkv.bias"]
+        q, k, v = [a.reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
+                   for a in np.split(qkv, 3, axis=2)]
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim) + bias[None]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, frames, cfg.model_dim)
+        h = h + gate_a[:, None, :] * (ctx @ w["attn_out.weight"] + w["attn_out.bias"])
+        z1 = modulate(h, shift_m, scale_m) @ w["ffn.weight1"] + w["ffn.bias1"]
+        a1 = 0.5 * z1 * (1.0 + erf(z1 / np.sqrt(2.0)))
+        h = h + gate_m[:, None, :] * (a1 @ w["ffn.weight2"] + w["ffn.bias2"])
+    shift_f, scale_f = np.split(silu_c @ p["final_ada.weight"] + p["final_ada.bias"],
+                                2, axis=1)
+    out = modulate(h, shift_f, scale_f) @ p["output_proj.weight"] + p["output_proj.bias"]
+    return out.transpose(0, 2, 1)
 
 
 def test_config_validation():
@@ -73,7 +119,8 @@ def test_alibi_slopes_eight_heads():
 
 
 def test_alibi_bias_structure():
-    bias = alibi_bias(12, 4)
+    pos = np.arange(12.0)
+    bias = alibi_bias(pos, pos, 4)
     assert bias.shape == (4, 12, 12)
     for h in range(4):
         assert np.all(np.diag(bias[h]) == 0.0)
@@ -83,8 +130,14 @@ def test_alibi_bias_structure():
         assert np.all(np.diff(first_row) < 0.0)
     assert np.allclose(bias, -alibi_slopes(4)[:, None, None]
                        * np.abs(np.subtract.outer(np.arange(12), np.arange(12))))
+    # a block of query rows is the matching rows of the full grid
+    block = alibi_bias(pos[5:9], pos, 4)
+    assert block.shape == (4, 4, 12)
+    assert np.array_equal(block, bias[:, 5:9])
+    # only distances matter: shifted, unordered positions give the same rows
+    assert np.array_equal(alibi_bias(pos[[7, 2]] + 0.5, pos + 0.5, 4), bias[:, [7, 2]])
     with pytest.raises(ValueError):
-        alibi_bias(0, 4)
+        alibi_bias(pos[:, None], pos, 4)
 
 
 def test_adaptive_norm_identity_and_constant_input():
@@ -183,6 +236,19 @@ def test_forward_validation():
     bad.values[0, 0] = np.nan
     with pytest.raises(ValueError):
         forward(model, bad, good, 0.5)
+    with pytest.raises(ValueError, match="non-empty"):
+        forward_batch(model, np.zeros((1, 8, 0)), np.zeros((1, 8, 0)), np.array([0.5]))
+    # times must be one per item: no silent broadcasting of a single time
+    x3 = rng.standard_normal((3, 8, 10))
+    for t in (np.array([0.5]), 0.5, np.full((3, 1), 0.5)):
+        with pytest.raises(ValueError, match=r"times shape .* != \(3,\)"):
+            forward_batch(model, x3, x3, t)
+    # positions must be finite, one per frame
+    not_finite = np.arange(10.0)
+    not_finite[4] = np.inf
+    for positions in (np.arange(9.0), np.arange(10.0)[None], not_finite):
+        with pytest.raises(ValueError, match=r"positions must be \(10,\) finite"):
+            forward_batch(model, x3, x3, np.full(3, 0.5), positions=positions)
 
 
 def test_forward_batch_matches_single():
@@ -198,23 +264,68 @@ def test_forward_batch_matches_single():
         assert np.max(np.abs(batched[i] - single.values)) < 1e-12
 
 
-def test_frame_permutation_equivariance():
-    """With the distance bias permuted to match, permuting input frames
-    permutes output frames: the bias is the only position signal."""
+def test_frame_permutation_equivariance(monkeypatch):
+    """Permuting input frames together with their positions permutes output
+    frames: the distance bias is the only position signal. Checked with one
+    attention block and with query blocks of 4 rows."""
     model = randomized(TINY, seed=14)
     rng = np.random.default_rng(15)
     L = 13
     x = rng.standard_normal((8, L))
     cond = rng.standard_normal((8, L))
     perm = rng.permutation(L)
-    bias = alibi_bias(L, TINY.num_heads)
-    base = forward(model, FeatureGrid(x), ConditionInput(FeatureGrid(cond)),
-                   0.4, attn_bias=bias)
-    permuted_bias = bias[:, perm][:, :, perm]
-    shuffled = forward(model, FeatureGrid(x[:, perm]),
-                       ConditionInput(FeatureGrid(cond[:, perm])),
-                       0.4, attn_bias=permuted_bias)
-    assert np.max(np.abs(shuffled.values - base.values[:, perm])) < 1e-10
+    for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 2 * L * 4):
+        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        base = forward(model, FeatureGrid(x), ConditionInput(FeatureGrid(cond)), 0.4)
+        shuffled = forward(model, FeatureGrid(x[:, perm]),
+                           ConditionInput(FeatureGrid(cond[:, perm])),
+                           0.4, positions=perm)
+        assert np.max(np.abs(shuffled.values - base.values[:, perm])) < 1e-10
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_blocked_attention_matches_dense_reference(monkeypatch, record):
+    model = randomized(TINY, seed=24)
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, 8, 11))
+    cond = rng.standard_normal((2, 8, 11))
+    t = np.array([0.2, 0.8])
+    dense = dense_forward(model, x, cond, t)
+
+    def run():
+        result = forward_batch(model, x, cond, t, record=record)
+        return result if record else (result, None)
+
+    single, tape = run()  # the default budget holds the whole 2 x 2 x 11 x 11 grid
+    if record:
+        assert len(tape.blocks[0]["attn_blocks"]) == 1
+    assert np.array_equal(single, dense)
+
+    # 2 * 2 * 11 scores per query row: rows of 3 give blocks of 3, 3, 3, 2
+    monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 3 * 44)
+    blocked, tape = run()
+    if record:
+        assert [a.shape[2] for a in tape.blocks[0]["attn_blocks"]] == [3, 3, 3, 2]
+    assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_attention_memory_grows_linearly_in_frames():
+    model = init_parameters(ModelConfig(), np.random.default_rng(26))
+
+    def peak_mib(frames):
+        rng = np.random.default_rng(frames)
+        x = rng.standard_normal((1, 512, frames))
+        cond = rng.standard_normal((1, 512, frames))
+        tracemalloc.start()
+        try:
+            forward_batch(model, x, cond, np.array([0.5]))
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    # a dense [frames, frames] grid would quadruple the peak and need ~1.2 GiB at 2501
+    assert peak_mib(2000) < 2.5 * peak_mib(1000)
+    assert peak_mib(2501) < 150.0
 
 
 def test_backward_zero_seed_gives_zero_gradients():
@@ -243,22 +354,19 @@ def test_loss_gradient_formula():
         assert abs(fd - analytic[idx]) < 1e-8
 
 
-def test_backward_spot_finite_differences():
-    """A fast cross-section of the full gradient check (the exhaustive sweep
-    lives in the acceptance suite)."""
+def _spot_check_gradients(batch, frames):
     model = randomized(TINY, seed=19)
     rng = np.random.default_rng(20)
-    x = rng.standard_normal((1, 8, 6))
-    cond = rng.standard_normal((1, 8, 6))
-    t = np.array([0.35])
-    target = rng.standard_normal((1, 8, 6))
+    x = rng.standard_normal((batch, 8, frames))
+    cond = rng.standard_normal((batch, 8, frames))
+    t = np.linspace(0.35, 0.65, batch)
+    target = rng.standard_normal((batch, 8, frames))
 
     def loss_value():
-        out = forward_batch(model, x, cond, t)
-        return cfm_loss(out[0], target[0])
+        return cfm_loss(forward_batch(model, x, cond, t), target)
 
     out, tape = forward_batch(model, x, cond, t, record=True)
-    grads = backward(model, tape, 2.0 * (out - target) / out[0].size)
+    grads = backward(model, tape, 2.0 * (out - target) / out.size)
     h = 1e-5
     for name in ("input_proj.weight", "time_mlp.weight1", "block0.qkv.weight",
                  "block0.ada.bias", "block1.ffn.weight2", "final_ada.weight",
@@ -274,7 +382,19 @@ def test_backward_spot_finite_differences():
             fd = (up - dn) / (2 * h)
             an = grads[name].reshape(-1)[k]
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-            assert rel < 1e-4, f"{name}[{k}]: fd {fd:.3e} vs analytic {an:.3e}"
+            assert rel < 1e-4, (f"{batch}x{frames} frames, {name}[{k}]: "
+                                f"fd {fd:.3e} vs analytic {an:.3e}")
+
+
+def test_backward_spot_finite_differences(monkeypatch):
+    """A fast cross-section of the full gradient check (the exhaustive sweep
+    lives in the acceptance suite), with one attention block and with query
+    blocks of 2, 2, 2, 1 rows."""
+    for batch, frames, block_elements in [
+            (1, 6, vectorfield.ATTENTION_BLOCK_ELEMENTS),
+            (2, 7, 2 * 2 * 7 * 2)]:
+        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        _spot_check_gradients(batch, frames)
 
 
 def test_save_load_round_trip(tmp_path):

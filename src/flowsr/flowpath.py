@@ -34,20 +34,6 @@ class FlowPathConfig:
 
 
 @dataclasses.dataclass
-class FlowState:
-    """A point on the flow: state `x` at time `t` in [0, 1]."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        _check_time(self.t)
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("flow state contains NaN or Inf")
-
-
-@dataclasses.dataclass
 class TrainingTuple:
     """One flow-matching training sample: (t, x0, x1, x_t, regression target)."""
 

@@ -7,15 +7,19 @@ channel axis, projected to the model width, and processed by pre-norm
 transformer blocks whose normalization scale/shift/gate are produced from the
 time embedding (modulation projections and the output head are
 zero-initialized, so a fresh model predicts the zero field). ALiBi supplies
-the only position information: a bias -slope_h * |p_i - p_j| on frame
-positions p (by default 0..frames-1).
+the only position information: a bias -slope_h * |i - j| between frames i
+and j. The [heads, frames, frames] bias grid is a read-only strided view over
+one [heads, 2 * frames - 1] array of offsets, built once per forward pass and
+shared by every layer and block, so it costs O(heads * frames) memory.
 
 Attention is exact and computed in blocks of query rows, each scored against
-every key with its ALiBi bias generated for just those rows, so inference
-holds O(batch * heads * rows * frames) attention memory, with rows chosen to
-keep a block near ATTENTION_BLOCK_ELEMENTS scores, rather than a full
-[batch, heads, frames, frames] grid. A recorded forward pass still tapes
-every probability block, O(frames^2) in total.
+every key, so inference holds O(batch * heads * rows * frames) attention
+memory, with rows chosen to keep a block near ATTENTION_BLOCK_ELEMENTS
+scores, rather than a full [batch, heads, frames, frames] grid. Queries are
+scaled by 1/sqrt(head_dim) before the score matmul, and the softmax is
+normalised on the context (exp(scores) @ v divided by the row sums) rather
+than on the probabilities, which are normalised only when taped. A recorded
+forward pass tapes every probability block, O(frames^2) in total.
 
 Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward(..., record=True)` and is
@@ -35,6 +39,7 @@ import dataclasses
 import json
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .masking import ConditionInput
@@ -82,11 +87,6 @@ class VectorFieldModel:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-
-@dataclasses.dataclass
-class TimeEmbedding:
-    vector: np.ndarray
 
 
 def segment_shapes(config: ModelConfig) -> dict:
@@ -144,7 +144,7 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> VectorFiel
     return VectorFieldModel(config=config, params=params)
 
 
-def time_embedding(t: float, dim: int) -> TimeEmbedding:
+def time_embedding(t: float, dim: int) -> np.ndarray:
     """Sinusoidal encoding of a time in [0, 1] at geometrically spaced frequencies.
 
     First half sine, second half cosine; entries lie in [-1, 1] and the map is
@@ -152,8 +152,7 @@ def time_embedding(t: float, dim: int) -> TimeEmbedding:
     """
     if dim % 2 != 0:
         raise ValueError(f"embedding dim must be even, got {dim}")
-    vec = _time_embedding_batch(np.asarray([t], dtype=np.float64), dim)[0]
-    return TimeEmbedding(vec)
+    return _time_embedding_batch(np.asarray([t], dtype=np.float64), dim)[0]
 
 
 def _time_embedding_batch(t: np.ndarray, dim: int) -> np.ndarray:
@@ -169,43 +168,16 @@ def alibi_slopes(num_heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * h / num_heads)
 
 
-def alibi_bias(query_positions: np.ndarray, key_positions: np.ndarray,
-               num_heads: int) -> np.ndarray:
-    """Attention bias [heads, queries, keys]: -slope_h * |q_i - k_j| for
-    query and key frame positions."""
-    query_positions = np.asarray(query_positions, dtype=np.float64)
-    key_positions = np.asarray(key_positions, dtype=np.float64)
-    if query_positions.ndim != 1 or key_positions.ndim != 1:
-        raise ValueError(f"positions must be 1-D, got {query_positions.shape} "
-                         f"and {key_positions.shape}")
-    dist = np.abs(query_positions[:, None] - key_positions[None, :])
-    return -alibi_slopes(num_heads)[:, None, None] * dist[None]
+def alibi_bias(frames: int, num_heads: int) -> np.ndarray:
+    """Attention bias [heads, frames, frames]: -slope_h * |i - j|.
 
-
-def layer_norm(x: np.ndarray) -> np.ndarray:
-    """Normalization over the trailing axis, no learned affine."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS)
-
-
-def adaptive_layer_norm(hidden: np.ndarray, scale: np.ndarray,
-                        shift: np.ndarray) -> np.ndarray:
-    """layer_norm(hidden) * (1 + scale) + shift.
-
-    With zero scale and shift this is exactly plain normalization; for a
-    constant hidden vector the normalized part vanishes and the result is the
-    shift alone.
+    A read-only view: row i is the window of one [heads, 2 * frames - 1]
+    array of offset biases that starts at offset -i, so the grid costs
+    O(heads * frames) memory and no in-place operation can alter it.
     """
-    hidden = np.asarray(hidden, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    shift = np.asarray(shift, dtype=np.float64)
-    try:
-        np.broadcast_shapes(hidden.shape, scale.shape, shift.shape)
-    except ValueError as exc:
-        raise ValueError(f"modulation shapes {scale.shape}/{shift.shape} do not "
-                         f"broadcast with hidden {hidden.shape}") from exc
-    return layer_norm(hidden) * (1.0 + scale) + shift
+    offsets = np.abs(np.arange(1 - frames, frames, dtype=np.float64))
+    biases = -alibi_slopes(num_heads)[:, None] * offsets[None]
+    return sliding_window_view(biases, frames, axis=1)[:, ::-1]
 
 
 def _ln_forward(x):
@@ -244,30 +216,33 @@ class ForwardTape:
     final: dict
 
 
-def _attention_forward(q, k, v, positions, record):
+def _attention_forward(q, k, v, bias, record):
     """Exact softmax attention with ALiBi, one block of query rows at a time.
 
     Every block sees every key, so each row's softmax is complete without an
-    online rescaling. q, k, v: [batch, heads, frames, head_dim]. Returns the
-    context [batch, frames, heads * head_dim] and, when recording, the list of
-    probability blocks [batch, heads, rows, frames] (empty otherwise).
+    online rescaling. q, k, v: [batch, heads, frames, head_dim]; bias: the
+    `alibi_bias` grid. Returns the context [batch, frames, heads * head_dim]
+    and, when recording, the list of probability blocks
+    [batch, heads, rows, frames] (empty otherwise).
     """
     batch, heads, frames, head_dim = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
+    q = q / np.sqrt(head_dim)
     k_t = k.transpose(0, 1, 3, 2)
     ctx = np.empty((batch, frames, heads, head_dim))
     attn_blocks = []
     for start in range(0, frames, rows):
         sel = slice(start, start + rows)
         attn = q[:, :, sel] @ k_t
-        attn /= np.sqrt(head_dim)
-        attn += alibi_bias(positions[sel], positions, heads)
+        attn += bias[:, sel]
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        ctx[:, sel] = (attn @ v).transpose(0, 2, 1, 3)
+        total = attn.sum(axis=-1, keepdims=True)
+        ctx[:, sel] = (attn @ v / total).transpose(0, 2, 1, 3)
         if record:
+            attn /= total
             attn_blocks.append(attn)
+        del attn  # otherwise it is still held while the next block is scored
     return ctx.reshape(batch, frames, heads * head_dim), attn_blocks
 
 
@@ -292,22 +267,22 @@ def _attention_backward(dctx, q, k, v, attn_blocks):
 
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
-                  t: np.ndarray, record: bool = False,
-                  positions: np.ndarray | None = None):
+                  t: np.ndarray, record: bool = False):
     """Batched forward pass on raw arrays.
 
     Attention runs in blocks of query rows against all keys, so without
     recording it holds O(batch * heads * rows * frames) attention memory
     (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
-    grid. The tape of a recorded pass keeps every probability block: O(frames^2).
+    grid. The ALiBi bias on frame indices is one `alibi_bias` view built per
+    call and read by every layer and block. Each block's softmax is
+    normalised on its context; the probabilities are normalised only for the
+    tape of a recorded pass, which keeps every block: O(frames^2).
 
     Args:
         x_t: state grids [batch, channels, frames].
         cond: condition grids, same shape as x_t.
         t: times in [0, 1], shape [batch].
         record: also return a ForwardTape for `backward`.
-        positions: finite frame positions [frames] for the ALiBi distance
-            bias; default 0, 1, ..., frames - 1.
 
     Returns:
         Field prediction [batch, channels, frames], and the tape if recorded.
@@ -327,13 +302,8 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
         raise ValueError(f"times shape {t.shape} != {(batch,)} for input {x_t.shape}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError(f"times must lie in [0, 1], got {t}")
-    if positions is None:
-        positions = np.arange(frames, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape != (frames,) or not np.all(np.isfinite(positions)):
-        raise ValueError(f"positions must be {(frames,)} finite values for input "
-                         f"{x_t.shape}, got shape {positions.shape}")
     heads, head_dim = cfg.num_heads, cfg.head_dim
+    bias = alibi_bias(frames, heads)
 
     u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)  # [B, L, 2C]
     h = u @ p["input_proj.weight"] + p["input_proj.bias"]
@@ -356,7 +326,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
         qkv = m1 @ p[f"block{i}.qkv.weight"] + p[f"block{i}.qkv.bias"]
         q, k, v = [a.reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
                    for a in np.split(qkv, 3, axis=2)]
-        ctx, attn_blocks = _attention_forward(q, k, v, positions, record)
+        ctx, attn_blocks = _attention_forward(q, k, v, bias, record)
         attn_out = ctx @ p[f"block{i}.attn_out.weight"] + p[f"block{i}.attn_out.bias"]
         h_mid = h_in + gate_a[:, None, :] * attn_out
 
@@ -511,7 +481,7 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
 
 
 def forward(model: VectorFieldModel, x_t: FeatureGrid, cond: ConditionInput,
-            t: float, record: bool = False, positions: np.ndarray | None = None):
+            t: float, record: bool = False):
     """Single-utterance forward pass; see `forward_batch` for semantics.
 
     Output is a FeatureGrid of exactly the input shape, inheriting the
@@ -522,7 +492,7 @@ def forward(model: VectorFieldModel, x_t: FeatureGrid, cond: ConditionInput,
         raise ValueError(f"state shape {x_t.values.shape} != "
                          f"condition shape {cond_grid.values.shape}")
     result = forward_batch(model, x_t.values[None], cond_grid.values[None],
-                           np.asarray([t]), record=record, positions=positions)
+                           np.asarray([t]), record=record)
     field, tape = result if record else (result, None)
     out = FeatureGrid(field[0], layout=x_t.layout, stft_params=x_t.stft_params)
     return (out, tape) if record else out

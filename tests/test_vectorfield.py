@@ -10,13 +10,11 @@ from flowsr import vectorfield
 from flowsr.flowpath import cfm_loss
 from flowsr.masking import ConditionInput, null_condition
 from flowsr.spectral import FeatureGrid
-from flowsr.vectorfield import (ModelConfig, TimeEmbedding, VectorFieldModel,
-                                _ln_forward, _silu, _time_embedding_batch,
-                                alibi_bias, alibi_slopes, adaptive_layer_norm,
-                                backward, forward, forward_batch,
-                                init_parameters, layer_norm, load_model,
-                                parameter_count, save_model, segment_shapes,
-                                time_embedding)
+from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
+                                _silu, _time_embedding_batch, alibi_bias,
+                                alibi_slopes, backward, forward, forward_batch,
+                                init_parameters, load_model, parameter_count,
+                                save_model, segment_shapes, time_embedding)
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
@@ -57,10 +55,10 @@ def dense_forward(model, x_t, cond, t):
         qkv = modulate(h, shift_a, scale_a) @ w["qkv.weight"] + w["qkv.bias"]
         q, k, v = [a.reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
                    for a in np.split(qkv, 3, axis=2)]
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim) + bias[None]
+        scores = (q / np.sqrt(head_dim)) @ k.transpose(0, 1, 3, 2) + bias[None]
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, frames, cfg.model_dim)
+        ctx = e @ v / e.sum(axis=-1, keepdims=True)
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(batch, frames, cfg.model_dim)
         h = h + gate_a[:, None, :] * (ctx @ w["attn_out.weight"] + w["attn_out.bias"])
         z1 = modulate(h, shift_m, scale_m) @ w["ffn.weight1"] + w["ffn.bias1"]
         a1 = 0.5 * z1 * (1.0 + erf(z1 / np.sqrt(2.0)))
@@ -85,22 +83,22 @@ def test_config_validation():
 
 def test_time_embedding_endpoints_and_range():
     emb = time_embedding(0.0, 16)
-    assert isinstance(emb, TimeEmbedding)
-    assert np.all(emb.vector[:8] == 0.0)
-    assert np.all(emb.vector[8:] == 1.0)
-    assert len(time_embedding(0.5, 8).vector) == 8
+    assert emb.shape == (16,)
+    assert np.all(emb[:8] == 0.0)
+    assert np.all(emb[8:] == 1.0)
+    assert time_embedding(0.5, 8).shape == (8,)
     for t in np.linspace(0.0, 1.0, 17):
-        v = time_embedding(float(t), 32).vector
+        v = time_embedding(float(t), 32)
         assert np.all(np.abs(v) <= 1.0)
 
 
 def test_time_embedding_separates_times():
-    a = time_embedding(0.3, 16).vector
-    b = time_embedding(0.7, 16).vector
+    a = time_embedding(0.3, 16)
+    b = time_embedding(0.7, 16)
     assert np.linalg.norm(a - b) > 0.0
     # injectivity over a fine grid: the nearest neighbor is never a duplicate
     grid = np.linspace(0.0, 1.0, 101)
-    vecs = np.stack([time_embedding(float(t), 16).vector for t in grid])
+    vecs = np.stack([time_embedding(float(t), 16) for t in grid])
     pairwise = np.linalg.norm(vecs[:, None] - vecs[None, :], axis=-1)
     pairwise[np.diag_indices(len(grid))] = np.inf
     assert pairwise.min() > 0.0
@@ -119,8 +117,7 @@ def test_alibi_slopes_eight_heads():
 
 
 def test_alibi_bias_structure():
-    pos = np.arange(12.0)
-    bias = alibi_bias(pos, pos, 4)
+    bias = alibi_bias(12, 4)
     assert bias.shape == (4, 12, 12)
     for h in range(4):
         assert np.all(np.diag(bias[h]) == 0.0)
@@ -130,36 +127,37 @@ def test_alibi_bias_structure():
         assert np.all(np.diff(first_row) < 0.0)
     assert np.allclose(bias, -alibi_slopes(4)[:, None, None]
                        * np.abs(np.subtract.outer(np.arange(12), np.arange(12))))
-    # a block of query rows is the matching rows of the full grid
-    block = alibi_bias(pos[5:9], pos, 4)
-    assert block.shape == (4, 4, 12)
-    assert np.array_equal(block, bias[:, 5:9])
-    # only distances matter: shifted, unordered positions give the same rows
-    assert np.array_equal(alibi_bias(pos[[7, 2]] + 0.5, pos + 0.5, 4), bias[:, [7, 2]])
-    with pytest.raises(ValueError):
-        alibi_bias(pos[:, None], pos, 4)
 
 
-def test_adaptive_norm_identity_and_constant_input():
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((5, 16))
-    zeros = np.zeros(16)
-    assert np.max(np.abs(adaptive_layer_norm(h, zeros, zeros) - layer_norm(h))) < 1e-12
-    shift = rng.standard_normal(16)
-    flat = np.full((3, 16), 2.5)
-    out = adaptive_layer_norm(flat, zeros, shift)
-    assert np.max(np.abs(out - shift)) < 1e-3  # zero-variance guard leaves shift
-    scaled = adaptive_layer_norm(h, np.full(16, 0.5), zeros)
-    assert np.max(np.abs(scaled - 1.5 * layer_norm(h))) < 1e-12
+def test_alibi_bias_is_a_read_only_view():
+    """The grid every layer and block reads is O(frames) memory, cannot be
+    corrupted by an in-place operation, and holds the exact ALiBi values."""
+    tracemalloc.start()
+    try:
+        bias = alibi_bias(20000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bias.shape == (4, 20000, 20000)
+    # the [4, 39999] float64 offsets take 1.22 MiB; a dense grid would take 12 GiB
+    assert peak < 2 * 2 ** 20
     with pytest.raises(ValueError):
-        adaptive_layer_norm(h, np.zeros(7), np.zeros(16))
+        bias[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bias[:, :3] += 1.0
+    for frames in (1, 2, 7):
+        idx = np.arange(frames)
+        dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+        expected = -alibi_slopes(3)[:, None, None] * dist[None]
+        assert np.array_equal(alibi_bias(frames, 3), expected)
 
 
 def test_layer_norm_moments():
     x = np.random.default_rng(1).standard_normal((10, 64)) * 3.0 + 2.0
-    y = layer_norm(x)
+    y, inv = _ln_forward(x)
     assert np.max(np.abs(y.mean(axis=-1))) < 1e-12
     assert np.max(np.abs(y.var(axis=-1) - 1.0)) < 1e-4  # eps shifts variance slightly
+    assert np.allclose(inv[:, 0], 1.0 / np.sqrt(x.var(axis=-1) + vectorfield.LN_EPS))
 
 
 def test_parameter_count_tiny_config():
@@ -243,12 +241,6 @@ def test_forward_validation():
     for t in (np.array([0.5]), 0.5, np.full((3, 1), 0.5)):
         with pytest.raises(ValueError, match=r"times shape .* != \(3,\)"):
             forward_batch(model, x3, x3, t)
-    # positions must be finite, one per frame
-    not_finite = np.arange(10.0)
-    not_finite[4] = np.inf
-    for positions in (np.arange(9.0), np.arange(10.0)[None], not_finite):
-        with pytest.raises(ValueError, match=r"positions must be \(10,\) finite"):
-            forward_batch(model, x3, x3, np.full(3, 0.5), positions=positions)
 
 
 def test_forward_batch_matches_single():
@@ -264,23 +256,21 @@ def test_forward_batch_matches_single():
         assert np.max(np.abs(batched[i] - single.values)) < 1e-12
 
 
-def test_frame_permutation_equivariance(monkeypatch):
-    """Permuting input frames together with their positions permutes output
-    frames: the distance bias is the only position signal. Checked with one
-    attention block and with query blocks of 4 rows."""
+def test_frame_reversal_equivariance(monkeypatch):
+    """Reversing the input frames reverses the output frames: the symmetric
+    distance bias is the only position signal. Checked with one attention
+    block and with query blocks of 4 rows."""
     model = randomized(TINY, seed=14)
     rng = np.random.default_rng(15)
     L = 13
     x = rng.standard_normal((8, L))
     cond = rng.standard_normal((8, L))
-    perm = rng.permutation(L)
     for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 2 * L * 4):
         monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
         base = forward(model, FeatureGrid(x), ConditionInput(FeatureGrid(cond)), 0.4)
-        shuffled = forward(model, FeatureGrid(x[:, perm]),
-                           ConditionInput(FeatureGrid(cond[:, perm])),
-                           0.4, positions=perm)
-        assert np.max(np.abs(shuffled.values - base.values[:, perm])) < 1e-10
+        reversed_ = forward(model, FeatureGrid(x[:, ::-1]),
+                            ConditionInput(FeatureGrid(cond[:, ::-1])), 0.4)
+        assert np.max(np.abs(reversed_.values - base.values[:, ::-1])) < 1e-10
 
 
 @pytest.mark.parametrize("record", [False, True])

@@ -23,8 +23,8 @@ from .masking import (ConditionInput, MaskSpec, apply_mask,
 from .metrics import (MetricsReport, UtteranceScores, failure_rate,
                       format_summary, lsd, score_utterance, si_sdr,
                       si_sdr_improvement, write_report)
-from .sampler import (FieldDivergenceError, SolverConfig, SolverMethod,
-                      euler_solve, generate, sample_features)
+from .sampler import (FieldDivergenceError, SolverConfig, euler_solve,
+                      generate, sample_features)
 from .spectral import (ComplexSpectrogram, CompressionParams, FeatureGrid,
                        StftParams, audio_from_features, compress, decompress,
                        features_from_audio, istft, pack_features, stft,

@@ -8,7 +8,6 @@ utterance.
 """
 
 import dataclasses
-import enum
 
 import numpy as np
 
@@ -24,20 +23,11 @@ class FieldDivergenceError(RuntimeError):
     """Raised when the integrated state stops being finite."""
 
 
-class SolverMethod(enum.Enum):
-    """Integration rule. Only forward Euler exists today; the enum keeps the
-    config stable if higher-order rules are added."""
-
-    EULER = "euler"
-
-
 @dataclasses.dataclass
 class SolverConfig:
     step_size: float = 0.2
-    method: SolverMethod = SolverMethod.EULER
 
     def __post_init__(self):
-        self.method = SolverMethod(self.method)
         if not 0.0 < self.step_size <= 1.0:
             raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
         n = round(1.0 / self.step_size)
@@ -55,7 +45,9 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
 
     Args:
         field_fn: callable (state array, scalar time) -> field array.
-        x0: initial state at t = 0.
+        x0: initial state at t = 0. It is not copied and never mutated
+            (each step makes a new state), so a caller that does not keep
+            its own reference lets it be freed after the first step.
         config: solver settings; the number of steps is 1 / step_size.
 
     Returns:
@@ -66,10 +58,9 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
         FieldDivergenceError: if any intermediate state or field value is
             non-finite, reporting the step index and the offending norm.
     """
-    if config.method is not SolverMethod.EULER:
-        raise NotImplementedError(f"solver method {config.method}")
     n = config.num_steps
-    x = np.array(x0, dtype=np.float64)
+    x = np.asarray(x0, dtype=np.float64)
+    del x0  # x is rebound by every step; the start state need not outlive it
     evals = 0
     for k in range(n):
         t_k = k / n
@@ -95,13 +86,13 @@ def sample_features(model: VectorFieldModel, cond: ConditionInput,
     """Draw noise shaped like the condition and integrate the model field."""
     solver = solver or SolverConfig()
     grid = cond.features
-    x0 = rng.standard_normal(grid.values.shape)
 
     def field(x, t):
         return forward_batch(model, x[None], grid.values[None],
                              np.asarray([t]))[0]
 
-    final, _ = euler_solve(field, x0, solver)
+    # the noise draw is not bound here, so euler_solve holds the only state
+    final, _ = euler_solve(field, rng.standard_normal(grid.values.shape), solver)
     return FeatureGrid(final, layout=grid.layout, stft_params=grid.stft_params)
 
 

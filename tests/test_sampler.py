@@ -6,8 +6,8 @@ import pytest
 from flowsr.audio import AudioSignal
 from flowsr.flowpath import (FlowPathConfig, conditional_vector_field,
                              target_vector_field)
-from flowsr.sampler import (FieldDivergenceError, SolverConfig, SolverMethod,
-                            euler_solve, generate, sample_features)
+from flowsr.sampler import (FieldDivergenceError, SolverConfig, euler_solve,
+                            generate, sample_features)
 from flowsr.masking import ConditionInput
 from flowsr.spectral import CompressionParams, FeatureGrid, StftParams
 from flowsr.tasks import TaskKind
@@ -37,18 +37,25 @@ def test_solver_config_validation():
             SolverConfig(bad)
 
 
-def test_solver_method_enum():
-    assert SolverConfig(0.2).method is SolverMethod.EULER
-    assert SolverConfig(0.2, method="euler").method is SolverMethod.EULER
-    with pytest.raises(ValueError):
-        SolverConfig(0.2, method="rk4")
-
-
 def test_zero_field_returns_start():
     x0 = np.random.default_rng(0).standard_normal((4, 7))
     out, evals = euler_solve(lambda x, t: np.zeros_like(x), x0, SolverConfig(0.2))
     assert evals == 5
     assert np.array_equal(out, x0)
+
+
+def test_start_state_is_neither_mutated_nor_returned():
+    """euler_solve does not copy x0; every step must make a new state."""
+    for x0 in (np.random.default_rng(3).standard_normal((4, 7)),
+               np.arange(28).reshape(4, 7)):
+        before = x0.copy()
+        for dt in (1.0, 0.2):
+            out, _ = euler_solve(lambda x, t: np.zeros_like(x), x0, SolverConfig(dt))
+            assert out is not x0 and not np.shares_memory(out, x0)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, before)
+            out += 1.0  # writing the result must not reach the caller's array
+            assert np.array_equal(x0, before)
 
 
 def test_evaluation_count_and_times():

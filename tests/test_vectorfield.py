@@ -318,6 +318,41 @@ def test_attention_memory_grows_linearly_in_frames():
     assert peak_mib(2501) < 150.0
 
 
+def test_inference_forward_peak_is_bounded():
+    """Without recording, activations are freed at their last use: one NFE on
+    20 s (2501 frames) at the defaults peaks near the 19.5 MiB input
+    [frames, 2 * channels] of the input projection, not at the sum of every
+    layer's temporaries."""
+    model = init_parameters(ModelConfig(), np.random.default_rng(27))
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((1, 512, 2501))
+    cond = rng.standard_normal((1, 512, 2501))
+    tracemalloc.start()
+    try:
+        forward_batch(model, x, cond, np.array([0.5]))
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 32.0
+
+
+def test_unrecorded_field_equals_recorded(monkeypatch):
+    """Freeing activations early in an unrecorded pass must not change any
+    arithmetic: at the default depth and width, with several attention
+    blocks, both passes give the same field bit for bit."""
+    model = randomized(ModelConfig(), seed=29)
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((2, 512, 23))
+    cond = rng.standard_normal((2, 512, 23))
+    t = np.array([0.25, 0.75])
+    # 2 * 4 * 23 scores per query row: rows of 5 give blocks of 5, 5, 5, 5, 3
+    monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 5 * 184)
+    recorded, tape = forward_batch(model, x, cond, t, record=True)
+    assert len(tape.blocks) == 4
+    assert [a.shape[2] for a in tape.blocks[3]["attn_blocks"]] == [5, 5, 5, 5, 3]
+    assert np.array_equal(forward_batch(model, x, cond, t), recorded)
+
+
 def test_backward_zero_seed_gives_zero_gradients():
     model = randomized(TINY, seed=16)
     rng = np.random.default_rng(17)

@@ -10,7 +10,7 @@ Submodules:
     sampler     Euler ODE integration and the restoration pipeline
     tasks       task conditions and degradation synthesis
     metrics     SI-SDR, SI-SDR improvement, failure rate, LSD
-    training    schedules, Adam, pretrain/finetune steps, checkpoints
+    training    schedules, Adam, pretrain/finetune gradients, checkpoints
     harness     CLI, manifests, toy corpus synthesis
 """
 
@@ -34,12 +34,11 @@ from .tasks import (TaskKind, TsePromptSpec, bandwidth_reduce, build_condition,
                     prepend_tse_prompt, trim_tse_output)
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        TrainState, WaveformDataset, adam_update,
-                       clip_global_norm, finetune_step, init_train_state,
-                       load_checkpoint, lr_schedule, pretrain_step,
-                       run_training, save_checkpoint)
+                       apply_gradients, clip_global_norm, finetune_gradients,
+                       init_train_state, load_checkpoint, lr_schedule,
+                       pretrain_gradients, run_training, save_checkpoint)
 from .vectorfield import (ModelConfig, VectorFieldModel, alibi_bias,
-                          alibi_slopes, backward, forward, forward_batch,
-                          init_parameters, load_model, parameter_count,
-                          save_model, time_embedding)
+                          alibi_slopes, backward, forward_batch,
+                          init_parameters, parameter_count, time_embedding)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

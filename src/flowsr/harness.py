@@ -4,7 +4,8 @@ restoration commands, and evaluation.
 Subcommands: synth-data, pretrain, finetune, enhance, extract, evaluate.
 `--seed` and `--config` are accepted by every subcommand; config files are
 flat `key = value` text addressing any RunConfig field, and every override
-is echoed to the run log.
+is echoed to the run log. Training commands write `training.save_checkpoint`
+files; `finetune --init`, `enhance` and `extract` read the model from one.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import numpy as np
 from scipy.signal import firwin
 
 from .audio import AudioSignal, read_wav, write_wav
-from .flowpath import FlowPathConfig
 from .metrics import MetricsReport, format_summary, score_utterance, write_report
 from .sampler import SolverConfig, generate
 from .spectral import CompressionParams, StftParams
@@ -27,8 +27,7 @@ from .tasks import (TaskKind, bandwidth_reduce, codec_degrade, mix_at_snr,
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        WaveformDataset, init_train_state, load_checkpoint,
                        run_training)
-from .vectorfield import (ModelConfig, VectorFieldModel, init_parameters,
-                          load_model)
+from .vectorfield import ModelConfig, init_parameters
 
 
 @dataclasses.dataclass
@@ -46,7 +45,6 @@ class RunConfig:
     hop_size: int = 128
     compress_exponent: float = 0.5
     compress_scale: float = 0.33
-    sigma_min: float = 1e-4
     num_layers: int = 4
     model_dim: int = 128
     num_heads: int = 4
@@ -70,7 +68,6 @@ class RunConfig:
         # constructing the component configs runs their validation
         self.stft_params()
         self.compression()
-        self.flow()
         self.model_config()
         self.solver()
         LossSupport(self.loss_support)
@@ -81,9 +78,6 @@ class RunConfig:
     def compression(self) -> CompressionParams:
         return CompressionParams(exponent=self.compress_exponent,
                                  scale=self.compress_scale)
-
-    def flow(self) -> FlowPathConfig:
-        return FlowPathConfig(sigma_min=self.sigma_min)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -386,15 +380,6 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_any_model(path) -> VectorFieldModel:
-    """Accept either a bare model checkpoint or a full training checkpoint."""
-    try:
-        model, _ = load_model(path)
-        return model
-    except ValueError:
-        return load_checkpoint(path).model
-
-
 def _load_dataset(manifest_path, need_degraded: bool) -> WaveformDataset:
     records = load_manifest(manifest_path)
     if not records:
@@ -423,36 +408,25 @@ def _cmd_synth_data(args) -> None:
     print(f"wrote {args.count} {task.value} pairs; manifest at {manifest}")
 
 
-def _cmd_pretrain(args) -> None:
+def _cmd_train(args) -> None:
+    """Shared body of `pretrain` (no task) and `finetune` (a task, warm-started
+    from the checkpoint given with --init, else trained from scratch)."""
     cfg = _run_config(args)
-    dataset = _load_dataset(args.manifest, need_degraded=False)
-    train_cfg = cfg.train_config(TrainMode.PRETRAIN)
-    if args.resume and Path(args.out).exists():
-        state = load_checkpoint(args.out, expected=train_cfg)
-        print(f"resuming from step {state.step}")
+    task = TaskKind(args.task) if args.task else None
+    if task is None:
+        mode = TrainMode.PRETRAIN
+    elif args.init:
+        mode = TrainMode.FINETUNE
     else:
-        model = init_parameters(cfg.model_config(), np.random.default_rng(cfg.seed))
-        state = init_train_state(model, train_cfg)
-    state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
-                         log_path=args.log, log_append=args.resume,
-                         checkpoint_path=args.out,
-                         checkpoint_every=args.checkpoint_every)
-    print(f"pretrained to step {state.step}; mean loss {state.mean_loss:.6f}; "
-          f"checkpoint at {args.out}")
-
-
-def _cmd_finetune(args) -> None:
-    cfg = _run_config(args)
-    task = TaskKind(args.task)
-    dataset = _load_dataset(args.manifest, need_degraded=True)
-    mode = TrainMode.FINETUNE if args.init else TrainMode.SCRATCH
+        mode = TrainMode.SCRATCH
+    dataset = _load_dataset(args.manifest, need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
     if args.resume and Path(args.out).exists():
         state = load_checkpoint(args.out, expected=train_cfg)
         print(f"resuming from step {state.step}")
     else:
         if args.init:
-            model = _load_any_model(args.init)
+            model = load_checkpoint(args.init).model
             if dataclasses.asdict(model.config) != dataclasses.asdict(cfg.model_config()):
                 raise ValueError(f"model config in {args.init} does not match "
                                  "the run config")
@@ -464,13 +438,14 @@ def _cmd_finetune(args) -> None:
                          log_path=args.log, log_append=args.resume,
                          checkpoint_path=args.out,
                          checkpoint_every=args.checkpoint_every)
-    print(f"{mode.value} {task.value} to step {state.step}; "
-          f"mean loss {state.mean_loss:.6f}; checkpoint at {args.out}")
+    what = mode.value if task is None else f"{mode.value} {task.value}"
+    print(f"{what} to step {state.step}; mean loss {state.mean_loss:.6f}; "
+          f"checkpoint at {args.out}")
 
 
 def _cmd_enhance(args) -> None:
     cfg = _run_config(args)
-    model = _load_any_model(args.model)
+    model = load_checkpoint(args.model).model
     task = TaskKind(args.task)
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
         raise ValueError("use the 'extract' subcommand for speaker extraction")
@@ -484,7 +459,7 @@ def _cmd_enhance(args) -> None:
 
 def _cmd_extract(args) -> None:
     cfg = _run_config(args)
-    model = _load_any_model(args.model)
+    model = load_checkpoint(args.model).model
     mixture = read_wav(args.mixture)
     reference = read_wav(args.reference)
     restored = generate(model, TaskKind.TARGET_SPEAKER_EXTRACT, mixture,
@@ -545,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="loss log (line-delimited JSON)")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--checkpoint-every", type=int, default=0)
-    p.set_defaults(func=_cmd_pretrain)
+    p.set_defaults(func=_cmd_train, task=None, init=None)
 
     p = sub.add_parser("finetune", parents=[common],
                        help="task-condition training (from scratch without --init)")
@@ -556,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--checkpoint-every", type=int, default=0)
-    p.set_defaults(func=_cmd_finetune)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("enhance", parents=[common],
                        help="restore one degraded recording")

@@ -128,9 +128,8 @@ def apply_mask(clean: FeatureGrid, mask: MaskSpec) -> ConditionInput:
                          f"grid has {clean.num_frames}")
     values = clean.values.copy()
     values[:, mask.frame_flags] = 0.0
-    return ConditionInput(
-        FeatureGrid(values, layout=clean.layout, stft_params=clean.stft_params),
-        is_null=False)
+    return ConditionInput(FeatureGrid(values, stft_params=clean.stft_params),
+                          is_null=False)
 
 
 def maybe_drop_condition(cond: ConditionInput, p: float,

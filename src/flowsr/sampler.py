@@ -93,7 +93,7 @@ def sample_features(model: VectorFieldModel, cond: ConditionInput,
 
     # the noise draw is not bound here, so euler_solve holds the only state
     final, _ = euler_solve(field, rng.standard_normal(grid.values.shape), solver)
-    return FeatureGrid(final, layout=grid.layout, stft_params=grid.stft_params)
+    return FeatureGrid(final, stft_params=grid.stft_params)
 
 
 def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,

@@ -107,22 +107,17 @@ class CompressionParams:
             raise ValueError("exponent and scale must be positive")
 
 
-# Channel order used by pack_features / unpack_features.
-LAYOUT_REAL_IMAG_BLOCKS = "real_block_then_imag_block"
-
-
 @dataclasses.dataclass
 class FeatureGrid:
     """Real-valued feature grid, shape [2 * num_bins, num_frames].
 
     Channels 0..num_bins-1 hold real parts, channels num_bins..2*num_bins-1
-    hold imaginary parts (the layout tag records this order). Carries the
-    originating StftParams when known so the grid can be unpacked without
-    extra context.
+    hold imaginary parts: the order `pack_features` writes and
+    `unpack_features` reads. Carries the originating StftParams when known
+    so the grid can be unpacked without extra context.
     """
 
     values: np.ndarray
-    layout: str = LAYOUT_REAL_IMAG_BLOCKS
     stft_params: StftParams | None = None
 
     def __post_init__(self):
@@ -244,7 +239,7 @@ def decompress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectr
 def pack_features(spec: ComplexSpectrogram) -> FeatureGrid:
     """Stack real and imaginary parts into a [2 * bins, frames] real grid."""
     values = np.concatenate([spec.bins.real, spec.bins.imag], axis=0)
-    return FeatureGrid(values, layout=LAYOUT_REAL_IMAG_BLOCKS, stft_params=spec.params)
+    return FeatureGrid(values, stft_params=spec.params)
 
 
 def unpack_features(grid: FeatureGrid, params: StftParams | None = None) -> ComplexSpectrogram:
@@ -255,8 +250,6 @@ def unpack_features(grid: FeatureGrid, params: StftParams | None = None) -> Comp
         params: STFT parameters for the result; defaults to the parameters
             recorded on the grid.
     """
-    if grid.layout != LAYOUT_REAL_IMAG_BLOCKS:
-        raise ValueError(f"unknown feature layout '{grid.layout}'")
     params = params if params is not None else grid.stft_params
     if params is None:
         raise ValueError("feature grid carries no StftParams; pass them explicitly")

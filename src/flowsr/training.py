@@ -7,9 +7,14 @@ one feature shape and no padding-aware loss masking is needed. All randomness
 flows through the TrainState generator; a fixed seed gives an identical
 parameter trajectory, and save/resume continues bit-exactly.
 
-Gradient accumulation is explicit: `pretrain_gradients` / `finetune_gradients`
-return (loss, grads) for a micro-batch, and `apply_gradients` performs one
-clipped Adam update, so callers may sum several micro-batches before applying.
+A training step is `pretrain_gradients` or `finetune_gradients`, which
+return (loss, grads) for a micro-batch, followed by `apply_gradients`, which
+performs one clipped Adam update; callers may sum several micro-batches
+before applying.
+
+`save_checkpoint` / `load_checkpoint` define the package's one checkpoint
+format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
+warm starts and the restoration commands read its `model`.
 """
 
 import dataclasses
@@ -32,7 +37,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CACHE_LIMIT_BYTES = 6 * 1024 ** 3  # waveform cache budget
-TRAIN_CHECKPOINT_FORMAT = "flowsr-train-v1"
+CHECKPOINT_TAG = "flowsr-train-v1"
 
 
 class TrainMode(enum.Enum):
@@ -247,8 +252,7 @@ def _forward_backward(model: VectorFieldModel, items: list,
     return loss, grads
 
 
-def pretrain_gradients(state: TrainState, batch: list,
-                       flow: FlowPathConfig | None = None) -> tuple[float, dict]:
+def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
     """Masked-condition objective on a batch of clean FeatureGrids.
 
     Per item: sample a span mask, zero the masked frames to form the
@@ -258,14 +262,13 @@ def pretrain_gradients(state: TrainState, batch: list,
     if not batch:
         raise ValueError("empty batch")
     cfg = state.config
-    flow = flow or FlowPathConfig()
     items = []
     for grid in batch:
         mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
                            state.rng)
         cond = apply_mask(grid, mask)
         cond = maybe_drop_condition(cond, cfg.dropout_prob, state.rng)
-        tup = sample_training_tuple(grid.values, flow, state.rng)
+        tup = sample_training_tuple(grid.values, FlowPathConfig(), state.rng)
         items.append(_Item(x_t=tup.x_t, cond=cond.features.values, t=tup.t,
                            target=tup.target, frame_mask=mask.frame_flags))
     return _forward_backward(state.model, items, cfg.loss_support)
@@ -273,8 +276,8 @@ def pretrain_gradients(state: TrainState, batch: list,
 
 def finetune_gradients(state: TrainState, batch: list,
                        stft_params: StftParams | None = None,
-                       compression: CompressionParams | None = None,
-                       flow: FlowPathConfig | None = None) -> tuple[float, dict]:
+                       compression: CompressionParams | None = None
+                       ) -> tuple[float, dict]:
     """Task-condition objective on a batch of TrainPairs; no condition dropout."""
     if not batch:
         raise ValueError("empty batch")
@@ -283,7 +286,6 @@ def finetune_gradients(state: TrainState, batch: list,
         raise ValueError("finetuning requires a task in the config")
     stft_params = stft_params or StftParams()
     compression = compression or CompressionParams()
-    flow = flow or FlowPathConfig()
     items = []
     for pair in batch:
         if pair.degraded is None:
@@ -299,7 +301,7 @@ def finetune_gradients(state: TrainState, batch: list,
         if x1.values.shape != cond.features.values.shape:
             raise ValueError(f"target features {x1.values.shape} != condition "
                              f"features {cond.features.values.shape}")
-        tup = sample_training_tuple(x1.values, flow, state.rng)
+        tup = sample_training_tuple(x1.values, FlowPathConfig(), state.rng)
         items.append(_Item(x_t=tup.x_t, cond=cond.features.values, t=tup.t,
                            target=tup.target, frame_mask=None))
     return _forward_backward(state.model, items, LossSupport.ALL_FRAMES)
@@ -319,25 +321,6 @@ def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:
     state.loss_sum += loss
     state.last_loss = loss
     return loss
-
-
-def pretrain_step(state: TrainState, batch: list,
-                  flow: FlowPathConfig | None = None) -> tuple[TrainState, float]:
-    """One full pretraining update on clean FeatureGrids."""
-    loss, grads = pretrain_gradients(state, batch, flow=flow)
-    apply_gradients(state, loss, grads)
-    return state, loss
-
-
-def finetune_step(state: TrainState, batch: list,
-                  stft_params: StftParams | None = None,
-                  compression: CompressionParams | None = None,
-                  flow: FlowPathConfig | None = None) -> tuple[TrainState, float]:
-    """One full finetuning update on TrainPairs."""
-    loss, grads = finetune_gradients(state, batch, stft_params=stft_params,
-                                     compression=compression, flow=flow)
-    apply_gradients(state, loss, grads)
-    return state, loss
 
 
 def _crop_signal(signal: AudioSignal, start: int, n: int) -> AudioSignal:
@@ -399,9 +382,11 @@ def run_training(state: TrainState, dataset: WaveformDataset,
             k = state.step
             batch = make_batch(dataset, cfg, stft_params, compression, state.rng)
             if cfg.mode is TrainMode.PRETRAIN:
-                _, loss = pretrain_step(state, batch)
+                loss, grads = pretrain_gradients(state, batch)
             else:
-                _, loss = finetune_step(state, batch, stft_params, compression)
+                loss, grads = finetune_gradients(state, batch, stft_params,
+                                                 compression)
+            apply_gradients(state, loss, grads)
             if log_file is not None:
                 record = {"step": k, "lr": lr_schedule(k, cfg), "loss": loss}
                 log_file.write(json.dumps(record) + "\n")
@@ -436,7 +421,7 @@ def _train_config_from_dict(d: dict) -> TrainConfig:
 def save_checkpoint(state: TrainState, path) -> None:
     """Serialize the full TrainState (params, moments, rng, counters)."""
     payload = {
-        "__format__": np.array(TRAIN_CHECKPOINT_FORMAT),
+        "__format__": np.array(CHECKPOINT_TAG),
         "__model_config__": np.array(
             json.dumps(dataclasses.asdict(state.model.config))),
         "__train_config__": np.array(json.dumps(_train_config_dict(state.config))),
@@ -455,7 +440,7 @@ def save_checkpoint(state: TrainState, path) -> None:
 def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
     """Restore a TrainState; optionally insist it matches an expected config."""
     with np.load(path, allow_pickle=False) as data:
-        if "__format__" not in data or str(data["__format__"]) != TRAIN_CHECKPOINT_FORMAT:
+        if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_TAG:
             raise ValueError(f"{path}: not a recognized training checkpoint")
         model_config = ModelConfig(**json.loads(str(data["__model_config__"])))
         train_config = _train_config_from_dict(

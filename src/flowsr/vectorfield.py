@@ -28,8 +28,10 @@ stay live (see `forward_batch`): one field evaluation at the defaults peaks
 at about 17 MiB at 1501 frames and 25 MiB at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64;
-`backward` consumes the tape recorded by `forward(..., record=True)` and is
-validated against central finite differences in the test suite.
+`backward` consumes the tape recorded by `forward_batch(..., record=True)`,
+which holds only what it reads (the residual stream's hidden states are not
+taped), and is validated against central finite differences in the test
+suite.
 
 Parameter count for a config (D = model_dim, C = feature_channels,
 T = time_embed_dim, F = feedforward_dim, N = num_layers):
@@ -42,21 +44,16 @@ T = time_embed_dim, F = feedforward_dim, N = num_layers):
 """
 
 import dataclasses
-import json
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
-
-from .masking import ConditionInput
-from .spectral import FeatureGrid
 
 LN_EPS = 1e-6
 TIME_SCALE = 1000.0  # sinusoidal input scaling; keeps frequencies well spread on [0, 1]
 # Score elements per attention block (8 MiB of float64). Training crops and
 # short utterances fit in one block, which is the dense computation unchanged.
 ATTENTION_BLOCK_ELEMENTS = 2 ** 20
-CHECKPOINT_FORMAT = "flowsr-model-v1"
 
 
 @dataclasses.dataclass
@@ -283,7 +280,7 @@ def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, reco
     n1, inv1 = _ln_forward(h_in)
     m1 = n1 * (1.0 + scale)[:, None, :] + shift[:, None, :]
     qkv = m1 @ p[f"{name}.qkv.weight"] + p[f"{name}.qkv.bias"]
-    tape = dict(h_in=h_in, n1=n1, inv1=inv1, m1=m1) if record else None
+    tape = dict(n1=n1, inv1=inv1, m1=m1) if record else None
     del n1, m1
     q, k, v = [a.reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
                for a in np.split(qkv, 3, axis=2)]
@@ -310,7 +307,7 @@ def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
     n2, inv2 = _ln_forward(h_mid)
     m2 = n2 * (1.0 + scale)[:, None, :] + shift[:, None, :]
     z1 = m2 @ p[f"{name}.ffn.weight1"] + p[f"{name}.ffn.bias1"]
-    tape = dict(h_mid=h_mid, n2=n2, inv2=inv2, m2=m2) if record else None
+    tape = dict(n2=n2, inv2=inv2, m2=m2) if record else None
     del n2, m2
     cdf = 0.5 * (1.0 + erf(z1 / np.sqrt(2.0)))  # standard normal CDF
     a1 = z1 * cdf
@@ -399,8 +396,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     shift_f, scale_f = np.split(mod_f, 2, axis=1)
     n_f, inv_f = _ln_forward(h)
     m_f = n_f * (1.0 + scale_f)[:, None, :] + shift_f[:, None, :]
-    final = dict(h_last=h, n_f=n_f, inv_f=inv_f, m_f=m_f, scale_f=scale_f) \
-        if record else None
+    final = dict(n_f=n_f, inv_f=inv_f, m_f=m_f, scale_f=scale_f) if record else None
     del h, n_f
     out = m_f @ p["output_proj.weight"] + p["output_proj.bias"]
     field = out.transpose(0, 2, 1)  # [B, C, L]
@@ -523,51 +519,3 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
     grads["time_mlp.weight1"] += dW
     grads["time_mlp.bias1"] += db
     return grads
-
-
-def forward(model: VectorFieldModel, x_t: FeatureGrid, cond: ConditionInput,
-            t: float, record: bool = False):
-    """Single-utterance forward pass; see `forward_batch` for semantics.
-
-    Output is a FeatureGrid of exactly the input shape, inheriting the
-    state grid's layout and STFT parameters.
-    """
-    cond_grid = cond.features
-    if x_t.values.shape != cond_grid.values.shape:
-        raise ValueError(f"state shape {x_t.values.shape} != "
-                         f"condition shape {cond_grid.values.shape}")
-    result = forward_batch(model, x_t.values[None], cond_grid.values[None],
-                           np.asarray([t]), record=record)
-    field, tape = result if record else (result, None)
-    out = FeatureGrid(field[0], layout=x_t.layout, stft_params=x_t.stft_params)
-    return (out, tape) if record else out
-
-
-def save_model(path, model: VectorFieldModel, step: int = 0) -> None:
-    """Write config, parameter segments, and a step counter to an .npz file."""
-    payload = {
-        "__format__": np.array(CHECKPOINT_FORMAT),
-        "__config__": np.array(json.dumps(dataclasses.asdict(model.config))),
-        "__step__": np.array(step, dtype=np.int64),
-    }
-    payload.update(model.params)
-    np.savez(path, **payload)
-
-
-def load_model(path) -> tuple[VectorFieldModel, int]:
-    """Inverse of `save_model`; validates the format header."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a recognized model checkpoint")
-        config = ModelConfig(**json.loads(str(data["__config__"])))
-        step = int(data["__step__"])
-        params = {}
-        for name, shape in segment_shapes(config).items():
-            if name not in data:
-                raise ValueError(f"{path}: missing parameter segment '{name}'")
-            arr = data[name]
-            if arr.shape != shape:
-                raise ValueError(f"{path}: segment '{name}' has shape {arr.shape}, "
-                                 f"expected {shape}")
-            params[name] = arr.astype(np.float64)
-    return VectorFieldModel(config=config, params=params), step

@@ -24,8 +24,9 @@ from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
                              unpack_features)
 from flowsr.tasks import TaskKind, TsePromptSpec, prepend_tse_prompt, trim_tse_output
 from flowsr.training import (TrainMode, TrainPair, WaveformDataset,
-                             init_train_state, load_checkpoint, make_batch,
-                             pretrain_step, run_training, save_checkpoint)
+                             apply_gradients, init_train_state,
+                             load_checkpoint, make_batch, pretrain_gradients,
+                             run_training, save_checkpoint)
 from flowsr.vectorfield import (ModelConfig, backward, forward_batch,
                                 init_parameters)
 
@@ -331,21 +332,21 @@ def test_09_seed_and_resume_reproducibility(tmp_path):
     losses_a = []
     for _ in range(10):
         batch = make_batch(dataset, train_cfg, stft_params, cp, state_a.rng)
-        state_a, loss = pretrain_step(state_a, batch)
+        loss = apply_gradients(state_a, *pretrain_gradients(state_a, batch))
         losses_a.append(loss)
 
     state_b = fresh_state()
     losses_b = []
     for _ in range(5):
         batch = make_batch(dataset, train_cfg, stft_params, cp, state_b.rng)
-        state_b, loss = pretrain_step(state_b, batch)
+        loss = apply_gradients(state_b, *pretrain_gradients(state_b, batch))
         losses_b.append(loss)
     ckpt = tmp_path / "mid.npz"
     save_checkpoint(state_b, ckpt)
     resumed = load_checkpoint(ckpt, expected=train_cfg)
     for _ in range(5):
         batch = make_batch(dataset, train_cfg, stft_params, cp, resumed.rng)
-        resumed, loss = pretrain_step(resumed, batch)
+        loss = apply_gradients(resumed, *pretrain_gradients(resumed, batch))
         losses_b.append(loss)
 
     bit_exact = losses_a == losses_b and all(

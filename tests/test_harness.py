@@ -11,8 +11,9 @@ from flowsr.harness import (ManifestRecord, RunConfig, apply_overrides,
                             cli_dispatch, load_manifest, parse_config_file,
                             synth_toy_corpus, write_manifest)
 from flowsr.tasks import TaskKind
-from flowsr.training import TrainMode
-from flowsr.vectorfield import init_parameters, save_model
+from flowsr.training import (TrainConfig, TrainMode, init_train_state,
+                             save_checkpoint)
+from flowsr.vectorfield import init_parameters
 
 # Small-footprint overrides for CLI tests that actually train or sample.
 TINY = {
@@ -50,7 +51,6 @@ def test_run_config_defaults():
     assert cfg.sample_rate == 16000
     assert (cfg.window_size, cfg.hop_size) == (510, 128)
     assert (cfg.compress_exponent, cfg.compress_scale) == (0.5, 0.33)
-    assert cfg.sigma_min == 1e-4
     assert (cfg.num_layers, cfg.model_dim, cfg.num_heads) == (4, 128, 4)
     assert cfg.step_size == 0.2
     assert (cfg.mask_ratio, cfg.mask_min_span, cfg.dropout_prob) == (0.7, 10, 0.1)
@@ -305,7 +305,7 @@ def test_cli_enhance_with_saved_model(tmp_path, capsys):
     cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
     model = init_parameters(cfg.model_config(), np.random.default_rng(0))
     model_path = tmp_path / "model.npz"
-    save_model(model_path, model)
+    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
     sig = tone_wav(tmp_path / "noisy.wav")
     rc = cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
                        "--out", str(tmp_path / "restored.wav"),
@@ -316,6 +316,14 @@ def test_cli_enhance_with_saved_model(tmp_path, capsys):
     restored = read_wav(tmp_path / "restored.wav")
     assert len(restored) == len(sig)
     assert restored.sample_rate == sig.sample_rate
+
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, data=np.zeros(3))
+    rc = cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
+                       "--out", str(tmp_path / "never.wav"),
+                       "--model", str(foreign), "--config", str(cfg_path)])
+    assert rc == 1
+    assert "not a recognized training checkpoint" in capsys.readouterr().err
 
 
 def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
@@ -338,14 +346,23 @@ def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
     assert all(np.isfinite(r["loss"]) for r in records)
     out = capsys.readouterr().out
     assert "config: seed = 5" in out
+    assert "pretrain to step 3" in out
 
     tuned = tmp_path / "tuned.npz"
     rc = cli_dispatch(["finetune", "--task", "bandwidth_extend",
                        "--manifest", manifest, "--out", str(tuned),
                        "--init", str(ckpt), "--config", str(cfg_path)])
     assert rc == 0
+    assert "finetune bandwidth_extend to step 3" in capsys.readouterr().out
 
-    # enhance accepts a full training checkpoint, not just a bare model
+    # a warm start must match the run's model config
+    wide = write_config(tmp_path, {**TINY, "model_dim": "32"}, name="wide.cfg")
+    rc = cli_dispatch(["finetune", "--task", "bandwidth_extend",
+                       "--manifest", manifest, "--out", str(tmp_path / "x.npz"),
+                       "--init", str(ckpt), "--config", str(wide)])
+    assert rc == 1
+    assert "does not match the run config" in capsys.readouterr().err
+
     degraded = load_manifest(manifest)[0].degraded_path
     restored = tmp_path / "restored.wav"
     rc = cli_dispatch(["enhance", "--in", degraded, "--out", str(restored),
@@ -360,7 +377,7 @@ def test_cli_extract_runs_tse_model(tmp_path):
     cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
     model = init_parameters(cfg.model_config(), np.random.default_rng(1))
     model_path = tmp_path / "model.npz"
-    save_model(model_path, model)
+    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
     tone_wav(tmp_path / "mix.wav", seconds=0.5, freq=300.0)
     tone_wav(tmp_path / "ref.wav", seconds=3.2, freq=300.0, seed=1)
     rc = cli_dispatch(["extract", "--mixture", str(tmp_path / "mix.wav"),

@@ -7,18 +7,18 @@ import pytest
 
 from flowsr.audio import AudioSignal
 from flowsr.flowpath import FlowPathConfig, sample_training_tuple
-from flowsr.masking import (ConditionInput, apply_mask, maybe_drop_condition,
-                            sample_mask)
+from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
 from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
                              features_from_audio)
 from flowsr.tasks import TaskKind, TsePromptSpec, prepend_tse_prompt
 from flowsr.training import (LossSupport, TrainConfig, TrainMode, TrainPair,
-                             WaveformDataset, adam_update, clip_global_norm,
-                             finetune_gradients, finetune_step,
+                             WaveformDataset, adam_update, apply_gradients,
+                             clip_global_norm, finetune_gradients,
                              init_train_state, load_checkpoint, lr_schedule,
-                             make_batch, pretrain_gradients, pretrain_step,
-                             run_training, sample_crop, save_checkpoint)
-from flowsr.vectorfield import ModelConfig, forward, init_parameters, segment_shapes
+                             make_batch, pretrain_gradients, run_training,
+                             sample_crop, save_checkpoint)
+from flowsr.vectorfield import (ModelConfig, forward_batch, init_parameters,
+                                segment_shapes)
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
@@ -147,8 +147,7 @@ def test_pretrain_deterministic_across_runs():
         state = tiny_state(seed=3)
         losses = []
         for _ in range(3):
-            state, loss = pretrain_step(state, grids)
-            losses.append(loss)
+            losses.append(apply_gradients(state, *pretrain_gradients(state, grids)))
         histories.append((losses, {k: v.copy() for k, v in state.model.params.items()}))
     assert histories[0][0] == histories[1][0]
     for k in histories[0][1]:
@@ -162,7 +161,7 @@ def test_pretrain_learns_on_fixed_batch():
     grids = [FeatureGrid(0.5 * rng.standard_normal((8, 20)))]
     first, last = None, None
     for _ in range(60):
-        state, loss = pretrain_step(state, grids)
+        loss = apply_gradients(state, *pretrain_gradients(state, grids))
         first = first if first is not None else loss
         last = loss
     assert last < first
@@ -229,7 +228,7 @@ def test_non_finite_loss_aborts():
     state.model.params["input_proj.weight"][0, 0] = np.nan
     grids = [FeatureGrid(np.random.default_rng(57).standard_normal((8, 12)))]
     with pytest.raises((RuntimeError, ValueError)):
-        pretrain_step(state, grids)
+        apply_gradients(state, *pretrain_gradients(state, grids))
 
 
 def test_sample_crop_alignment_and_padding():
@@ -328,8 +327,7 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
         losses = []
         for _ in range(steps):
             batch = make_batch(dataset, cfg, SMALL_STFT, comp, state.rng)
-            state, loss = pretrain_step(state, batch)
-            losses.append(loss)
+            losses.append(apply_gradients(state, *pretrain_gradients(state, batch)))
         return state, losses
 
     straight, losses_a = advance(fresh_state(), 6)
@@ -339,11 +337,12 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
     save_checkpoint(state, path)
     resumed = load_checkpoint(path)
     assert resumed.step == 3
-    x = FeatureGrid(np.random.default_rng(16).standard_normal(
-        (SMALL_MODEL.feature_channels, 7)))
-    cond = ConditionInput(FeatureGrid(np.zeros_like(x.values)))
-    assert np.array_equal(forward(state.model, x, cond, 0.5).values,
-                          forward(resumed.model, x, cond, 0.5).values)
+    x = np.random.default_rng(16).standard_normal(
+        (1, SMALL_MODEL.feature_channels, 7))
+    cond = np.zeros_like(x)
+    t = np.array([0.5])
+    assert np.array_equal(forward_batch(state.model, x, cond, t),
+                          forward_batch(resumed.model, x, cond, t))
     resumed, losses_c = advance(resumed, 3)
     assert losses_a == losses_b + losses_c
     for k in straight.model.params:
@@ -369,3 +368,24 @@ def test_checkpoint_config_mismatch(tmp_path):
     np.savez(foreign, data=np.zeros(3))
     with pytest.raises(ValueError):
         load_checkpoint(foreign)
+
+
+def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):
+    """A checkpoint whose arrays do not match its stored model config fails
+    loudly instead of loading garbage: a mis-shaped parameter and a missing
+    optimizer moment are both named."""
+    model = init_parameters(SMALL_MODEL, np.random.default_rng(19))
+    path = tmp_path / "state.npz"
+    save_checkpoint(init_train_state(model, TrainConfig()), path)
+    with np.load(path) as data:
+        good = dict(data)
+    bad_shape = tmp_path / "bad_shape.npz"
+    np.savez(bad_shape, **{**good, "param.block0.qkv.weight": np.zeros((2, 2))})
+    with pytest.raises(ValueError, match="'param.block0.qkv.weight' has shape"):
+        load_checkpoint(bad_shape)
+    missing = tmp_path / "missing.npz"
+    np.savez(missing, **{k: v for k, v in good.items()
+                         if k != "adam_v.output_proj.bias"})
+    with pytest.raises(ValueError, match="missing array 'adam_v.output_proj.bias'"):
+        load_checkpoint(missing)
+    assert load_checkpoint(path).step == 0

@@ -8,13 +8,12 @@ from scipy.special import erf
 
 from flowsr import vectorfield
 from flowsr.flowpath import cfm_loss
-from flowsr.masking import ConditionInput, null_condition
-from flowsr.spectral import FeatureGrid
+from flowsr.masking import null_condition
 from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
                                 _silu, _time_embedding_batch, alibi_bias,
-                                alibi_slopes, backward, forward, forward_batch,
-                                init_parameters, load_model, parameter_count,
-                                save_model, segment_shapes, time_embedding)
+                                alibi_slopes, backward, forward_batch,
+                                init_parameters, parameter_count,
+                                segment_shapes, time_embedding)
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
@@ -193,47 +192,47 @@ def test_init_deterministic_and_zeroed_head():
 def test_fresh_model_predicts_zero_field():
     model = init_parameters(TINY, np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    x = FeatureGrid(rng.standard_normal((8, 11)))
-    cond = ConditionInput(FeatureGrid(rng.standard_normal((8, 11))))
-    out = forward(model, x, cond, 0.37)
-    assert out.values.shape == (8, 11)
-    assert np.all(out.values == 0.0)
+    x = rng.standard_normal((8, 11))
+    cond = rng.standard_normal((8, 11))
+    out = forward_batch(model, x[None], cond[None], np.array([0.37]))[0]
+    assert out.shape == (8, 11)
+    assert np.all(out == 0.0)
 
 
 def test_forward_shape_and_determinism():
     model = randomized(TINY, seed=5)
     rng = np.random.default_rng(6)
-    x = FeatureGrid(rng.standard_normal((8, 14)))
-    cond = ConditionInput(FeatureGrid(rng.standard_normal((8, 14))))
-    out1 = forward(model, x, cond, 0.6)
-    out2 = forward(model, x, cond, 0.6)
-    assert out1.values.shape == x.values.shape
-    assert np.array_equal(out1.values, out2.values)
-    assert np.all(np.isfinite(out1.values))
+    x = rng.standard_normal((8, 14))
+    cond = rng.standard_normal((8, 14))
+    out1 = forward_batch(model, x[None], cond[None], np.array([0.6]))[0]
+    out2 = forward_batch(model, x[None], cond[None], np.array([0.6]))[0]
+    assert out1.shape == x.shape
+    assert np.array_equal(out1, out2)
+    assert np.all(np.isfinite(out1))
 
 
 def test_forward_null_condition_matches_zero_features():
     model = randomized(TINY, seed=8)
-    x = FeatureGrid(np.random.default_rng(9).standard_normal((8, 10)))
-    as_null = forward(model, x, null_condition(8, 10), 0.2)
-    as_zeros = forward(model, x, ConditionInput(FeatureGrid(np.zeros((8, 10)))), 0.2)
-    assert np.array_equal(as_null.values, as_zeros.values)
+    x = np.random.default_rng(9).standard_normal((8, 10))
+    null = null_condition(8, 10).features.values
+    as_null = forward_batch(model, x[None], null[None], np.array([0.2]))[0]
+    as_zeros = forward_batch(model, x[None], np.zeros((1, 8, 10)), np.array([0.2]))[0]
+    assert np.array_equal(as_null, as_zeros)
 
 
 def test_forward_validation():
     model = randomized(TINY, seed=10)
     rng = np.random.default_rng(11)
-    x = FeatureGrid(rng.standard_normal((8, 10)))
-    cond = ConditionInput(FeatureGrid(rng.standard_normal((8, 12))))
-    with pytest.raises(ValueError):
-        forward(model, x, cond, 0.5)
-    good = ConditionInput(FeatureGrid(rng.standard_normal((8, 10))))
-    with pytest.raises(ValueError):
-        forward(model, x, good, 1.5)
-    bad = FeatureGrid(rng.standard_normal((8, 10)))
-    bad.values[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        forward(model, bad, good, 0.5)
+    x = rng.standard_normal((1, 8, 10))
+    with pytest.raises(ValueError, match="condition shape"):
+        forward_batch(model, x, rng.standard_normal((1, 8, 12)), np.array([0.5]))
+    good = rng.standard_normal((1, 8, 10))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        forward_batch(model, x, good, np.array([1.5]))
+    bad = x.copy()
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_batch(model, bad, good, np.array([0.5]))
     with pytest.raises(ValueError, match="non-empty"):
         forward_batch(model, np.zeros((1, 8, 0)), np.zeros((1, 8, 0)), np.array([0.5]))
     # times must be one per item: no silent broadcasting of a single time
@@ -251,9 +250,8 @@ def test_forward_batch_matches_single():
     t = np.array([0.1, 0.5, 0.9])
     batched = forward_batch(model, x, cond, t)
     for i in range(3):
-        single = forward(model, FeatureGrid(x[i]),
-                         ConditionInput(FeatureGrid(cond[i])), float(t[i]))
-        assert np.max(np.abs(batched[i] - single.values)) < 1e-12
+        single = forward_batch(model, x[i][None], cond[i][None], t[i:i + 1])[0]
+        assert np.max(np.abs(batched[i] - single)) < 1e-12
 
 
 def test_frame_reversal_equivariance(monkeypatch):
@@ -267,10 +265,10 @@ def test_frame_reversal_equivariance(monkeypatch):
     cond = rng.standard_normal((8, L))
     for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 2 * L * 4):
         monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
-        base = forward(model, FeatureGrid(x), ConditionInput(FeatureGrid(cond)), 0.4)
-        reversed_ = forward(model, FeatureGrid(x[:, ::-1]),
-                            ConditionInput(FeatureGrid(cond[:, ::-1])), 0.4)
-        assert np.max(np.abs(reversed_.values - base.values[:, ::-1])) < 1e-10
+        base = forward_batch(model, x[None], cond[None], np.array([0.4]))[0]
+        reversed_ = forward_batch(model, x[None, :, ::-1], cond[None, :, ::-1],
+                                  np.array([0.4]))[0]
+        assert np.max(np.abs(reversed_ - base[:, ::-1])) < 1e-10
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -356,13 +354,39 @@ def test_unrecorded_field_equals_recorded(monkeypatch):
 def test_backward_zero_seed_gives_zero_gradients():
     model = randomized(TINY, seed=16)
     rng = np.random.default_rng(17)
-    x = FeatureGrid(rng.standard_normal((8, 7)))
-    cond = ConditionInput(FeatureGrid(rng.standard_normal((8, 7))))
-    _, tape = forward(model, x, cond, 0.5, record=True)
+    x = rng.standard_normal((1, 8, 7))
+    cond = rng.standard_normal((1, 8, 7))
+    _, tape = forward_batch(model, x, cond, np.array([0.5]), record=True)
     grads = backward(model, tape, np.zeros((1, 8, 7)))
     assert set(grads) == set(model.params)
     for g in grads.values():
         assert np.all(g == 0.0)
+
+
+def test_tape_holds_only_what_backward_reads():
+    """Every taped entry is read by `backward`, so a recorded pass keeps no
+    activation alive for nothing (the hidden states are not taped)."""
+
+    class ReadTracking(dict):
+        def __init__(self, entries):
+            super().__init__(entries)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+    model = randomized(TINY, seed=31)
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2, 8, 9))
+    out, tape = forward_batch(model, x, rng.standard_normal((2, 8, 9)),
+                              np.array([0.3, 0.7]), record=True)
+    tape.inputs = ReadTracking(tape.inputs)
+    tape.final = ReadTracking(tape.final)
+    tape.blocks = [ReadTracking(blk) for blk in tape.blocks]
+    backward(model, tape, np.ones_like(out))
+    for entries in [tape.inputs, tape.final, *tape.blocks]:
+        assert entries.read == set(entries)
 
 
 def test_loss_gradient_formula():
@@ -420,41 +444,3 @@ def test_backward_spot_finite_differences(monkeypatch):
             (2, 7, 2 * 2 * 7 * 2)]:
         monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
         _spot_check_gradients(batch, frames)
-
-
-def test_save_load_round_trip(tmp_path):
-    model = randomized(TINY, seed=21)
-    path = tmp_path / "model.npz"
-    save_model(path, model, step=123)
-    loaded, step = load_model(path)
-    assert step == 123
-    assert loaded.config == model.config
-    for name in model.params:
-        assert np.array_equal(loaded.params[name], model.params[name])
-    x = FeatureGrid(np.random.default_rng(22).standard_normal((8, 9)))
-    cond = null_condition(8, 9)
-    assert np.array_equal(forward(model, x, cond, 0.5).values,
-                          forward(loaded, x, cond, 0.5).values)
-
-
-def test_load_rejects_foreign_and_corrupt_files(tmp_path):
-    other = tmp_path / "foreign.npz"
-    np.savez(other, data=np.zeros(3))
-    with pytest.raises(ValueError):
-        load_model(other)
-
-    model = randomized(TINY, seed=23)
-    path = tmp_path / "model.npz"
-    save_model(path, model)
-    with np.load(path) as data:
-        payload = dict(data)
-    payload["block0.qkv.weight"] = np.zeros((2, 2))
-    bad_shape = tmp_path / "bad_shape.npz"
-    np.savez(bad_shape, **payload)
-    with pytest.raises(ValueError):
-        load_model(bad_shape)
-    del payload["block0.qkv.weight"]
-    missing = tmp_path / "missing.npz"
-    np.savez(missing, **payload)
-    with pytest.raises(ValueError):
-        load_model(missing)

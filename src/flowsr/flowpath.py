@@ -7,8 +7,13 @@ conditional vector field has the closed form
     v(x, t | x1) = (x1 - (1 - sigma_min) * x) / (1 - (1 - sigma_min) * t)
 
 and, evaluated on the path ``psi_t(x0) = sigma_t * x0 + t * x1``, collapses to
-the constant regression target ``x1 - (1 - sigma_min) * x0``. All functions
-operate elementwise on arrays of any shape.
+the constant regression target ``x1 - (1 - sigma_min) * x0``. The path
+functions operate elementwise on arrays of any shape.
+
+`cfm_loss` is the training objective: on a [batch, channels, frames] batch
+it is the mean over items of each item's squared error against the target,
+averaged over all of the item's elements or over its masked frames only. It
+returns the loss with its gradient, the seed of `vectorfield.backward`.
 """
 
 import dataclasses
@@ -35,11 +40,10 @@ class FlowPathConfig:
 
 @dataclasses.dataclass
 class TrainingTuple:
-    """One flow-matching training sample: (t, x0, x1, x_t, regression target)."""
+    """One flow-matching training sample: (t, x0, x_t, regression target)."""
 
     t: float
     x0: np.ndarray
-    x1: np.ndarray
     x_t: np.ndarray
     target: np.ndarray
 
@@ -101,28 +105,39 @@ def conditional_vector_field(x: np.ndarray, x1: np.ndarray, t: float,
 
 
 def cfm_loss(predicted: np.ndarray, target: np.ndarray,
-             frame_mask: np.ndarray | None = None) -> float:
-    """Mean squared error between predicted and target fields.
+             frame_mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Flow-matching loss of a batch and its gradient.
 
-    The squared L2 objective is reduced by the mean over elements so the loss
-    magnitude is independent of grid size. With `frame_mask` (boolean over the
-    trailing frame axis) only masked frames contribute, for the variant that
-    restricts the objective to reconstructed regions.
+    `predicted` and `target` are [batch, channels, frames] fields. The loss
+    is the mean over items of each item's mean squared error. With
+    `frame_mask` ([batch, frames] booleans) an item's error is averaged over
+    its masked frames only, for the variant that restricts the objective to
+    reconstructed regions; an item with no masked frame adds 0 but still
+    counts in the mean over items.
+
+    Returns (loss, dpred), where dpred is the gradient of the loss with
+    respect to `predicted`, shaped like it.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if predicted.shape != target.shape:
-        raise ValueError(f"shape mismatch: predicted {predicted.shape} vs target {target.shape}")
-    sq = (predicted - target) ** 2
+    if predicted.shape != target.shape or predicted.ndim != 3:
+        raise ValueError(f"expected [batch, channels, frames] fields of one shape, "
+                         f"got predicted {predicted.shape} vs target {target.shape}")
+    batch, channels, frames = predicted.shape
+    diff = predicted - target
     if frame_mask is None:
-        return float(sq.mean())
+        per_item = channels * frames
+        return (float((diff * diff).sum()) / per_item / batch,
+                2.0 * diff / per_item / batch)
     frame_mask = np.asarray(frame_mask, dtype=bool)
-    if frame_mask.shape != (predicted.shape[-1],):
-        raise ValueError(f"frame_mask length {frame_mask.shape} does not match "
-                         f"frame count {predicted.shape[-1]}")
-    if not frame_mask.any():
-        return 0.0
-    return float(sq[..., frame_mask].mean())
+    if frame_mask.shape != (batch, frames):
+        raise ValueError(f"frame_mask shape {frame_mask.shape} does not match "
+                         f"{(batch, frames)}")
+    fm = frame_mask.astype(np.float64)
+    denom = np.maximum(fm.sum(axis=1) * channels, 1.0)  # masked elements per item
+    weighted = diff * fm[:, None, :]
+    loss = float(((weighted * diff).sum(axis=(1, 2)) / denom).sum()) / batch
+    return loss, 2.0 * weighted / denom[:, None, None] / batch
 
 
 def sample_training_tuple(x1: np.ndarray, cfg: FlowPathConfig,
@@ -140,7 +155,6 @@ def sample_training_tuple(x1: np.ndarray, cfg: FlowPathConfig,
     return TrainingTuple(
         t=t,
         x0=x0,
-        x1=x1,
         x_t=psi_t(x0, x1, t, cfg),
         target=target_vector_field(x0, x1, cfg),
     )

@@ -34,18 +34,6 @@ class MaskSpec:
     def num_frames(self) -> int:
         return len(self.frame_flags)
 
-    @property
-    def masked_fraction(self) -> float:
-        return float(self.frame_flags.mean())
-
-    def span_lengths(self) -> np.ndarray:
-        """Lengths of the maximal masked runs."""
-        flags = self.frame_flags.astype(np.int8)
-        edges = np.diff(np.concatenate([[0], flags, [0]]))
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        return ends - starts
-
 
 @dataclasses.dataclass
 class ConditionInput:

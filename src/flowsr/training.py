@@ -3,14 +3,16 @@ learning-rate scheduling, Adam updates, checkpointing, and loss logging.
 
 Batches are assembled by cropping cached waveforms into fixed-length segments
 totalling `batch_seconds` of audio per step, so every item in a batch shares
-one feature shape and no padding-aware loss masking is needed. All randomness
-flows through the TrainState generator; a fixed seed gives an identical
-parameter trajectory, and save/resume continues bit-exactly.
+one feature shape and no padding-aware loss masking is needed; a batch whose
+items differ in shape is refused. All randomness flows through the
+TrainState generator; a fixed seed gives an identical parameter trajectory,
+and save/resume continues bit-exactly.
 
 A training step is `pretrain_gradients` or `finetune_gradients`, which
 return (loss, grads) for a micro-batch, followed by `apply_gradients`, which
 performs one clipped Adam update; callers may sum several micro-batches
-before applying.
+before applying. The gradients come from one recorded forward pass over the
+stacked batch, the objective `flowpath.cfm_loss` and one backward pass.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .audio import AudioSignal
-from .flowpath import FlowPathConfig, sample_training_tuple
+from .flowpath import FlowPathConfig, cfm_loss, sample_training_tuple
 from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
                        features_from_audio)
@@ -207,49 +209,26 @@ def adam_update(params: dict, grads: dict, m: dict, v: dict,
         params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)
 
 
-@dataclasses.dataclass
-class _Item:
-    x_t: np.ndarray
-    cond: np.ndarray
-    t: float
-    target: np.ndarray
-    frame_mask: np.ndarray | None
+def _stack(items: list) -> np.ndarray:
+    """Stack per-item arrays of one shape into a batch array.
 
-
-def _forward_backward(model: VectorFieldModel, items: list,
-                      support: LossSupport) -> tuple[float, dict]:
-    """Mean per-item loss and its parameter gradients over a micro-batch.
-
-    Items are grouped by feature shape; each group runs as one batched pass.
+    Empties `items`, so each per-item array is freed once it is stacked.
     """
-    grads = {k: np.zeros_like(p) for k, p in model.params.items()}
-    total = len(items)
-    loss = 0.0
-    groups = {}
-    for it in items:
-        groups.setdefault(it.x_t.shape, []).append(it)
-    for group in groups.values():
-        x_t = np.stack([it.x_t for it in group])
-        cond = np.stack([it.cond for it in group])
-        t = np.array([it.t for it in group])
-        target = np.stack([it.target for it in group])
-        pred, tape = forward_batch(model, x_t, cond, t, record=True)
-        diff = pred - target
-        if support is LossSupport.MASKED_ONLY and group[0].frame_mask is not None:
-            fm = np.stack([it.frame_mask for it in group]).astype(np.float64)
-            denom = fm.sum(axis=1) * x_t.shape[1]  # per-item element count
-            denom = np.maximum(denom, 1.0)
-            weighted = diff * fm[:, None, :]
-            loss += float(((weighted * diff).sum(axis=(1, 2)) / denom).sum()) / total
-            dpred = 2.0 * weighted / denom[:, None, None] / total
-        else:
-            per_item = x_t.shape[1] * x_t.shape[2]
-            loss += float((diff * diff).sum()) / per_item / total
-            dpred = 2.0 * diff / per_item / total
-        g = backward(model, tape, dpred)
-        for k in grads:
-            grads[k] += g[k]
-    return loss, grads
+    shapes = sorted({a.shape for a in items})
+    if len(shapes) > 1:
+        raise ValueError(f"batch items differ in feature shape: {shapes}")
+    stacked = np.stack(items)
+    items.clear()
+    return stacked
+
+
+def _forward_backward(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
+                      t: np.ndarray, target: np.ndarray,
+                      frame_mask: np.ndarray | None = None) -> tuple[float, dict]:
+    """`cfm_loss` of one batch and its parameter gradients."""
+    pred, tape = forward_batch(model, x_t, cond, t, record=True)
+    loss, dpred = cfm_loss(pred, target, frame_mask)
+    return loss, backward(model, tape, dpred)
 
 
 def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
@@ -262,16 +241,21 @@ def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
     if not batch:
         raise ValueError("empty batch")
     cfg = state.config
-    items = []
+    x_t, cond, t, target, flags = [], [], [], [], []
     for grid in batch:
         mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
                            state.rng)
-        cond = apply_mask(grid, mask)
-        cond = maybe_drop_condition(cond, cfg.dropout_prob, state.rng)
+        condition = maybe_drop_condition(apply_mask(grid, mask),
+                                         cfg.dropout_prob, state.rng)
         tup = sample_training_tuple(grid.values, FlowPathConfig(), state.rng)
-        items.append(_Item(x_t=tup.x_t, cond=cond.features.values, t=tup.t,
-                           target=tup.target, frame_mask=mask.frame_flags))
-    return _forward_backward(state.model, items, cfg.loss_support)
+        x_t.append(tup.x_t)
+        cond.append(condition.features.values)
+        t.append(tup.t)
+        target.append(tup.target)
+        flags.append(mask.frame_flags)
+    return _forward_backward(
+        state.model, _stack(x_t), _stack(cond), np.array(t), _stack(target),
+        _stack(flags) if cfg.loss_support is LossSupport.MASKED_ONLY else None)
 
 
 def finetune_gradients(state: TrainState, batch: list,
@@ -286,25 +270,28 @@ def finetune_gradients(state: TrainState, batch: list,
         raise ValueError("finetuning requires a task in the config")
     stft_params = stft_params or StftParams()
     compression = compression or CompressionParams()
-    items = []
+    x_t, cond, t, target = [], [], [], []
     for pair in batch:
         if pair.degraded is None:
             raise ValueError("finetuning requires degraded/clean pairs")
-        cond = build_condition(cfg.task, pair.degraded, stft_params, compression,
-                               reference=pair.reference)
+        condition = build_condition(cfg.task, pair.degraded, stft_params,
+                                    compression, reference=pair.reference)
         if cfg.task is TaskKind.TARGET_SPEAKER_EXTRACT:
             prompt = TsePromptSpec(sample_rate=pair.clean.sample_rate)
             target_audio = prepend_tse_prompt(pair.clean, pair.reference, prompt)
         else:
             target_audio = pair.clean
         x1 = features_from_audio(target_audio, stft_params, compression)
-        if x1.values.shape != cond.features.values.shape:
+        if x1.values.shape != condition.features.values.shape:
             raise ValueError(f"target features {x1.values.shape} != condition "
-                             f"features {cond.features.values.shape}")
+                             f"features {condition.features.values.shape}")
         tup = sample_training_tuple(x1.values, FlowPathConfig(), state.rng)
-        items.append(_Item(x_t=tup.x_t, cond=cond.features.values, t=tup.t,
-                           target=tup.target, frame_mask=None))
-    return _forward_backward(state.model, items, LossSupport.ALL_FRAMES)
+        x_t.append(tup.x_t)
+        cond.append(condition.features.values)
+        t.append(tup.t)
+        target.append(tup.target)
+    return _forward_backward(state.model, _stack(x_t), _stack(cond), np.array(t),
+                             _stack(target))
 
 
 def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:

@@ -31,7 +31,10 @@ Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward_batch(..., record=True)`,
 which holds only what it reads (the residual stream's hidden states are not
 taped), and is validated against central finite differences in the test
-suite.
+suite. Backward mirrors the sublayers: `_attention_sublayer_backward` and
+`_ffn_sublayer_backward` each return their input's gradient, their own
+segments' gradients and their modulation's gradients, so every parameter
+segment's gradient is computed once, in one place.
 
 Parameter count for a config (D = model_dim, C = feature_channels,
 T = time_embed_dim, F = feedforward_dim, N = num_layers):
@@ -88,9 +91,6 @@ class VectorFieldModel:
     config: ModelConfig
     params: dict
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def segment_shapes(config: ModelConfig) -> dict:
     """Ordered name -> shape map defining the parameter layout."""
@@ -129,7 +129,7 @@ def parameter_count(config: ModelConfig) -> int:
 
 # Modulation projections and the output head start at zero so the initial
 # field is identically zero and residual branches switch on gradually.
-_ZERO_INIT_SEGMENTS = ("ada.", "final_ada.", "output_proj.")
+_ZERO_INIT_SEGMENTS = ("ada.", "output_proj.")
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> VectorFieldModel:
@@ -137,8 +137,7 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> VectorFiel
     zero modulation/output segments."""
     params = {}
     for name, shape in segment_shapes(config).items():
-        if any(tag in name for tag in _ZERO_INIT_SEGMENTS) or name.endswith("bias") \
-                or ".bias" in name:
+        if any(tag in name for tag in _ZERO_INIT_SEGMENTS) or ".bias" in name:
             params[name] = np.zeros(shape)
         else:
             fan_in, fan_out = shape[0], shape[1]
@@ -205,9 +204,13 @@ def _silu_grad(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _linear_grads(x2d, dy2d):
-    # x: [n, in], dy: [n, out] -> (dW [in, out], db [out])
-    return x2d.T @ dy2d, dy2d.sum(axis=0)
+def _linear_grads(x, dy, layer, suffix=""):
+    """Segment gradients {layer}.weight{suffix} and {layer}.bias{suffix} of
+    a linear layer, from its input x [..., in] and output gradient dy [..., out]."""
+    x2d = x.reshape(-1, x.shape[-1])
+    dy2d = dy.reshape(-1, dy.shape[-1])
+    return {f"{layer}.weight{suffix}": x2d.T @ dy2d,
+            f"{layer}.bias{suffix}": dy2d.sum(axis=0)}
 
 
 @dataclasses.dataclass
@@ -296,6 +299,31 @@ def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, reco
     return h_in + gate[:, None, :] * attn_out, tape
 
 
+def _attention_sublayer_backward(dh, blk, p, name, num_heads):
+    """Backward of `_attention_sublayer`, given the gradient of its output.
+
+    Returns the gradient of its input, its segments' gradients and the
+    gradients of its modulation (shift, scale, gate).
+    """
+    batch, frames, dim = dh.shape
+    dattn_out = dh * blk["gate_a"][:, None, :]
+    dgate = np.einsum("bld,bld->bd", dh, blk["attn_out"])
+    grads = _linear_grads(blk["ctx"], dattn_out, f"{name}.attn_out")
+    dctx = (dattn_out @ p[f"{name}.attn_out.weight"].T) \
+        .reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
+    dq, dk, dv = _attention_backward(dctx, blk["q"], blk["k"], blk["v"],
+                                     blk["attn_blocks"])
+    dqkv = np.concatenate(
+        [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
+        axis=2)
+    grads.update(_linear_grads(blk["m1"], dqkv, f"{name}.qkv"))
+    dm1 = dqkv @ p[f"{name}.qkv.weight"].T
+    dscale = np.einsum("bld,bld->bd", dm1, blk["n1"])
+    dshift = dm1.sum(axis=1)
+    dn1 = dm1 * (1.0 + blk["scale_a"])[:, None, :]
+    return dh + _ln_backward(dn1, blk["n1"], blk["inv1"]), grads, (dshift, dscale, dgate)
+
+
 def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
     """Pre-norm adaLN GELU feed-forward branch: h_mid + gate * ffn_out.
 
@@ -321,6 +349,24 @@ def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
     if record:
         tape["ffn_out"] = ffn_out  # un-gated: backward's dgate reads it
     return h_mid + gate[:, None, :] * ffn_out, tape
+
+
+def _ffn_sublayer_backward(dh, blk, p, name):
+    """Backward of `_ffn_sublayer`, given the gradient of its output.
+
+    Returns the gradient of its input, its segments' gradients and the
+    gradients of its modulation (shift, scale, gate).
+    """
+    dffn_out = dh * blk["gate_m"][:, None, :]
+    dgate = np.einsum("bld,bld->bd", dh, blk["ffn_out"])
+    grads = _linear_grads(blk["a1"], dffn_out, f"{name}.ffn", "2")
+    dz1 = (dffn_out @ p[f"{name}.ffn.weight2"].T) * blk["gelu_grad"]
+    grads.update(_linear_grads(blk["m2"], dz1, f"{name}.ffn", "1"))
+    dm2 = dz1 @ p[f"{name}.ffn.weight1"].T
+    dscale = np.einsum("bld,bld->bd", dm2, blk["n2"])
+    dshift = dm2.sum(axis=1)
+    dn2 = dm2 * (1.0 + blk["scale_m"])[:, None, :]
+    return dh + _ln_backward(dn2, blk["n2"], blk["inv2"]), grads, (dshift, dscale, dgate)
 
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
@@ -415,107 +461,50 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
         output_grad: upstream gradient, [batch, channels, frames].
 
     Returns:
-        Dict of gradients aligned with the model's parameter segments.
+        Dict of gradients aligned with the model's parameter segments, in
+        their order.
     """
     if tape is None:
         raise ValueError("backward called without a recorded forward pass")
     cfg = model.config
     p = model.params
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     batch = tape.inputs["batch"]
     frames = tape.inputs["frames"]
-    dim, heads, head_dim = cfg.model_dim, cfg.num_heads, cfg.head_dim
     if output_grad.shape != (batch, cfg.feature_channels, frames):
         raise ValueError(f"output_grad shape {output_grad.shape} != "
                          f"{(batch, cfg.feature_channels, frames)}")
-
     silu_c = tape.inputs["silu_c"]
-    d_silu_c = np.zeros_like(silu_c)
 
     # final projection and modulation
     dout = output_grad.transpose(0, 2, 1)  # [B, L, C]
     fin = tape.final
-    m_f2d = fin["m_f"].reshape(-1, dim)
-    dW, db = _linear_grads(m_f2d, dout.reshape(-1, cfg.feature_channels))
-    grads["output_proj.weight"] += dW
-    grads["output_proj.bias"] += db
+    grads = _linear_grads(fin["m_f"], dout, "output_proj")
     dm_f = dout @ p["output_proj.weight"].T
     dscale_f = np.einsum("bld,bld->bd", dm_f, fin["n_f"])
     dshift_f = dm_f.sum(axis=1)
     dmod_f = np.concatenate([dshift_f, dscale_f], axis=1)
-    dW, db = _linear_grads(silu_c, dmod_f)
-    grads["final_ada.weight"] += dW
-    grads["final_ada.bias"] += db
-    d_silu_c += dmod_f @ p["final_ada.weight"].T
+    grads.update(_linear_grads(silu_c, dmod_f, "final_ada"))
+    d_silu_c = dmod_f @ p["final_ada.weight"].T
     dn_f = dm_f * (1.0 + fin["scale_f"])[:, None, :]
     dh = _ln_backward(dn_f, fin["n_f"], fin["inv_f"])
 
     for i in reversed(range(cfg.num_layers)):
-        blk = tape.blocks[i]
-        # FFN residual branch
-        dffn_out = dh * blk["gate_m"][:, None, :]
-        dgate_m = np.einsum("bld,bld->bd", dh, blk["ffn_out"])
-        dW, db = _linear_grads(blk["a1"].reshape(-1, cfg.feedforward_dim),
-                               dffn_out.reshape(-1, dim))
-        grads[f"block{i}.ffn.weight2"] += dW
-        grads[f"block{i}.ffn.bias2"] += db
-        da1 = dffn_out @ p[f"block{i}.ffn.weight2"].T
-        dz1 = da1 * blk["gelu_grad"]
-        dW, db = _linear_grads(blk["m2"].reshape(-1, dim),
-                               dz1.reshape(-1, cfg.feedforward_dim))
-        grads[f"block{i}.ffn.weight1"] += dW
-        grads[f"block{i}.ffn.bias1"] += db
-        dm2 = dz1 @ p[f"block{i}.ffn.weight1"].T
-        dscale_m = np.einsum("bld,bld->bd", dm2, blk["n2"])
-        dshift_m = dm2.sum(axis=1)
-        dn2 = dm2 * (1.0 + blk["scale_m"])[:, None, :]
-        dh_mid = dh + _ln_backward(dn2, blk["n2"], blk["inv2"])
+        name = f"block{i}"
+        dh, ffn_grads, dmod_m = _ffn_sublayer_backward(dh, tape.blocks[i], p, name)
+        dh, attn_grads, dmod_a = _attention_sublayer_backward(
+            dh, tape.blocks[i], p, name, cfg.num_heads)
+        dmod = np.concatenate([*dmod_a, *dmod_m], axis=1)
+        grads.update(ffn_grads)
+        grads.update(attn_grads)
+        grads.update(_linear_grads(silu_c, dmod, f"{name}.ada"))
+        d_silu_c += dmod @ p[f"{name}.ada.weight"].T
 
-        # attention residual branch
-        dattn_out = dh_mid * blk["gate_a"][:, None, :]
-        dgate_a = np.einsum("bld,bld->bd", dh_mid, blk["attn_out"])
-        dW, db = _linear_grads(blk["ctx"].reshape(-1, dim),
-                               dattn_out.reshape(-1, dim))
-        grads[f"block{i}.attn_out.weight"] += dW
-        grads[f"block{i}.attn_out.bias"] += db
-        dctx = (dattn_out @ p[f"block{i}.attn_out.weight"].T) \
-            .reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
-        dq, dk, dv = _attention_backward(dctx, blk["q"], blk["k"], blk["v"],
-                                         blk["attn_blocks"])
-        dqkv = np.concatenate(
-            [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
-            axis=2)
-        dW, db = _linear_grads(blk["m1"].reshape(-1, dim),
-                               dqkv.reshape(-1, 3 * dim))
-        grads[f"block{i}.qkv.weight"] += dW
-        grads[f"block{i}.qkv.bias"] += db
-        dm1 = dqkv @ p[f"block{i}.qkv.weight"].T
-        dscale_a = np.einsum("bld,bld->bd", dm1, blk["n1"])
-        dshift_a = dm1.sum(axis=1)
-        dn1 = dm1 * (1.0 + blk["scale_a"])[:, None, :]
-        dh = dh_mid + _ln_backward(dn1, blk["n1"], blk["inv1"])
-
-        dmod = np.concatenate(
-            [dshift_a, dscale_a, dgate_a, dshift_m, dscale_m, dgate_m], axis=1)
-        dW, db = _linear_grads(silu_c, dmod)
-        grads[f"block{i}.ada.weight"] += dW
-        grads[f"block{i}.ada.bias"] += db
-        d_silu_c += dmod @ p[f"block{i}.ada.weight"].T
-
-    # input projection
-    dW, db = _linear_grads(tape.inputs["u"].reshape(-1, 2 * cfg.feature_channels),
-                           dh.reshape(-1, dim))
-    grads["input_proj.weight"] += dW
-    grads["input_proj.bias"] += db
+    grads.update(_linear_grads(tape.inputs["u"], dh, "input_proj"))
 
     # time-embedding MLP
     dc = d_silu_c * _silu_grad(tape.inputs["c"])
-    dW, db = _linear_grads(tape.inputs["a_t"], dc)
-    grads["time_mlp.weight2"] += dW
-    grads["time_mlp.bias2"] += db
-    da_t = dc @ p["time_mlp.weight2"].T
-    dz_t = da_t * _silu_grad(tape.inputs["z_t"])
-    dW, db = _linear_grads(tape.inputs["temb"], dz_t)
-    grads["time_mlp.weight1"] += dW
-    grads["time_mlp.bias1"] += db
-    return grads
+    grads.update(_linear_grads(tape.inputs["a_t"], dc, "time_mlp", "2"))
+    dz_t = (dc @ p["time_mlp.weight2"].T) * _silu_grad(tape.inputs["z_t"])
+    grads.update(_linear_grads(tape.inputs["temb"], dz_t, "time_mlp", "1"))
+    # parameter order: clip_global_norm sums the squared norms in this order
+    return {name: grads[name] for name in p}

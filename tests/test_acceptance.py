@@ -128,7 +128,7 @@ def test_04_gradients_match_finite_differences_everywhere():
     target = rng.standard_normal((1, 8, 6))
 
     def loss_value():
-        return cfm_loss(forward_batch(model, x, cond, t)[0], target[0])
+        return cfm_loss(forward_batch(model, x, cond, t), target)[0]
 
     out, tape = forward_batch(model, x, cond, t, record=True)
     grads = backward(model, tape, 2.0 * (out - target) / out[0].size)

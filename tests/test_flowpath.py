@@ -106,32 +106,66 @@ def test_conditional_field_singularity():
 
 
 def test_cfm_loss_values():
-    tgt = np.random.default_rng(5).standard_normal(17)
-    assert cfm_loss(tgt, tgt) == 0.0
-    assert abs(cfm_loss(tgt + 1.0, tgt) - 1.0) < 1e-12
-    assert abs(cfm_loss(np.array([3.0, 4.0]), np.zeros(2)) - 12.5) < 1e-12
+    tgt = np.random.default_rng(5).standard_normal((2, 3, 17))
+    loss, dpred = cfm_loss(tgt, tgt)
+    assert loss == 0.0 and not np.any(dpred)
+    assert abs(cfm_loss(tgt + 1.0, tgt)[0] - 1.0) < 1e-12
+    assert abs(cfm_loss(np.array([[[3.0, 4.0]]]), np.zeros((1, 1, 2)))[0] - 12.5) < 1e-12
+    # the mean over items of each item's mean squared error
+    offsets = np.array([1.0, 3.0])[:, None, None]
+    assert abs(cfm_loss(tgt + offsets, tgt)[0] - 5.0) < 1e-12
 
 
 def test_cfm_loss_sign_symmetric_and_positive():
     rng = np.random.default_rng(6)
-    tgt = rng.standard_normal(40)
-    diff = rng.standard_normal(40)
-    assert cfm_loss(tgt + diff, tgt) == cfm_loss(tgt - diff, tgt)
-    assert cfm_loss(tgt + 1e-8 * diff, tgt) > 0.0
-    with pytest.raises(ValueError):
-        cfm_loss(np.zeros(3), np.zeros(4))
+    tgt = rng.standard_normal((2, 4, 5))
+    diff = rng.standard_normal((2, 4, 5))
+    assert cfm_loss(tgt + diff, tgt)[0] == cfm_loss(tgt - diff, tgt)[0]
+    assert cfm_loss(tgt + 1e-8 * diff, tgt)[0] > 0.0
+    with pytest.raises(ValueError, match="predicted"):
+        cfm_loss(np.zeros((1, 3, 2)), np.zeros((1, 4, 2)))
+    with pytest.raises(ValueError, match="batch, channels, frames"):
+        cfm_loss(np.zeros((3, 4)), np.zeros((3, 4)))
 
 
 def test_cfm_loss_masked_support():
-    pred = np.ones((4, 6))
-    tgt = np.zeros((4, 6))
-    mask = np.zeros(6, dtype=bool)
-    mask[2:4] = True
-    assert cfm_loss(pred, tgt, frame_mask=mask) == 1.0
-    pred2 = np.zeros((4, 6))
-    pred2[:, 2] = 2.0  # only masked column differs
-    assert abs(cfm_loss(pred2, tgt, frame_mask=mask) - 2.0) < 1e-12
-    assert cfm_loss(pred, tgt, frame_mask=np.zeros(6, dtype=bool)) == 0.0
+    pred = np.ones((2, 4, 6))
+    tgt = np.zeros((2, 4, 6))
+    mask = np.zeros((2, 6), dtype=bool)
+    mask[0, 2:4] = True
+    mask[1, 5] = True
+    assert cfm_loss(pred, tgt, frame_mask=mask)[0] == 1.0
+    pred2 = np.zeros((2, 4, 6))
+    pred2[0, :, 2] = 2.0  # only masked frames differ
+    pred2[1, :, 5] = 2.0
+    assert abs(cfm_loss(pred2, tgt, frame_mask=mask)[0] - 3.0) < 1e-12
+    # an item with no masked frame adds 0 but still counts in the mean
+    mask[1] = False
+    assert abs(cfm_loss(pred2, tgt, frame_mask=mask)[0] - 1.0) < 1e-12
+    loss, dpred = cfm_loss(pred, tgt, frame_mask=np.zeros((2, 6), dtype=bool))
+    assert loss == 0.0 and not np.any(dpred)
+    with pytest.raises(ValueError, match="frame_mask"):
+        cfm_loss(pred, tgt, frame_mask=np.ones(6, dtype=bool))
+
+
+def test_cfm_loss_gradient_matches_central_differences():
+    rng = np.random.default_rng(18)
+    pred = rng.standard_normal((3, 4, 5))
+    target = rng.standard_normal((3, 4, 5))
+    mask = rng.random((3, 5)) < 0.5
+    mask[0, :2] = True
+    mask[1] = False  # this item adds neither loss nor gradient
+    for frame_mask in (None, mask):
+        _, dpred = cfm_loss(pred, target, frame_mask)
+        h = 1e-6
+        for idx in np.ndindex(pred.shape):
+            up, dn = pred.copy(), pred.copy()
+            up[idx] += h
+            dn[idx] -= h
+            fd = (cfm_loss(up, target, frame_mask)[0]
+                  - cfm_loss(dn, target, frame_mask)[0]) / (2 * h)
+            assert abs(fd - dpred[idx]) < 1e-8, idx
+    assert not np.any(dpred * ~mask[:, None, :])
 
 
 def test_sample_tuple_determinism_and_invariants():

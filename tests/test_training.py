@@ -1,6 +1,7 @@
 """Optimization loop: schedules, Adam, draw order, checkpoints, resume."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -389,3 +390,26 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):
     with pytest.raises(ValueError, match="missing array 'adam_v.output_proj.bias'"):
         load_checkpoint(missing)
     assert load_checkpoint(path).step == 0
+
+
+def test_mixed_shape_batch_is_refused():
+    """Every item of a batch must share one feature shape; the error names
+    the shapes found."""
+    state = tiny_state(seed=8)
+    rng = np.random.default_rng(57)
+    grids = [FeatureGrid(rng.standard_normal((8, n))) for n in (20, 24)]
+    with pytest.raises(ValueError, match=r"\(8, 20\), \(8, 24\)"):
+        pretrain_gradients(state, grids)
+
+    cfg = TrainConfig.for_mode(TrainMode.FINETUNE, task=TaskKind.DENOISE, seed=9)
+    state = init_train_state(init_parameters(SMALL_MODEL, np.random.default_rng(5)), cfg)
+    pairs = []
+    for n in (600, 800):
+        clean = AudioSignal(rng.uniform(-0.5, 0.5, n), 16000)
+        degraded = AudioSignal(clean.samples + 0.1 * rng.standard_normal(n), 16000)
+        pairs.append(TrainPair(clean=clean, degraded=degraded))
+    shapes = [features_from_audio(p.clean, SMALL_STFT, CompressionParams()).values.shape
+              for p in pairs]
+    assert shapes[0] != shapes[1]
+    with pytest.raises(ValueError, match=re.escape(f"{shapes[0]}, {shapes[1]}")):
+        finetune_gradients(state, pairs, SMALL_STFT, CompressionParams())

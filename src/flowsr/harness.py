@@ -380,7 +380,16 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_dataset(manifest_path, need_degraded: bool) -> WaveformDataset:
+def _read_wav_at(path, rate: int) -> AudioSignal:
+    """Read a WAV, refusing one recorded at another rate than the run's."""
+    signal = read_wav(path)
+    if signal.sample_rate != rate:
+        raise ValueError(f"{path}: sample rate {signal.sample_rate} Hz != run "
+                         f"sample_rate {rate} Hz")
+    return signal
+
+
+def _load_dataset(manifest_path, rate: int, need_degraded: bool) -> WaveformDataset:
     records = load_manifest(manifest_path)
     if not records:
         raise ValueError(f"manifest {manifest_path} is empty")
@@ -391,10 +400,10 @@ def _load_dataset(manifest_path, need_degraded: bool) -> WaveformDataset:
         if need_degraded:
             if rec.degraded_path is None:
                 raise ValueError(f"record {rec.id}: no degraded_path for finetuning")
-            degraded = read_wav(rec.degraded_path)
+            degraded = _read_wav_at(rec.degraded_path, rate)
             if rec.reference_path is not None:
-                reference = read_wav(rec.reference_path)
-        pairs.append(TrainPair(clean=read_wav(rec.clean_path),
+                reference = _read_wav_at(rec.reference_path, rate)
+        pairs.append(TrainPair(clean=_read_wav_at(rec.clean_path, rate),
                                degraded=degraded, reference=reference))
     return WaveformDataset(pairs)
 
@@ -419,7 +428,8 @@ def _cmd_train(args) -> None:
         mode = TrainMode.FINETUNE
     else:
         mode = TrainMode.SCRATCH
-    dataset = _load_dataset(args.manifest, need_degraded=task is not None)
+    dataset = _load_dataset(args.manifest, cfg.sample_rate,
+                            need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
     if args.resume and Path(args.out).exists():
         state = load_checkpoint(args.out, expected=train_cfg)
@@ -449,7 +459,7 @@ def _cmd_enhance(args) -> None:
     task = TaskKind(args.task)
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
         raise ValueError("use the 'extract' subcommand for speaker extraction")
-    degraded = read_wav(args.in_path)
+    degraded = _read_wav_at(args.in_path, cfg.sample_rate)
     restored = generate(model, task, degraded, np.random.default_rng(cfg.seed),
                         cfg.stft_params(), cfg.compression(), cfg.solver())
     write_wav(args.out, restored)
@@ -460,8 +470,8 @@ def _cmd_enhance(args) -> None:
 def _cmd_extract(args) -> None:
     cfg = _run_config(args)
     model = load_checkpoint(args.model).model
-    mixture = read_wav(args.mixture)
-    reference = read_wav(args.reference)
+    mixture = _read_wav_at(args.mixture, cfg.sample_rate)
+    reference = _read_wav_at(args.reference, cfg.sample_rate)
     restored = generate(model, TaskKind.TARGET_SPEAKER_EXTRACT, mixture,
                         np.random.default_rng(cfg.seed), cfg.stft_params(),
                         cfg.compression(), cfg.solver(), reference=reference)

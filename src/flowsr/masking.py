@@ -19,11 +19,9 @@ from .spectral import FeatureGrid
 
 @dataclasses.dataclass
 class MaskSpec:
-    """Boolean per-frame mask (True = masked) with its generating parameters."""
+    """Boolean per-frame mask (True = masked)."""
 
     frame_flags: np.ndarray
-    ratio: float
-    min_span: int
 
     def __post_init__(self):
         self.frame_flags = np.asarray(self.frame_flags, dtype=bool)
@@ -79,10 +77,10 @@ def sample_mask(num_frames: int, ratio: float, min_span: int,
     flags = np.zeros(num_frames, dtype=bool)
     target = int(round(ratio * num_frames))
     if target == 0:
-        return MaskSpec(flags, ratio, min_span)
+        return MaskSpec(flags)
     if num_frames < min_span:
         flags[:target] = True
-        return MaskSpec(flags, ratio, min_span)
+        return MaskSpec(flags)
 
     masked = 0
     while masked < target:
@@ -106,7 +104,7 @@ def sample_mask(num_frames: int, ratio: float, min_span: int,
         start, n = gaps[rng.integers(len(gaps))]
         flags[start:start + n] = True
         masked += n
-    return MaskSpec(flags, ratio, min_span)
+    return MaskSpec(flags)
 
 
 def apply_mask(clean: FeatureGrid, mask: MaskSpec) -> ConditionInput:
@@ -116,8 +114,7 @@ def apply_mask(clean: FeatureGrid, mask: MaskSpec) -> ConditionInput:
                          f"grid has {clean.num_frames}")
     values = clean.values.copy()
     values[:, mask.frame_flags] = 0.0
-    return ConditionInput(FeatureGrid(values, stft_params=clean.stft_params),
-                          is_null=False)
+    return ConditionInput(FeatureGrid(values), is_null=False)
 
 
 def maybe_drop_condition(cond: ConditionInput, p: float,

@@ -93,12 +93,12 @@ def sample_features(model: VectorFieldModel, cond: ConditionInput,
 
     # the noise draw is not bound here, so euler_solve holds the only state
     final, _ = euler_solve(field, rng.standard_normal(grid.values.shape), solver)
-    return FeatureGrid(final, stft_params=grid.stft_params)
+    return FeatureGrid(final)
 
 
 def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
-             rng: np.random.Generator, stft_params: StftParams | None = None,
-             compression: CompressionParams | None = None,
+             rng: np.random.Generator, stft_params: StftParams,
+             compression: CompressionParams,
              solver: SolverConfig | None = None,
              reference: AudioSignal | None = None,
              prompt: TsePromptSpec | None = None) -> AudioSignal:
@@ -107,10 +107,9 @@ def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
     For target-speaker extraction the condition is built from the reference
     prompt followed by the mixture, and the synthesized prompt span is
     trimmed from the output; other tasks return audio of exactly the
-    degraded input's length.
+    degraded input's length. `stft_params` and `compression` must be the
+    frontend the model was trained on; a checkpoint does not record them.
     """
-    stft_params = stft_params or StftParams()
-    compression = compression or CompressionParams()
     cond = build_condition(task, degraded, stft_params, compression,
                            reference=reference, prompt=prompt)
     features = sample_features(model, cond, rng, solver=solver)

@@ -6,6 +6,10 @@ imaginary parts are stacked along the channel axis. Everything here is a pure
 function; `istft(stft(x))` reconstructs `x` to machine precision via
 window-normalized overlap-add.
 
+Nothing here scans for NaN or Inf. Data is checked where it enters: every
+waveform when its `AudioSignal` is built (`istft`'s output included), and
+every grid the model reads in `vectorfield.forward_batch`.
+
 Frame count convention: with centered framing, a signal of `n` samples
 produces ``L = 1 + ceil(n / hop_size)`` frames, so the synthesizable region
 ``(L - 1) * hop_size`` always covers `n` samples.
@@ -87,8 +91,6 @@ class ComplexSpectrogram:
         if self.bins.shape[0] != self.params.num_bins:
             raise ValueError(f"grid has {self.bins.shape[0]} bins, "
                              f"params imply {self.params.num_bins}")
-        if not np.all(np.isfinite(self.bins)):
-            raise ValueError("spectrogram contains NaN or Inf")
 
     @property
     def num_frames(self) -> int:
@@ -113,12 +115,11 @@ class FeatureGrid:
 
     Channels 0..num_bins-1 hold real parts, channels num_bins..2*num_bins-1
     hold imaginary parts: the order `pack_features` writes and
-    `unpack_features` reads. Carries the originating StftParams when known
-    so the grid can be unpacked without extra context.
+    `unpack_features` reads. Unpacking needs the StftParams of the
+    frontend that made the grid.
     """
 
     values: np.ndarray
-    stft_params: StftParams | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -126,8 +127,6 @@ class FeatureGrid:
             raise ValueError(f"expected 2-D [channels, frames] grid, got shape {self.values.shape}")
         if self.values.shape[0] % 2 != 0:
             raise ValueError(f"channel count must be even, got {self.values.shape[0]}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature grid contains NaN or Inf")
 
     @property
     def num_channels(self) -> int:
@@ -239,20 +238,11 @@ def decompress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectr
 def pack_features(spec: ComplexSpectrogram) -> FeatureGrid:
     """Stack real and imaginary parts into a [2 * bins, frames] real grid."""
     values = np.concatenate([spec.bins.real, spec.bins.imag], axis=0)
-    return FeatureGrid(values, stft_params=spec.params)
+    return FeatureGrid(values)
 
 
-def unpack_features(grid: FeatureGrid, params: StftParams | None = None) -> ComplexSpectrogram:
-    """Exact inverse of `pack_features`.
-
-    Args:
-        grid: feature grid with an even channel count.
-        params: STFT parameters for the result; defaults to the parameters
-            recorded on the grid.
-    """
-    params = params if params is not None else grid.stft_params
-    if params is None:
-        raise ValueError("feature grid carries no StftParams; pass them explicitly")
+def unpack_features(grid: FeatureGrid, params: StftParams) -> ComplexSpectrogram:
+    """Exact inverse of `pack_features`; `params` must imply the grid's bin count."""
     half = grid.num_channels // 2
     if half != params.num_bins:
         raise ValueError(f"grid implies {half} bins but params imply {params.num_bins}")

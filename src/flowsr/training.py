@@ -126,15 +126,22 @@ class TrainPair:
 
 @dataclasses.dataclass
 class WaveformDataset:
-    """In-memory waveform cache with a hard size budget."""
+    """In-memory waveform cache with a hard size budget and one sample rate,
+    that of the first clean signal."""
 
     pairs: list
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("dataset is empty")
+        rate = self.pairs[0].clean.sample_rate
         total = 0
         for i, p in enumerate(self.pairs):
+            for name in ("clean", "degraded", "reference"):
+                signal = getattr(p, name)
+                if signal is not None and signal.sample_rate != rate:
+                    raise ValueError(f"pair {i}: {name} rate {signal.sample_rate} "
+                                     f"!= dataset rate {rate}")
             total += p.clean.samples.nbytes
             if p.degraded is not None:
                 if len(p.degraded) != len(p.clean):
@@ -258,18 +265,15 @@ def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
         _stack(flags) if cfg.loss_support is LossSupport.MASKED_ONLY else None)
 
 
-def finetune_gradients(state: TrainState, batch: list,
-                       stft_params: StftParams | None = None,
-                       compression: CompressionParams | None = None
-                       ) -> tuple[float, dict]:
-    """Task-condition objective on a batch of TrainPairs; no condition dropout."""
+def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
+                       compression: CompressionParams) -> tuple[float, dict]:
+    """Task-condition objective on a batch of TrainPairs, analysed with the
+    caller's frontend (`stft_params`, `compression`); no condition dropout."""
     if not batch:
         raise ValueError("empty batch")
     cfg = state.config
     if cfg.task is None:
         raise ValueError("finetuning requires a task in the config")
-    stft_params = stft_params or StftParams()
-    compression = compression or CompressionParams()
     x_t, cond, t, target = [], [], [], []
     for pair in batch:
         if pair.degraded is None:
@@ -350,18 +354,16 @@ def make_batch(dataset: WaveformDataset, cfg: TrainConfig,
 
 
 def run_training(state: TrainState, dataset: WaveformDataset,
-                 stft_params: StftParams | None = None,
-                 compression: CompressionParams | None = None,
+                 stft_params: StftParams, compression: CompressionParams,
                  log_path=None, log_append: bool = False,
                  checkpoint_path=None, checkpoint_every: int = 0) -> TrainState:
     """Drive training to total_steps, logging one record per step.
 
-    The loss log is line-delimited JSON objects {"step", "lr", "loss"}.
-    Checkpoints are written every `checkpoint_every` steps (0 = only at the
-    end, when checkpoint_path is set).
+    Batches are analysed with the caller's frontend (`stft_params`,
+    `compression`), which restoration must reuse. The loss log is
+    line-delimited JSON {"step", "lr", "loss"}; checkpoints are written every
+    `checkpoint_every` steps (0 = only at the end) when checkpoint_path is set.
     """
-    stft_params = stft_params or StftParams()
-    compression = compression or CompressionParams()
     cfg = state.config
     log_file = open(log_path, "a" if log_append else "w") if log_path else None
     try:

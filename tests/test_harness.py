@@ -326,6 +326,31 @@ def test_cli_enhance_with_saved_model(tmp_path, capsys):
     assert "not a recognized training checkpoint" in capsys.readouterr().err
 
 
+def test_cli_refuses_wav_at_another_rate(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY)
+    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
+    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
+    model_path = tmp_path / "model.npz"
+    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+    tone_wav(tmp_path / "narrow.wav", rate=8000)
+    rc = cli_dispatch(["enhance", "--in", str(tmp_path / "narrow.wav"),
+                       "--out", str(tmp_path / "never.wav"),
+                       "--model", str(model_path), "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "narrow.wav" in err and "8000" in err and "16000" in err
+    assert not (tmp_path / "never.wav").exists()
+
+    write_manifest(tmp_path / "manifest.jsonl", [ManifestRecord(
+        id="u", clean_path="narrow.wav", task=TaskKind.DENOISE)])
+    rc = cli_dispatch(["pretrain", "--manifest", str(tmp_path / "manifest.jsonl"),
+                       "--out", str(tmp_path / "never.npz"),
+                       "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "narrow.wav" in err and "8000" in err and "16000" in err
+
+
 def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY)
     out_dir = tmp_path / "corpus"

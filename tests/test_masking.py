@@ -82,7 +82,7 @@ def test_apply_mask_explicit_span():
     grid = FeatureGrid(np.ones((4, 40)))
     flags = np.zeros(40, dtype=bool)
     flags[10:20] = True
-    mask = MaskSpec(flags, ratio=0.25, min_span=10)
+    mask = MaskSpec(flags)
     cond = apply_mask(grid, mask)
     assert np.all(cond.features.values[:, 10:20] == 0.0)
     assert np.all(cond.features.values[:, :10] == 1.0)

@@ -145,6 +145,16 @@ def test_sample_features_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_features_rejects_non_finite_condition(bad):
+    # grids are not scanned on construction; forward_batch checks its input
+    values = np.random.default_rng(8).standard_normal((8, 9))
+    values[2, 4] = bad
+    with pytest.raises(ValueError, match="non-finite model input"):
+        sample_features(tiny_model(), ConditionInput(FeatureGrid(values)),
+                        np.random.default_rng(9), SolverConfig(0.5))
+
+
 def small_stft():
     return StftParams(window_size=6, hop_size=3)
 

@@ -246,13 +246,23 @@ def test_pack_unpack_round_trip_bit_exact():
     rng = np.random.default_rng(11)
     spec = ComplexSpectrogram(
         rng.standard_normal((256, 40)) + 1j * rng.standard_normal((256, 40)), p)
-    back = unpack_features(pack_features(spec))
+    back = unpack_features(pack_features(spec), spec.params)
     assert np.array_equal(back.bins, spec.bins)
 
 
 def test_unpack_rejects_odd_channels():
     with pytest.raises(ValueError):
         FeatureGrid(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_audio_from_features_rejects_non_finite_grid(bad):
+    # grids are not scanned on construction; the synthesized AudioSignal is
+    p, cp = StftParams(), CompressionParams()
+    grid = features_from_audio(white_noise(RATE // 4, seed=14), p, cp)
+    grid.values[3, 5] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        audio_from_features(grid, p, cp, RATE // 4)
 
 
 def test_full_pipeline_round_trip():

@@ -1,5 +1,6 @@
 """Optimization loop: schedules, Adam, draw order, checkpoints, resume."""
 
+import inspect
 import json
 import re
 
@@ -9,9 +10,11 @@ import pytest
 from flowsr.audio import AudioSignal
 from flowsr.flowpath import FlowPathConfig, sample_training_tuple
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
+from flowsr.sampler import generate
 from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
                              features_from_audio)
-from flowsr.tasks import TaskKind, TsePromptSpec, prepend_tse_prompt
+from flowsr.tasks import (TaskKind, TsePromptSpec, build_condition,
+                          prepend_tse_prompt)
 from flowsr.training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                              WaveformDataset, adam_update, apply_gradients,
                              clip_global_norm, finetune_gradients,
@@ -284,6 +287,12 @@ def test_dataset_validation():
     degraded = AudioSignal(np.zeros(90), 16000)
     with pytest.raises(ValueError):
         WaveformDataset([TrainPair(clean=clean, degraded=degraded)])
+    # make_batch sizes every crop by the first pair's rate, so one rate only
+    narrow = AudioSignal(np.zeros(100), 8000)
+    for pair in (TrainPair(clean=narrow), TrainPair(clean=clean, degraded=narrow),
+                 TrainPair(clean=clean, reference=narrow)):
+        with pytest.raises(ValueError, match=r"pair 1: .*8000 != dataset rate 16000"):
+            WaveformDataset([TrainPair(clean=clean), pair])
 
 
 def small_dataset(seed=62, n=3):
@@ -413,3 +422,13 @@ def test_mixed_shape_batch_is_refused():
     assert shapes[0] != shapes[1]
     with pytest.raises(ValueError, match=re.escape(f"{shapes[0]}, {shapes[1]}")):
         finetune_gradients(state, pairs, SMALL_STFT, CompressionParams())
+
+
+@pytest.mark.parametrize("fn", [generate, finetune_gradients, run_training,
+                                make_batch, build_condition])
+def test_frontend_is_always_chosen_by_the_caller(fn):
+    # the frontend is the model's input space: no library call may pick one
+    params = inspect.signature(fn).parameters
+    for name in ("stft_params", "compression"):
+        assert params[name].default is inspect.Parameter.empty, \
+            f"{fn.__name__}({name}=...) has a default"

@@ -18,8 +18,7 @@ from .audio import AudioSignal, read_wav, write_wav
 from .flowpath import (FlowPathConfig, FlowSingularityError, TrainingTuple,
                        cfm_loss, conditional_vector_field, mu_t, psi_t,
                        sample_training_tuple, sigma_t, target_vector_field)
-from .masking import (ConditionInput, MaskSpec, apply_mask,
-                      maybe_drop_condition, null_condition, sample_mask)
+from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .metrics import (MetricsReport, UtteranceScores, failure_rate,
                       format_summary, lsd, score_utterance, si_sdr,
                       si_sdr_improvement, write_report)
@@ -29,9 +28,9 @@ from .spectral import (ComplexSpectrogram, CompressionParams, FeatureGrid,
                        StftParams, audio_from_features, compress, decompress,
                        features_from_audio, istft, pack_features, stft,
                        unpack_features)
-from .tasks import (TaskKind, TsePromptSpec, bandwidth_reduce, build_condition,
-                    codec_degrade, mix_at_snr, mix_two_speakers,
-                    prepend_tse_prompt, trim_tse_output)
+from .tasks import (TaskKind, bandwidth_reduce, build_condition, codec_degrade,
+                    mix_at_snr, mix_two_speakers, prepend_tse_prompt,
+                    trim_tse_output)
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        TrainState, WaveformDataset, adam_update,
                        apply_gradients, clip_global_norm, finetune_gradients,

@@ -431,7 +431,8 @@ def _cmd_train(args) -> None:
     dataset = _load_dataset(args.manifest, cfg.sample_rate,
                             need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
-    if args.resume and Path(args.out).exists():
+    resumed = args.resume and Path(args.out).exists()
+    if resumed:
         state = load_checkpoint(args.out, expected=train_cfg)
         print(f"resuming from step {state.step}")
     else:
@@ -445,7 +446,7 @@ def _cmd_train(args) -> None:
                                     np.random.default_rng(cfg.seed))
         state = init_train_state(model, train_cfg)
     state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
-                         log_path=args.log, log_append=args.resume,
+                         log_path=args.log, log_append=resumed,
                          checkpoint_path=args.out,
                          checkpoint_every=args.checkpoint_every)
     what = mode.value if task is None else f"{mode.value} {task.value}"
@@ -488,13 +489,14 @@ def _cmd_evaluate(args) -> None:
     stft_params = cfg.stft_params()
     scores = []
     for rec in records:
-        reference = read_wav(rec.clean_path)
+        reference = _read_wav_at(rec.clean_path, cfg.sample_rate)
         est_path = rec.estimate_path or rec.degraded_path
         if est_path is None:
             raise ValueError(f"record {rec.id}: nothing to score "
                              "(no estimate_path or degraded_path)")
-        estimate = read_wav(est_path)
-        baseline = read_wav(rec.degraded_path) if rec.degraded_path else estimate
+        estimate = _read_wav_at(est_path, cfg.sample_rate)
+        baseline = (_read_wav_at(rec.degraded_path, cfg.sample_rate)
+                    if rec.degraded_path else estimate)
         scores.append(score_utterance(rec.id, estimate, baseline, reference,
                                       stft_params))
     report = MetricsReport.from_scores(scores)

@@ -8,46 +8,15 @@ when no such position exists, a whole unmasked gap adjoining an existing
 masked run is filled (merging runs keeps every run at least min_span long).
 Placement stops as soon as the masked count reaches the target, so the final
 fraction may overshoot by at most one span.
-"""
 
-import dataclasses
+A mask is a 1-D boolean frame array (True = masked), and a condition is a
+plain `FeatureGrid`: a dropped (unconditional) condition is the all-zero grid
+of the same shape, the input the model sees for "no condition".
+"""
 
 import numpy as np
 
 from .spectral import FeatureGrid
-
-
-@dataclasses.dataclass
-class MaskSpec:
-    """Boolean per-frame mask (True = masked)."""
-
-    frame_flags: np.ndarray
-
-    def __post_init__(self):
-        self.frame_flags = np.asarray(self.frame_flags, dtype=bool)
-        if self.frame_flags.ndim != 1:
-            raise ValueError("frame_flags must be 1-D")
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frame_flags)
-
-
-@dataclasses.dataclass
-class ConditionInput:
-    """Conditioning features plus a flag marking the unconditional case."""
-
-    features: FeatureGrid
-    is_null: bool = False
-
-    def __post_init__(self):
-        if self.is_null and np.any(self.features.values != 0.0):
-            raise ValueError("null condition must carry all-zero features")
-
-
-def null_condition(num_channels: int, num_frames: int) -> ConditionInput:
-    """All-zero condition with the unconditional flag set."""
-    return ConditionInput(FeatureGrid(np.zeros((num_channels, num_frames))), is_null=True)
 
 
 def _gap_runs(flags: np.ndarray):
@@ -60,9 +29,10 @@ def _gap_runs(flags: np.ndarray):
 
 
 def sample_mask(num_frames: int, ratio: float, min_span: int,
-                rng: np.random.Generator) -> MaskSpec:
+                rng: np.random.Generator) -> np.ndarray:
     """Sample a span mask covering close to `ratio` of `num_frames` frames.
 
+    Returns a boolean array of `num_frames` flags, True where masked.
     Every maximal masked run has length >= min_span, except in the degenerate
     case num_frames < min_span where a single shorter leading span is used.
     Deterministic for a given generator state.
@@ -77,10 +47,10 @@ def sample_mask(num_frames: int, ratio: float, min_span: int,
     flags = np.zeros(num_frames, dtype=bool)
     target = int(round(ratio * num_frames))
     if target == 0:
-        return MaskSpec(flags)
+        return flags
     if num_frames < min_span:
         flags[:target] = True
-        return MaskSpec(flags)
+        return flags
 
     masked = 0
     while masked < target:
@@ -104,25 +74,25 @@ def sample_mask(num_frames: int, ratio: float, min_span: int,
         start, n = gaps[rng.integers(len(gaps))]
         flags[start:start + n] = True
         masked += n
-    return MaskSpec(flags)
+    return flags
 
 
-def apply_mask(clean: FeatureGrid, mask: MaskSpec) -> ConditionInput:
+def apply_mask(clean: FeatureGrid, mask: np.ndarray) -> FeatureGrid:
     """Zero the masked frames of `clean`; unmasked frames are copied bit-exactly."""
-    if mask.num_frames != clean.num_frames:
-        raise ValueError(f"mask covers {mask.num_frames} frames, "
-                         f"grid has {clean.num_frames}")
+    flags = np.asarray(mask, dtype=bool)
+    if flags.shape != (clean.num_frames,):
+        raise ValueError(f"mask of shape {flags.shape} does not cover the "
+                         f"grid's {clean.num_frames} frames")
     values = clean.values.copy()
-    values[:, mask.frame_flags] = 0.0
-    return ConditionInput(FeatureGrid(values), is_null=False)
+    values[:, flags] = 0.0
+    return FeatureGrid(values)
 
 
-def maybe_drop_condition(cond: ConditionInput, p: float,
-                         rng: np.random.Generator) -> ConditionInput:
-    """With probability `p`, replace the condition by the null condition."""
+def maybe_drop_condition(cond: FeatureGrid, p: float,
+                         rng: np.random.Generator) -> FeatureGrid:
+    """With probability `p`, replace the condition by the all-zero grid."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop probability must lie in [0, 1], got {p}")
     if rng.random() < p:
-        grid = cond.features
-        return null_condition(grid.num_channels, grid.num_frames)
+        return FeatureGrid(np.zeros_like(cond.values))
     return cond

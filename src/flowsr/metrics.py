@@ -16,7 +16,10 @@ SI_SDR_CAP_DB = 100.0
 _LOG_FLOOR = 1e-8
 
 
-def _check_lengths(a: AudioSignal, b: AudioSignal) -> None:
+def _check_comparable(a: AudioSignal, b: AudioSignal) -> None:
+    if a.sample_rate != b.sample_rate:
+        raise ValueError(f"sample-rate mismatch: {a.sample_rate} vs "
+                         f"{b.sample_rate} Hz")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)} samples")
 
@@ -28,7 +31,7 @@ def si_sdr(estimate: AudioSignal, reference: AudioSignal) -> float:
     and the ratio of projected-signal power to residual power is returned in dB.
     Invariant to rescaling the estimate; not invariant in the reference.
     """
-    _check_lengths(estimate, reference)
+    _check_comparable(estimate, reference)
     ref = reference.samples
     est = estimate.samples
     ref_power = float(np.dot(ref, ref))
@@ -65,7 +68,7 @@ def lsd(estimate: AudioSignal, reference: AudioSignal, stft_params: StftParams) 
     Magnitudes below 1e-8 are floored before the log so silent frames do not
     dominate. Symmetric in its audio arguments.
     """
-    _check_lengths(estimate, reference)
+    _check_comparable(estimate, reference)
     mag_est = np.maximum(np.abs(stft(estimate, stft_params).bins), _LOG_FLOOR)
     mag_ref = np.maximum(np.abs(stft(reference, stft_params).bins), _LOG_FLOOR)
     diff = np.log10(mag_est) - np.log10(mag_ref)

@@ -4,7 +4,9 @@ restoration pipeline (degraded audio in, restored audio out).
 Generation starts from standard normal noise in the compressed feature domain
 and integrates dx/dt = v(x, t | condition) from t = 0 to 1 with a uniform
 step. The default step of 0.2 costs exactly five model evaluations per
-utterance.
+utterance. The condition is the `FeatureGrid` that `tasks.build_condition`
+returns; for target speaker extraction it spans the prompt and the mixture,
+and `tasks.trim_tse_output` cuts the prompt back off the synthesized audio.
 """
 
 import dataclasses
@@ -12,10 +14,10 @@ import dataclasses
 import numpy as np
 
 from .audio import AudioSignal
-from .masking import ConditionInput
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
                        audio_from_features)
-from .tasks import TaskKind, TsePromptSpec, build_condition, trim_tse_output
+from .tasks import (TaskKind, build_condition, trim_tse_output,
+                    tse_prompt_samples)
 from .vectorfield import VectorFieldModel, forward_batch
 
 
@@ -80,19 +82,18 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
     return x, evals
 
 
-def sample_features(model: VectorFieldModel, cond: ConditionInput,
+def sample_features(model: VectorFieldModel, cond: FeatureGrid,
                     rng: np.random.Generator,
                     solver: SolverConfig | None = None) -> FeatureGrid:
     """Draw noise shaped like the condition and integrate the model field."""
     solver = solver or SolverConfig()
-    grid = cond.features
 
     def field(x, t):
-        return forward_batch(model, x[None], grid.values[None],
+        return forward_batch(model, x[None], cond.values[None],
                              np.asarray([t]))[0]
 
     # the noise draw is not bound here, so euler_solve holds the only state
-    final, _ = euler_solve(field, rng.standard_normal(grid.values.shape), solver)
+    final, _ = euler_solve(field, rng.standard_normal(cond.values.shape), solver)
     return FeatureGrid(final)
 
 
@@ -100,8 +101,7 @@ def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
              rng: np.random.Generator, stft_params: StftParams,
              compression: CompressionParams,
              solver: SolverConfig | None = None,
-             reference: AudioSignal | None = None,
-             prompt: TsePromptSpec | None = None) -> AudioSignal:
+             reference: AudioSignal | None = None) -> AudioSignal:
     """Restore one utterance: condition on the degraded input, sample, invert.
 
     For target-speaker extraction the condition is built from the reference
@@ -111,14 +111,13 @@ def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
     frontend the model was trained on; a checkpoint does not record them.
     """
     cond = build_condition(task, degraded, stft_params, compression,
-                           reference=reference, prompt=prompt)
+                           reference=reference)
     features = sample_features(model, cond, rng, solver=solver)
 
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
-        prompt = prompt or TsePromptSpec(sample_rate=degraded.sample_rate)
-        total = prompt.prompt_samples + len(degraded)
+        total = tse_prompt_samples(degraded.sample_rate) + len(degraded)
         audio = audio_from_features(features, stft_params, compression, total,
                                     sample_rate=degraded.sample_rate)
-        return trim_tse_output(audio, prompt, len(degraded))
+        return trim_tse_output(audio, len(degraded))
     return audio_from_features(features, stft_params, compression, len(degraded),
                                sample_rate=degraded.sample_rate)

@@ -175,7 +175,7 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, params)
 
 
-def istft(spec: ComplexSpectrogram, length: int, sample_rate: int = 16000) -> AudioSignal:
+def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSignal:
     """Inverse STFT by window-normalized overlap-add.
 
     Args:
@@ -256,6 +256,6 @@ def features_from_audio(signal: AudioSignal, params: StftParams,
 
 
 def audio_from_features(grid: FeatureGrid, params: StftParams, cp: CompressionParams,
-                        length: int, sample_rate: int = 16000) -> AudioSignal:
+                        length: int, sample_rate: int) -> AudioSignal:
     """Full synthesis pipeline: unpack -> decompress -> istft."""
     return istft(decompress(unpack_features(grid, params), cp), length, sample_rate)

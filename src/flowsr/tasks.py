@@ -3,23 +3,23 @@
 Four restoration tasks are supported: denoising, bandwidth extension, codec
 artifact removal, and target speaker extraction (TSE). For the first three the
 condition is simply the feature grid of the degraded signal; for TSE the first
-seconds of a reference recording of the target speaker are prepended to the
-mixture before analysis, and the corresponding region is trimmed from the
-generated output afterwards.
+TSE_PROMPT_SECONDS (3 s) of a reference recording of the target speaker are
+prepended to the mixture before analysis, and the corresponding region is
+trimmed from the generated output afterwards. This module is the only place
+that knows the prompt length; `tse_prompt_samples` converts it to samples.
 
 The codec degradation is a mu-law quantizer standing in for a neural audio
 codec: it produces comparable coding artifacts without an external model.
 """
 
-import dataclasses
 import enum
 
 import numpy as np
 from scipy.signal import firwin
 
 from .audio import AudioSignal
-from .masking import ConditionInput
-from .spectral import CompressionParams, StftParams, features_from_audio
+from .spectral import (CompressionParams, FeatureGrid, StftParams,
+                       features_from_audio)
 
 
 class TaskKind(enum.Enum):
@@ -29,51 +29,37 @@ class TaskKind(enum.Enum):
     TARGET_SPEAKER_EXTRACT = "target_speaker_extract"
 
 
-@dataclasses.dataclass
-class TsePromptSpec:
-    """Duration of the reference-speech prompt prepended to a TSE mixture."""
+TSE_PROMPT_SECONDS = 3.0  # reference speech prepended to a TSE mixture
 
-    prompt_seconds: float = 3.0
-    sample_rate: int = 16000
 
-    def __post_init__(self):
-        # zero is allowed: a zero-length prompt makes prepend/trim the identity
-        if self.prompt_seconds < 0:
-            raise ValueError("prompt_seconds must be nonnegative")
-
-    @property
-    def prompt_samples(self) -> int:
-        return int(round(self.prompt_seconds * self.sample_rate))
+def tse_prompt_samples(sample_rate: int) -> int:
+    """Length in samples of the TSE prompt at `sample_rate`."""
+    return int(round(TSE_PROMPT_SECONDS * sample_rate))
 
 
 def build_condition(task: TaskKind, degraded: AudioSignal,
                     stft_params: StftParams, compression: CompressionParams,
-                    reference: AudioSignal | None = None,
-                    prompt: TsePromptSpec | None = None) -> ConditionInput:
+                    reference: AudioSignal | None = None) -> FeatureGrid:
     """Build the conditioning features for one utterance.
 
     Denoise / bandwidth-extend / codec-restore all condition on the degraded
-    signal itself. TSE conditions on the prompt-trimmed reference concatenated
+    signal itself. TSE conditions on the reference prompt concatenated
     before the mixture; `reference` is then required.
     """
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
         if reference is None:
             raise ValueError("target speaker extraction requires a reference signal")
-        if reference.sample_rate != degraded.sample_rate:
-            raise ValueError(f"reference rate {reference.sample_rate} != "
-                             f"mixture rate {degraded.sample_rate}")
-        prompt = prompt or TsePromptSpec(sample_rate=degraded.sample_rate)
-        audio = prepend_tse_prompt(degraded, reference, prompt)
-    else:
-        audio = degraded
-    return ConditionInput(features_from_audio(audio, stft_params, compression),
-                          is_null=False)
+        degraded = prepend_tse_prompt(degraded, reference)
+    return features_from_audio(degraded, stft_params, compression)
 
 
-def prepend_tse_prompt(mixture: AudioSignal, reference: AudioSignal,
-                       prompt: TsePromptSpec) -> AudioSignal:
-    """Concatenate the first `prompt_seconds` of the reference before the mixture."""
-    n = prompt.prompt_samples
+def prepend_tse_prompt(mixture: AudioSignal, reference: AudioSignal) -> AudioSignal:
+    """Concatenate the first TSE_PROMPT_SECONDS of the reference before the
+    mixture; both must share one sample rate."""
+    if reference.sample_rate != mixture.sample_rate:
+        raise ValueError(f"reference rate {reference.sample_rate} != "
+                         f"mixture rate {mixture.sample_rate}")
+    n = tse_prompt_samples(mixture.sample_rate)
     if len(reference) < n:
         raise ValueError(f"reference of {len(reference)} samples is shorter than "
                          f"the {n}-sample prompt")
@@ -81,10 +67,9 @@ def prepend_tse_prompt(mixture: AudioSignal, reference: AudioSignal,
                        mixture.sample_rate)
 
 
-def trim_tse_output(generated: AudioSignal, prompt: TsePromptSpec,
-                    mixture_len: int) -> AudioSignal:
+def trim_tse_output(generated: AudioSignal, mixture_len: int) -> AudioSignal:
     """Drop the prompt region; return exactly `mixture_len` samples after it."""
-    n = prompt.prompt_samples
+    n = tse_prompt_samples(generated.sample_rate)
     if len(generated) < n + mixture_len:
         raise ValueError(f"generated output of {len(generated)} samples cannot cover "
                          f"prompt ({n}) + mixture ({mixture_len})")

@@ -31,7 +31,7 @@ from .flowpath import FlowPathConfig, cfm_loss, sample_training_tuple
 from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
                        features_from_audio)
-from .tasks import TaskKind, TsePromptSpec, build_condition, prepend_tse_prompt
+from .tasks import TaskKind, build_condition, prepend_tse_prompt
 from .vectorfield import (ModelConfig, VectorFieldModel, backward,
                           forward_batch, segment_shapes)
 
@@ -256,10 +256,10 @@ def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
                                          cfg.dropout_prob, state.rng)
         tup = sample_training_tuple(grid.values, FlowPathConfig(), state.rng)
         x_t.append(tup.x_t)
-        cond.append(condition.features.values)
+        cond.append(condition.values)
         t.append(tup.t)
         target.append(tup.target)
-        flags.append(mask.frame_flags)
+        flags.append(mask)
     return _forward_backward(
         state.model, _stack(x_t), _stack(cond), np.array(t), _stack(target),
         _stack(flags) if cfg.loss_support is LossSupport.MASKED_ONLY else None)
@@ -281,17 +281,16 @@ def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
         condition = build_condition(cfg.task, pair.degraded, stft_params,
                                     compression, reference=pair.reference)
         if cfg.task is TaskKind.TARGET_SPEAKER_EXTRACT:
-            prompt = TsePromptSpec(sample_rate=pair.clean.sample_rate)
-            target_audio = prepend_tse_prompt(pair.clean, pair.reference, prompt)
+            target_audio = prepend_tse_prompt(pair.clean, pair.reference)
         else:
             target_audio = pair.clean
         x1 = features_from_audio(target_audio, stft_params, compression)
-        if x1.values.shape != condition.features.values.shape:
+        if x1.values.shape != condition.values.shape:
             raise ValueError(f"target features {x1.values.shape} != condition "
-                             f"features {condition.features.values.shape}")
+                             f"features {condition.values.shape}")
         tup = sample_training_tuple(x1.values, FlowPathConfig(), state.rng)
         x_t.append(tup.x_t)
-        cond.append(condition.features.values)
+        cond.append(condition.values)
         t.append(tup.t)
         target.append(tup.target)
     return _forward_backward(state.model, _stack(x_t), _stack(cond), np.array(t),

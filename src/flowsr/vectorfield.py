@@ -146,18 +146,15 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> VectorFiel
     return VectorFieldModel(config=config, params=params)
 
 
-def time_embedding(t: float, dim: int) -> np.ndarray:
-    """Sinusoidal encoding of a time in [0, 1] at geometrically spaced frequencies.
+def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
+    """Sinusoidal encodings [batch, dim] of times t [batch] in [0, 1] at
+    geometrically spaced frequencies.
 
     First half sine, second half cosine; entries lie in [-1, 1] and the map is
     injective on [0, 1] because the slowest component is monotone there.
     """
     if dim % 2 != 0:
         raise ValueError(f"embedding dim must be even, got {dim}")
-    return _time_embedding_batch(np.asarray([t], dtype=np.float64), dim)[0]
-
-
-def _time_embedding_batch(t: np.ndarray, dim: int) -> np.ndarray:
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     args = TIME_SCALE * t[:, None] * freqs[None, :]
@@ -415,7 +412,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
         raise ValueError(f"times must lie in [0, 1], got {t}")
     bias = alibi_bias(frames, cfg.num_heads)
 
-    temb = _time_embedding_batch(t, cfg.time_embed_dim)
+    temb = time_embedding(t, cfg.time_embed_dim)
     z_t = temb @ p["time_mlp.weight1"] + p["time_mlp.bias1"]
     a_t = _silu(z_t)
     c = a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"]

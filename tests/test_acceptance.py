@@ -16,13 +16,14 @@ from flowsr.audio import AudioSignal, read_wav
 from flowsr.flowpath import (FlowPathConfig, cfm_loss, conditional_vector_field,
                              psi_t, target_vector_field)
 from flowsr.harness import RunConfig, cli_dispatch, load_manifest, synth_toy_corpus
-from flowsr.masking import (ConditionInput, maybe_drop_condition, sample_mask)
+from flowsr.masking import maybe_drop_condition, sample_mask
 from flowsr.metrics import failure_rate, score_utterance, si_sdr
 from flowsr.sampler import SolverConfig, euler_solve, generate
 from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
                              compress, decompress, istft, pack_features, stft,
                              unpack_features)
-from flowsr.tasks import TaskKind, TsePromptSpec, prepend_tse_prompt, trim_tse_output
+from flowsr.tasks import (TaskKind, prepend_tse_prompt, trim_tse_output,
+                          tse_prompt_samples)
 from flowsr.training import (TrainMode, TrainPair, WaveformDataset,
                              apply_gradients, init_train_state,
                              load_checkpoint, make_batch, pretrain_gradients,
@@ -164,11 +165,11 @@ def test_05_masking_and_dropout_statistics():
     fractions = np.empty(10_000)
     min_span = np.inf
     for i in range(10_000):
-        spec = sample_mask(1000, 0.7, 10, rng)
-        fractions[i] = spec.frame_flags.mean()
-        min_span = min(min_span, min(span_lengths(spec.frame_flags)))
-    cond = ConditionInput(FeatureGrid(np.ones((4, 6))))
-    nulls = sum(maybe_drop_condition(cond, 0.1, rng).is_null
+        flags = sample_mask(1000, 0.7, 10, rng)
+        fractions[i] = flags.mean()
+        min_span = min(min_span, min(span_lengths(flags)))
+    cond = FeatureGrid(np.ones((4, 6)))
+    nulls = sum(not np.any(maybe_drop_condition(cond, 0.1, rng).values)
                 for _ in range(10_000))
     rate = nulls / 10_000
     elapsed = time.time() - t0
@@ -245,17 +246,16 @@ def test_06_toy_denoise_end_to_end(tmp_path):
 def test_07_tse_prompt_round_trip():
     t0 = time.time()
     rng = np.random.default_rng(107)
-    spec = TsePromptSpec(sample_rate=16000)
-    prompt_samples = spec.prompt_samples
+    prompt_samples = tse_prompt_samples(16000)
     worst = 0
     for _ in range(100):
         n = int(rng.integers(4800, 64000))
         mixture = AudioSignal(0.2 * rng.standard_normal(n), 16000)
         reference = AudioSignal(0.2 * rng.standard_normal(prompt_samples + 800),
                                 16000)
-        extended = prepend_tse_prompt(mixture, reference, spec)
+        extended = prepend_tse_prompt(mixture, reference)
         assert len(extended) == prompt_samples + n
-        out = trim_tse_output(extended, spec, n)
+        out = trim_tse_output(extended, n)
         worst = max(worst, abs(len(out) - n))
         assert np.array_equal(out.samples, mixture.samples)
     elapsed = time.time() - t0

@@ -300,6 +300,18 @@ def test_cli_evaluate_perfect_estimate(tmp_path, capsys):
     assert "100.00" in out  # SI-SDR capped at +100 dB for a bit-exact match
 
 
+def test_cli_evaluate_refuses_wav_at_another_rate(tmp_path, capsys):
+    clean = tone_wav(tmp_path / "clean.wav")
+    write_wav(tmp_path / "narrow.wav", AudioSignal(clean.samples, 8000))
+    rec = ManifestRecord(id="u", clean_path="clean.wav", task=TaskKind.DENOISE,
+                         degraded_path="clean.wav", estimate_path="narrow.wav")
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, [rec])
+    assert cli_dispatch(["evaluate", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "narrow.wav" in err and "8000" in err and "16000" in err
+
+
 def test_cli_enhance_with_saved_model(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY)
     cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
@@ -395,6 +407,23 @@ def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
                        "--config", str(cfg_path)])
     assert rc == 0
     assert len(read_wav(restored)) == len(read_wav(degraded))
+
+
+def test_cli_resume_without_checkpoint_starts_a_fresh_log(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY)
+    out_dir = tmp_path / "corpus"
+    assert cli_dispatch(["synth-data", "--task", "denoise", "--count", "2",
+                         "--out-dir", str(out_dir), "--seed", "6"]) == 0
+    log = tmp_path / "pre.jsonl"
+    log.write_text("junk from an old run\n{\"step\": 7}\n")
+    ckpt = tmp_path / "pre.npz"
+    rc = cli_dispatch(["pretrain", "--manifest", str(out_dir / "manifest.jsonl"),
+                       "--out", str(ckpt), "--log", str(log), "--resume",
+                       "--config", str(cfg_path)])
+    assert rc == 0
+    assert "resuming" not in capsys.readouterr().out
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == list(range(int(TINY["total_steps"])))
 
 
 def test_cli_extract_runs_tse_model(tmp_path):

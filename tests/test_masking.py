@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from flowsr.masking import (ConditionInput, MaskSpec, apply_mask,
-                            maybe_drop_condition, null_condition, sample_mask)
+from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
 from flowsr.spectral import FeatureGrid
 
 
 def span_lengths(flags):
-    """Lengths of maximal masked runs, computed independently of MaskSpec."""
+    """Lengths of maximal masked runs, computed independently of the sampler."""
     padded = np.concatenate([[False], flags, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     return edges[1::2] - edges[0::2]
@@ -17,8 +16,10 @@ def span_lengths(flags):
 
 def test_mask_extreme_ratios():
     rng = np.random.default_rng(0)
-    assert np.all(sample_mask(200, 1.0, 10, rng).frame_flags)
-    assert not np.any(sample_mask(200, 0.0, 10, rng).frame_flags)
+    full = sample_mask(200, 1.0, 10, rng)
+    assert full.dtype == bool and full.shape == (200,)
+    assert np.all(full)
+    assert not np.any(sample_mask(200, 0.0, 10, rng))
 
 
 def test_mask_validation():
@@ -34,7 +35,7 @@ def test_mask_validation():
 def test_mask_determinism():
     a = sample_mask(500, 0.7, 10, np.random.default_rng(99))
     b = sample_mask(500, 0.7, 10, np.random.default_rng(99))
-    assert np.array_equal(a.frame_flags, b.frame_flags)
+    assert np.array_equal(a, b)
 
 
 def test_mask_span_and_ratio_statistics():
@@ -43,8 +44,8 @@ def test_mask_span_and_ratio_statistics():
     fractions = np.empty(10**4)
     for i in range(10**4):
         mask = sample_mask(1000, 0.7, 10, rng)
-        fractions[i] = mask.frame_flags.mean()
-        lengths = span_lengths(mask.frame_flags)
+        fractions[i] = mask.mean()
+        lengths = span_lengths(mask)
         assert lengths.min() >= 10
     assert 0.68 <= fractions.mean() <= 0.72
 
@@ -52,7 +53,7 @@ def test_mask_span_and_ratio_statistics():
 def test_mask_short_sequence_degenerate_case():
     rng = np.random.default_rng(3)
     mask = sample_mask(6, 0.5, 10, rng)  # L < min_span
-    assert mask.frame_flags.sum() == 3
+    assert mask.sum() == 3
 
 
 def test_mask_covers_various_lengths():
@@ -60,11 +61,11 @@ def test_mask_covers_various_lengths():
     for L in (10, 11, 25, 64, 126, 999):
         for _ in range(20):
             mask = sample_mask(L, 0.7, 10, rng)
-            lengths = span_lengths(mask.frame_flags)
+            lengths = span_lengths(mask)
             assert lengths.min() >= 10
             # masked count within one max-length span of the target
             target = round(0.7 * L)
-            assert target <= mask.frame_flags.sum() <= min(L, target + 20)
+            assert target <= mask.sum() <= min(L, target + 20)
 
 
 def test_apply_mask_zeroes_exactly_the_masked_columns():
@@ -72,63 +73,55 @@ def test_apply_mask_zeroes_exactly_the_masked_columns():
     grid = FeatureGrid(rng.standard_normal((8, 30)))
     mask = sample_mask(30, 0.5, 10, rng)
     cond = apply_mask(grid, mask)
-    assert not cond.is_null
-    assert np.all(cond.features.values[:, mask.frame_flags] == 0.0)
-    keep = ~mask.frame_flags
-    assert np.array_equal(cond.features.values[:, keep], grid.values[:, keep])
+    assert np.all(cond.values[:, mask] == 0.0)
+    keep = ~mask
+    assert np.array_equal(cond.values[:, keep], grid.values[:, keep])
 
 
 def test_apply_mask_explicit_span():
     grid = FeatureGrid(np.ones((4, 40)))
     flags = np.zeros(40, dtype=bool)
     flags[10:20] = True
-    mask = MaskSpec(flags)
-    cond = apply_mask(grid, mask)
-    assert np.all(cond.features.values[:, 10:20] == 0.0)
-    assert np.all(cond.features.values[:, :10] == 1.0)
-    assert np.all(cond.features.values[:, 20:] == 1.0)
+    cond = apply_mask(grid, flags)
+    assert np.all(cond.values[:, 10:20] == 0.0)
+    assert np.all(cond.values[:, :10] == 1.0)
+    assert np.all(cond.values[:, 20:] == 1.0)
 
 
 def test_apply_mask_all_and_none():
     grid = FeatureGrid(np.random.default_rng(7).standard_normal((6, 25)))
     rng = np.random.default_rng(8)
     all_mask = sample_mask(25, 1.0, 10, rng)
-    assert np.all(apply_mask(grid, all_mask).features.values == 0.0)
+    assert np.all(apply_mask(grid, all_mask).values == 0.0)
     no_mask = sample_mask(25, 0.0, 10, rng)
-    assert np.array_equal(apply_mask(grid, no_mask).features.values, grid.values)
+    assert np.array_equal(apply_mask(grid, no_mask).values, grid.values)
 
 
 def test_apply_mask_length_mismatch():
     grid = FeatureGrid(np.zeros((4, 20)))
     mask = sample_mask(30, 0.5, 10, np.random.default_rng(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="20 frames"):
         apply_mask(grid, mask)
-
-
-def test_null_condition_is_zero_and_flagged():
-    cond = null_condition(12, 7)
-    assert cond.is_null
-    assert cond.features.values.shape == (12, 7)
-    assert np.all(cond.features.values == 0.0)
-    with pytest.raises(ValueError):
-        ConditionInput(FeatureGrid(np.ones((2, 2))), is_null=True)
+    with pytest.raises(ValueError, match="20 frames"):
+        apply_mask(grid, np.zeros((1, 20), dtype=bool))
 
 
 def test_dropout_extremes():
     grid = FeatureGrid(np.random.default_rng(10).standard_normal((4, 9)))
-    cond = ConditionInput(grid, is_null=False)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        assert maybe_drop_condition(cond, 0.0, rng) is cond
+        assert maybe_drop_condition(grid, 0.0, rng) is grid
     for _ in range(50):
-        assert maybe_drop_condition(cond, 1.0, rng).is_null
+        dropped = maybe_drop_condition(grid, 1.0, rng)
+        assert dropped.values.shape == (4, 9)
+        assert np.all(dropped.values == 0.0)
+    assert np.all(grid.values != 0.0)  # the input grid is never zeroed
 
 
 def test_dropout_rate():
     """Empirical drop rate over 10^4 draws stays near 10%."""
     grid = FeatureGrid(np.random.default_rng(12).standard_normal((4, 9)))
-    cond = ConditionInput(grid, is_null=False)
     rng = np.random.default_rng(13)
-    drops = sum(maybe_drop_condition(cond, 0.1, rng).is_null
+    drops = sum(not np.any(maybe_drop_condition(grid, 0.1, rng).values)
                 for _ in range(10**4))
     assert 0.09 <= drops / 10**4 <= 0.11

@@ -55,6 +55,18 @@ def test_si_sdr_validation():
         si_sdr(noise(100, seed=7), signal(np.zeros(100)))
 
 
+def test_metrics_refuse_signals_at_different_rates():
+    x = np.random.default_rng(16).uniform(-0.3, 0.3, 4000)
+    wide, narrow = AudioSignal(x, 16000), AudioSignal(x, 8000)
+    for score in (lambda: si_sdr(wide, narrow),
+                  lambda: si_sdr_improvement(wide, wide, narrow),
+                  lambda: lsd(narrow, wide, StftParams()),
+                  lambda: score_utterance("u", wide, wide, narrow, StftParams())):
+        with pytest.raises(ValueError, match="16000") as err:
+            score()
+        assert "8000" in str(err.value)
+
+
 def test_improvement_identity_and_cap():
     ref = signal([1.0, 0.0])
     degraded = signal([1.0, 1.0])  # sits at exactly 0 dB against ref

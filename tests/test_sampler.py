@@ -8,7 +8,6 @@ from flowsr.flowpath import (FlowPathConfig, conditional_vector_field,
                              target_vector_field)
 from flowsr.sampler import (FieldDivergenceError, SolverConfig, euler_solve,
                             generate, sample_features)
-from flowsr.masking import ConditionInput
 from flowsr.spectral import CompressionParams, FeatureGrid, StftParams
 from flowsr.tasks import TaskKind
 from flowsr.vectorfield import ModelConfig, init_parameters, segment_shapes
@@ -131,7 +130,7 @@ def test_field_shape_mismatch():
 
 def test_sample_features_zero_model_returns_prior_draw():
     model = tiny_model(seed=3)  # fresh init predicts a zero field
-    cond = ConditionInput(FeatureGrid(np.random.default_rng(4).standard_normal((8, 12))))
+    cond = FeatureGrid(np.random.default_rng(4).standard_normal((8, 12)))
     out = sample_features(model, cond, np.random.default_rng(7), SolverConfig(0.2))
     expected = np.random.default_rng(7).standard_normal((8, 12))
     assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -139,7 +138,7 @@ def test_sample_features_zero_model_returns_prior_draw():
 
 def test_sample_features_deterministic():
     model = tiny_model(seed=5, randomize=True)
-    cond = ConditionInput(FeatureGrid(np.random.default_rng(6).standard_normal((8, 9))))
+    cond = FeatureGrid(np.random.default_rng(6).standard_normal((8, 9)))
     a = sample_features(model, cond, np.random.default_rng(42), SolverConfig(0.2))
     b = sample_features(model, cond, np.random.default_rng(42), SolverConfig(0.2))
     assert np.array_equal(a.values, b.values)
@@ -151,7 +150,7 @@ def test_sample_features_rejects_non_finite_condition(bad):
     values = np.random.default_rng(8).standard_normal((8, 9))
     values[2, 4] = bad
     with pytest.raises(ValueError, match="non-finite model input"):
-        sample_features(tiny_model(), ConditionInput(FeatureGrid(values)),
+        sample_features(tiny_model(), FeatureGrid(values),
                         np.random.default_rng(9), SolverConfig(0.5))
 
 
@@ -179,19 +178,18 @@ def test_generate_length_and_determinism():
 
 
 def test_generate_tse_trims_to_mixture_length():
-    from flowsr.tasks import TsePromptSpec
-    params = small_stft()
+    # a coarse STFT keeps the fixed 3 s prompt at about 1.5k frames
+    params = StftParams(window_size=64, hop_size=32)
     model_cfg = ModelConfig(num_layers=1, model_dim=8, num_heads=2,
                             feature_channels=2 * params.num_bins,
                             time_embed_dim=8, feedforward_dim=16)
     model = init_parameters(model_cfg, np.random.default_rng(10))
     rng = np.random.default_rng(11)
-    prompt = TsePromptSpec(prompt_seconds=0.01, sample_rate=16000)  # 160 samples
     mixture = AudioSignal(rng.uniform(-0.5, 0.5, 435), 16000)
-    reference = AudioSignal(rng.uniform(-0.5, 0.5, 600), 16000)
+    reference = AudioSignal(rng.uniform(-0.5, 0.5, 48200), 16000)
     out = generate(model, TaskKind.TARGET_SPEAKER_EXTRACT, mixture,
                    np.random.default_rng(12), params, CompressionParams(),
-                   SolverConfig(0.5), reference=reference, prompt=prompt)
+                   SolverConfig(0.5), reference=reference)
     assert len(out) == 435
 
     with pytest.raises(ValueError):

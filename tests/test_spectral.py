@@ -134,7 +134,7 @@ def test_stft_rejects_empty():
 def test_istft_zero_spectrogram():
     p = StftParams()
     spec = ComplexSpectrogram(np.zeros((256, 10), dtype=np.complex128), p)
-    out = istft(spec, length=9 * p.hop_size)
+    out = istft(spec, length=9 * p.hop_size, sample_rate=RATE)
     assert np.all(out.samples == 0)
     assert len(out) == 9 * p.hop_size
 
@@ -142,7 +142,7 @@ def test_istft_zero_spectrogram():
 def test_istft_round_trip_noise():
     p = StftParams()
     sig = white_noise(RATE, seed=7)
-    rec = istft(stft(sig, p), len(sig))
+    rec = istft(stft(sig, p), len(sig), RATE)
     assert si_sdr(rec, sig) > 50.0
 
 
@@ -150,7 +150,7 @@ def test_istft_round_trip_various_lengths():
     p = StftParams()
     for i, n in enumerate((1600, 5000, 16001, 48000)):
         sig = white_noise(n, seed=10 + i)
-        rec = istft(stft(sig, p), n)
+        rec = istft(stft(sig, p), n, RATE)
         assert si_sdr(rec, sig) > 50.0, f"length {n}"
 
 
@@ -158,7 +158,7 @@ def test_istft_impulse_restored_at_offset():
     p = StftParams()
     x = np.zeros(2000)
     x[700] = 1.0
-    rec = istft(stft(AudioSignal(x, RATE), p), 2000)
+    rec = istft(stft(AudioSignal(x, RATE), p), 2000, RATE)
     assert np.argmax(np.abs(rec.samples)) == 700
     assert abs(rec.samples[700] - 1.0) < 1e-9
     off_peak = np.abs(np.delete(rec.samples, 700)).max()
@@ -169,7 +169,7 @@ def test_istft_length_guard():
     p = StftParams()
     spec = stft(white_noise(1000), p)
     with pytest.raises(ValueError):
-        istft(spec, p.max_length(spec.num_frames) + 1)
+        istft(spec, p.max_length(spec.num_frames) + 1, RATE)
 
 
 def test_istft_preserves_sample_rate():
@@ -262,7 +262,7 @@ def test_audio_from_features_rejects_non_finite_grid(bad):
     grid = features_from_audio(white_noise(RATE // 4, seed=14), p, cp)
     grid.values[3, 5] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
-        audio_from_features(grid, p, cp, RATE // 4)
+        audio_from_features(grid, p, cp, RATE // 4, RATE)
 
 
 def test_full_pipeline_round_trip():
@@ -270,5 +270,5 @@ def test_full_pipeline_round_trip():
     cp = CompressionParams()
     sig = white_noise(RATE, seed=13)
     grid = features_from_audio(sig, p, cp)
-    rec = audio_from_features(grid, p, cp, len(sig))
+    rec = audio_from_features(grid, p, cp, len(sig), RATE)
     assert si_sdr(rec, sig) > 50.0

@@ -6,10 +6,10 @@ import pytest
 from flowsr.audio import AudioSignal
 from flowsr.metrics import si_sdr
 from flowsr.spectral import CompressionParams, StftParams, features_from_audio
-from flowsr.tasks import (TaskKind, TsePromptSpec, bandwidth_reduce,
+from flowsr.tasks import (TSE_PROMPT_SECONDS, TaskKind, bandwidth_reduce,
                           build_condition, codec_degrade, mix_at_snr,
                           mix_two_speakers, prepend_tse_prompt,
-                          trim_tse_output)
+                          trim_tse_output, tse_prompt_samples)
 
 RATE = 16000
 
@@ -32,13 +32,11 @@ def test_task_kind_is_exhaustive():
         "denoise", "bandwidth_extend", "codec_restore", "target_speaker_extract"}
 
 
-def test_prompt_spec():
-    spec = TsePromptSpec()
-    assert spec.prompt_seconds == 3.0
-    assert spec.prompt_samples == 48000
-    assert TsePromptSpec(prompt_seconds=0.0).prompt_samples == 0
-    with pytest.raises(ValueError):
-        TsePromptSpec(prompt_seconds=-1.0)
+def test_tse_prompt_samples():
+    assert TSE_PROMPT_SECONDS == 3.0
+    assert tse_prompt_samples(16000) == 48000
+    assert tse_prompt_samples(8000) == 24000
+    assert tse_prompt_samples(22050) == 66150
 
 
 def test_condition_of_simple_tasks_is_degraded_features():
@@ -48,11 +46,10 @@ def test_condition_of_simple_tasks_is_degraded_features():
     expected = features_from_audio(audio, params, comp)
     for task in (TaskKind.DENOISE, TaskKind.BANDWIDTH_EXTEND, TaskKind.CODEC_RESTORE):
         cond = build_condition(task, audio, params, comp)
-        assert not cond.is_null
-        assert np.array_equal(cond.features.values, expected.values)
+        assert np.array_equal(cond.values, expected.values)
     denoise = build_condition(TaskKind.DENOISE, audio, params, comp)
     codec = build_condition(TaskKind.CODEC_RESTORE, audio, params, comp)
-    assert np.array_equal(denoise.features.values, codec.features.values)
+    assert np.array_equal(denoise.values, codec.values)
 
 
 def test_tse_condition_frame_arithmetic():
@@ -62,9 +59,9 @@ def test_tse_condition_frame_arithmetic():
     reference = tone_burst(60000, seed=3)
     cond = build_condition(TaskKind.TARGET_SPEAKER_EXTRACT, mixture, params,
                            comp, reference=reference)
-    assert cond.features.num_frames == params.num_frames(48000 + 80000)
+    assert cond.num_frames == params.num_frames(48000 + 80000)
     # concatenation never loses frames relative to the two parts
-    assert cond.features.num_frames >= (params.num_frames(48000)
+    assert cond.num_frames >= (params.num_frames(48000)
                                         + params.num_frames(80000) - 1)
 
 
@@ -75,41 +72,40 @@ def test_tse_condition_validation():
     with pytest.raises(ValueError):
         build_condition(TaskKind.TARGET_SPEAKER_EXTRACT, mixture, params, comp)
     other_rate = AudioSignal(np.zeros(60000), 8000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reference rate 8000 != mixture rate 16000"):
         build_condition(TaskKind.TARGET_SPEAKER_EXTRACT, mixture, params, comp,
                         reference=other_rate)
 
 
 def test_prepend_and_trim_round_trip():
-    prompt = TsePromptSpec()
     mixture = tone_burst(80000, seed=5)
     reference = tone_burst(50000, seed=6)
-    joined = prepend_tse_prompt(mixture, reference, prompt)
+    joined = prepend_tse_prompt(mixture, reference)
     assert len(joined) == 48000 + 80000
     assert np.array_equal(joined.samples[:48000], reference.samples[:48000])
     assert np.array_equal(joined.samples[48000:], mixture.samples)
-    trimmed = trim_tse_output(joined, prompt, 80000)
+    trimmed = trim_tse_output(joined, 80000)
     assert len(trimmed) == 80000
     assert np.array_equal(trimmed.samples, mixture.samples)
 
 
 def test_prepend_requires_long_enough_reference():
-    prompt = TsePromptSpec()
     mixture = tone_burst(8000, seed=7)
     with pytest.raises(ValueError):
-        prepend_tse_prompt(mixture, tone_burst(47999, seed=8), prompt)
+        prepend_tse_prompt(mixture, tone_burst(47999, seed=8))
 
 
-def test_trim_zero_prompt_is_identity():
-    audio = tone_burst(12345, seed=9)
-    out = trim_tse_output(audio, TsePromptSpec(prompt_seconds=0.0), 12345)
-    assert np.array_equal(out.samples, audio.samples)
+def test_prepend_refuses_reference_at_another_rate():
+    mixture = tone_burst(8000, seed=11)
+    reference = AudioSignal(np.zeros(60000), 22050)
+    with pytest.raises(ValueError, match="reference rate 22050 != mixture rate 16000"):
+        prepend_tse_prompt(mixture, reference)
 
 
 def test_trim_rejects_short_input():
     audio = tone_burst(50000, seed=10)
     with pytest.raises(ValueError):
-        trim_tse_output(audio, TsePromptSpec(), 80000)
+        trim_tse_output(audio, 80000)
 
 
 def test_mix_at_snr_zero_db_equal_energy():

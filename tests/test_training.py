@@ -12,9 +12,9 @@ from flowsr.flowpath import FlowPathConfig, sample_training_tuple
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
 from flowsr.sampler import generate
 from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
-                             features_from_audio)
-from flowsr.tasks import (TaskKind, TsePromptSpec, build_condition,
-                          prepend_tse_prompt)
+                             audio_from_features, features_from_audio, istft)
+from flowsr.tasks import (TaskKind, build_condition, prepend_tse_prompt,
+                          tse_prompt_samples)
 from flowsr.training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                              WaveformDataset, adam_update, apply_gradients,
                              clip_global_norm, finetune_gradients,
@@ -114,7 +114,7 @@ def replay_pretrain_loss(cfg, grids, seed, support):
         maybe_drop_condition(cond, cfg.dropout_prob, rng)
         tup = sample_training_tuple(grid.values, flow, rng)
         if support is LossSupport.MASKED_ONLY:
-            fm = mask.frame_flags.astype(np.float64)
+            fm = mask.astype(np.float64)
             denom = max(fm.sum() * grid.num_channels, 1.0)
             losses.append(float((tup.target**2 * fm[None, :]).sum() / denom))
         else:
@@ -196,7 +196,7 @@ def test_finetune_replay_consumes_no_dropout_draws():
 
 def test_finetune_tse_targets_include_prompt():
     rate = 800
-    prompt_samples = TsePromptSpec(sample_rate=rate).prompt_samples
+    prompt_samples = tse_prompt_samples(rate)
     cfg = TrainConfig.for_mode(TrainMode.FINETUNE,
                                task=TaskKind.TARGET_SPEAKER_EXTRACT, seed=11)
     model = init_parameters(SMALL_MODEL, np.random.default_rng(6))
@@ -208,7 +208,7 @@ def test_finetune_tse_targets_include_prompt():
     pair = TrainPair(clean=clean, degraded=mixture, reference=reference)
 
     replay = np.random.default_rng(cfg.seed)
-    target_audio = prepend_tse_prompt(clean, reference, TsePromptSpec(sample_rate=rate))
+    target_audio = prepend_tse_prompt(clean, reference)
     x1 = features_from_audio(target_audio, SMALL_STFT, CompressionParams())
     assert x1.num_frames == SMALL_STFT.num_frames(prompt_samples + rate)
     tup = sample_training_tuple(x1.values, FlowPathConfig(), replay)
@@ -432,3 +432,11 @@ def test_frontend_is_always_chosen_by_the_caller(fn):
     for name in ("stft_params", "compression"):
         assert params[name].default is inspect.Parameter.empty, \
             f"{fn.__name__}({name}=...) has a default"
+
+
+@pytest.mark.parametrize("fn", [istft, audio_from_features])
+def test_synthesis_sample_rate_is_always_chosen_by_the_caller(fn):
+    # spectrograms and grids carry no rate: a default would label audio silently
+    default = inspect.signature(fn).parameters["sample_rate"].default
+    assert default is inspect.Parameter.empty, \
+        f"{fn.__name__}(sample_rate=...) has a default"

@@ -8,9 +8,10 @@ from scipy.special import erf
 
 from flowsr import vectorfield
 from flowsr.flowpath import cfm_loss
-from flowsr.masking import null_condition
+from flowsr.masking import maybe_drop_condition
+from flowsr.spectral import FeatureGrid
 from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
-                                _silu, _time_embedding_batch, alibi_bias,
+                                _silu, alibi_bias,
                                 alibi_slopes, backward, forward_batch,
                                 init_parameters, parameter_count,
                                 segment_shapes, time_embedding)
@@ -43,7 +44,7 @@ def dense_forward(model, x_t, cond, t):
 
     u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)
     h = u @ p["input_proj.weight"] + p["input_proj.bias"]
-    temb = _time_embedding_batch(t, cfg.time_embed_dim)
+    temb = time_embedding(t, cfg.time_embed_dim)
     a_t = _silu(temb @ p["time_mlp.weight1"] + p["time_mlp.bias1"])
     silu_c = _silu(a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"])
     for i in range(cfg.num_layers):
@@ -81,31 +82,32 @@ def test_config_validation():
 
 
 def test_time_embedding_endpoints_and_range():
-    emb = time_embedding(0.0, 16)
-    assert emb.shape == (16,)
-    assert np.all(emb[:8] == 0.0)
-    assert np.all(emb[8:] == 1.0)
-    assert time_embedding(0.5, 8).shape == (8,)
-    for t in np.linspace(0.0, 1.0, 17):
-        v = time_embedding(float(t), 32)
-        assert np.all(np.abs(v) <= 1.0)
+    emb = time_embedding(np.array([0.0]), 16)
+    assert emb.shape == (1, 16)
+    assert np.all(emb[0, :8] == 0.0)
+    assert np.all(emb[0, 8:] == 1.0)
+    assert time_embedding(np.array([0.5]), 8).shape == (1, 8)
+    v = time_embedding(np.linspace(0.0, 1.0, 17), 32)
+    assert v.shape == (17, 32)
+    assert np.all(np.abs(v) <= 1.0)
 
 
 def test_time_embedding_separates_times():
-    a = time_embedding(0.3, 16)
-    b = time_embedding(0.7, 16)
+    a, b = time_embedding(np.array([0.3, 0.7]), 16)
     assert np.linalg.norm(a - b) > 0.0
     # injectivity over a fine grid: the nearest neighbor is never a duplicate
     grid = np.linspace(0.0, 1.0, 101)
-    vecs = np.stack([time_embedding(float(t), 16) for t in grid])
+    vecs = time_embedding(grid, 16)
     pairwise = np.linalg.norm(vecs[:, None] - vecs[None, :], axis=-1)
     pairwise[np.diag_indices(len(grid))] = np.inf
     assert pairwise.min() > 0.0
+    # each row is the embedding of its time alone
+    assert np.array_equal(vecs[37], time_embedding(grid[37:38], 16)[0])
 
 
 def test_time_embedding_odd_dim():
     with pytest.raises(ValueError):
-        time_embedding(0.5, 7)
+        time_embedding(np.array([0.5]), 7)
 
 
 def test_alibi_slopes_eight_heads():
@@ -211,13 +213,15 @@ def test_forward_shape_and_determinism():
     assert np.all(np.isfinite(out1))
 
 
-def test_forward_null_condition_matches_zero_features():
+def test_forward_dropped_condition_matches_zero_features():
     model = randomized(TINY, seed=8)
-    x = np.random.default_rng(9).standard_normal((8, 10))
-    null = null_condition(8, 10).features.values
-    as_null = forward_batch(model, x[None], null[None], np.array([0.2]))[0]
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((8, 10))
+    cond = FeatureGrid(rng.standard_normal((8, 10)))
+    dropped = maybe_drop_condition(cond, 1.0, rng).values
+    as_dropped = forward_batch(model, x[None], dropped[None], np.array([0.2]))[0]
     as_zeros = forward_batch(model, x[None], np.zeros((1, 8, 10)), np.array([0.2]))[0]
-    assert np.array_equal(as_null, as_zeros)
+    assert np.array_equal(as_dropped, as_zeros)
 
 
 def test_forward_validation():

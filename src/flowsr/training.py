@@ -9,10 +9,13 @@ TrainState generator; a fixed seed gives an identical parameter trajectory,
 and save/resume continues bit-exactly.
 
 A training step is `pretrain_gradients` or `finetune_gradients`, which
-return (loss, grads) for a micro-batch, followed by `apply_gradients`, which
-performs one clipped Adam update; callers may sum several micro-batches
-before applying. The gradients come from one recorded forward pass over the
-stacked batch, the objective `flowpath.cfm_loss` and one backward pass.
+return (loss, grads) for a batch, followed by `apply_gradients`, which
+performs one clipped Adam update in place. The gradients come from recorded
+forward passes, the objective `flowpath.cfm_loss` and backward passes over
+slices of the stacked batch of about MICRO_BATCH_FRAMES frames each, summed
+in slice order. Only one slice's tape is alive at a time, so a step's memory
+does not grow with the batch; the sum equals one pass over the whole batch
+up to rounding.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
@@ -40,6 +43,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CACHE_LIMIT_BYTES = 6 * 1024 ** 3  # waveform cache budget
 CHECKPOINT_TAG = "flowsr-train-v1"
+# Frames recorded per slice of a training batch: each slice holds
+# max(1, MICRO_BATCH_FRAMES // frames) items (4 crops of 128 frames).
+MICRO_BATCH_FRAMES = 512
 
 
 class TrainMode(enum.Enum):
@@ -123,11 +129,18 @@ class TrainPair:
     degraded: AudioSignal | None = None
     reference: AudioSignal | None = None
 
+    def __post_init__(self):
+        for name in ("degraded", "reference"):
+            signal = getattr(self, name)
+            if signal is not None and signal.sample_rate != self.clean.sample_rate:
+                raise ValueError(f"{name} rate {signal.sample_rate} != clean rate "
+                                 f"{self.clean.sample_rate}")
+
 
 @dataclasses.dataclass
 class WaveformDataset:
     """In-memory waveform cache with a hard size budget and one sample rate,
-    that of the first clean signal."""
+    that of the first clean signal (each `TrainPair` holds one rate)."""
 
     pairs: list
 
@@ -137,11 +150,9 @@ class WaveformDataset:
         rate = self.pairs[0].clean.sample_rate
         total = 0
         for i, p in enumerate(self.pairs):
-            for name in ("clean", "degraded", "reference"):
-                signal = getattr(p, name)
-                if signal is not None and signal.sample_rate != rate:
-                    raise ValueError(f"pair {i}: {name} rate {signal.sample_rate} "
-                                     f"!= dataset rate {rate}")
+            if p.clean.sample_rate != rate:
+                raise ValueError(f"pair {i}: clean rate {p.clean.sample_rate} "
+                                 f"!= dataset rate {rate}")
             total += p.clean.samples.nbytes
             if p.degraded is not None:
                 if len(p.degraded) != len(p.clean):
@@ -205,15 +216,29 @@ def clip_global_norm(grads: dict, max_norm: float | None):
 
 def adam_update(params: dict, grads: dict, m: dict, v: dict,
                 lr: float, t: int) -> None:
-    """One bias-corrected Adam step, in place. t counts updates from 1."""
+    """One bias-corrected Adam step, in place. t counts updates from 1.
+
+    `params`, `m` and `v` are updated in place, in the operation order of
+    the textbook formula, so the result is bit-identical to it; `grads` is
+    only read.
+    """
     if t < 1:
         raise ValueError("Adam step index starts at 1")
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for k, g in grads.items():
-        m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
-        v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * (g * g)
-        params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)
+        mk, vk = m[k], v[k]
+        mk *= ADAM_BETA1
+        mk += (1.0 - ADAM_BETA1) * g
+        vk *= ADAM_BETA2
+        vk += (1.0 - ADAM_BETA2) * (g * g)
+        step = mk / bc1
+        step *= lr
+        denom = vk / bc2
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        params[k] -= step
 
 
 def _stack(items: list) -> np.ndarray:
@@ -232,10 +257,36 @@ def _stack(items: list) -> np.ndarray:
 def _forward_backward(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
                       t: np.ndarray, target: np.ndarray,
                       frame_mask: np.ndarray | None = None) -> tuple[float, dict]:
-    """`cfm_loss` of one batch and its parameter gradients."""
-    pred, tape = forward_batch(model, x_t, cond, t, record=True)
-    loss, dpred = cfm_loss(pred, target, frame_mask)
-    return loss, backward(model, tape, dpred)
+    """`cfm_loss` of one batch and its parameter gradients, in slices.
+
+    Each slice of max(1, MICRO_BATCH_FRAMES // frames) items is recorded,
+    scored and differentiated on its own, and its prediction, tape and
+    `dpred` are freed before the next slice is recorded. The loss is a mean
+    over items, so a slice's loss and `dpred` are weighted by its share of
+    the batch, and the first slice's gradient dict accumulates the others
+    in slice order. A batch that fits in one slice is one pass, unweighted.
+    """
+    batch, _, frames = x_t.shape
+    size = max(1, MICRO_BATCH_FRAMES // frames)
+    loss, grads = 0.0, None
+    for start in range(0, batch, size):
+        sel = slice(start, start + size)
+        weight = len(t[sel]) / batch
+        pred, tape = forward_batch(model, x_t[sel], cond[sel], t[sel], record=True)
+        part, dpred = cfm_loss(pred, target[sel],
+                               None if frame_mask is None else frame_mask[sel])
+        del pred
+        dpred *= weight
+        part_grads = backward(model, tape, dpred)
+        del tape, dpred
+        loss += weight * part
+        if grads is None:
+            grads = part_grads
+        else:
+            for k, g in part_grads.items():
+                grads[k] += g
+        del part_grads
+    return loss, grads
 
 
 def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:

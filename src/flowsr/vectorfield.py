@@ -2,8 +2,9 @@
 normalization time conditioning.
 
 The network maps (state, condition, time) to a predicted velocity field of the
-same shape as the state. State and condition grids are concatenated along the
-channel axis, projected to the model width, and processed by pre-norm
+same shape as the state. State and condition grids are projected to the model
+width by the two halves of one input projection (the projection of their
+channel-axis concatenation, which is never built), and processed by pre-norm
 transformer blocks whose normalization scale/shift/gate are produced from the
 time embedding (modulation projections and the output head are
 zero-initialized, so a fresh model predicts the zero field). ALiBi supplies
@@ -19,13 +20,16 @@ scores, rather than a full [batch, heads, frames, frames] grid. Queries are
 scaled by 1/sqrt(head_dim) before the score matmul, and the softmax is
 normalised on the context (exp(scores) @ v divided by the row sums) rather
 than on the probabilities, which are normalised only when taped. A recorded
-forward pass tapes every probability block, O(frames^2) in total.
+forward pass tapes every probability block, O(batch * frames^2) in total;
+training bounds it by recording slices of about
+`training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the whole
+batch.
 
 The attention and feed-forward branches of a block are each one function
 whose temporaries are locals, and each returns its tape entries only when
 recording. Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
-at about 17 MiB at 1501 frames and 25 MiB at 2501 frames.
+at about 17 MiB at 1501 frames and 23 MiB at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward_batch(..., record=True)`,
@@ -376,15 +380,16 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     grid. The ALiBi bias on frame indices is one `alibi_bias` view built per
     call and read by every layer and block. Each block's softmax is
     normalised on its context; the probabilities are normalised only for the
-    tape of a recorded pass, which keeps every block: O(frames^2).
+    tape of a recorded pass, which keeps every block: O(batch * frames^2).
 
-    Without recording, every activation is freed at its last use: the
-    [batch, frames, 2 * channels] input right after the input projection,
-    each sublayer's temporaries inside `_attention_sublayer` and
-    `_ffn_sublayer`, and the last hidden state before the output
-    projection. Only the hidden state and the step in progress stay live,
-    so the peak is the input projection or one attention block beside
-    q, k, v and the context, whichever is larger.
+    The state and the condition are projected by the two halves of
+    `input_proj.weight`, so no [batch, frames, 2 * channels] input is built,
+    and a recorded pass tapes `x_t` and `cond` as they are. Without
+    recording, every activation is freed at its last use: each sublayer's
+    temporaries inside `_attention_sublayer` and `_ffn_sublayer`, and the
+    last hidden state before the output projection. Only the hidden state
+    and the step in progress stay live, so the peak is one attention block
+    beside q, k, v and the context, or the output projection.
 
     Args:
         x_t: state grids [batch, channels, frames].
@@ -418,11 +423,12 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     c = a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"]
     silu_c = _silu(c)
 
-    u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)  # [B, L, 2C]
-    h = u @ p["input_proj.weight"] + p["input_proj.bias"]
-    inputs = dict(u=u, temb=temb, z_t=z_t, a_t=a_t, c=c, silu_c=silu_c,
-                  batch=batch, frames=frames) if record else None
-    del u
+    w_in = p["input_proj.weight"]
+    h = x_t.transpose(0, 2, 1) @ w_in[:cfg.feature_channels]
+    h += cond.transpose(0, 2, 1) @ w_in[cfg.feature_channels:]
+    h += p["input_proj.bias"]
+    inputs = dict(x_t=x_t, cond=cond, temb=temb, z_t=z_t, a_t=a_t, c=c,
+                  silu_c=silu_c, batch=batch, frames=frames) if record else None
 
     blocks_tape = []
     for i in range(cfg.num_layers):
@@ -496,7 +502,11 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
         grads.update(_linear_grads(silu_c, dmod, f"{name}.ada"))
         d_silu_c += dmod @ p[f"{name}.ada.weight"].T
 
-    grads.update(_linear_grads(tape.inputs["u"], dh, "input_proj"))
+    # input projection: one weight half per input, [C, B * L] @ [B * L, D]
+    grads["input_proj.weight"] = np.concatenate(
+        [np.tensordot(tape.inputs[name], dh, axes=([0, 2], [0, 1]))
+         for name in ("x_t", "cond")])
+    grads["input_proj.bias"] = dh.reshape(-1, dh.shape[-1]).sum(axis=0)
 
     # time-embedding MLP
     dc = d_silu_c * _silu_grad(tape.inputs["c"])

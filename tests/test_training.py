@@ -3,10 +3,12 @@
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowsr import training
 from flowsr.audio import AudioSignal
 from flowsr.flowpath import FlowPathConfig, sample_training_tuple
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
@@ -15,8 +17,9 @@ from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
                              audio_from_features, features_from_audio, istft)
 from flowsr.tasks import (TaskKind, build_condition, prepend_tse_prompt,
                           tse_prompt_samples)
-from flowsr.training import (LossSupport, TrainConfig, TrainMode, TrainPair,
-                             WaveformDataset, adam_update, apply_gradients,
+from flowsr.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossSupport,
+                             TrainConfig, TrainMode, TrainPair, WaveformDataset,
+                             adam_update, apply_gradients,
                              clip_global_norm, finetune_gradients,
                              init_train_state, load_checkpoint, lr_schedule,
                              make_batch, pretrain_gradients, run_training,
@@ -36,6 +39,16 @@ SMALL_MODEL = ModelConfig(num_layers=1, model_dim=8, num_heads=2,
 def tiny_state(seed=0, **cfg_kwargs):
     cfg = TrainConfig(**cfg_kwargs) if cfg_kwargs else TrainConfig()
     model = init_parameters(TINY, np.random.default_rng(seed))
+    return init_train_state(model, cfg)
+
+
+def randomized_state(model_config, cfg, seed):
+    """Train state whose segments are all random, so no zero-initialized
+    segment hides a gradient."""
+    rng = np.random.default_rng(seed)
+    model = init_parameters(model_config, rng)
+    for g in model.params.values():
+        g[...] = 0.1 * rng.standard_normal(g.shape)
     return init_train_state(model, cfg)
 
 
@@ -100,6 +113,48 @@ def test_clip_global_norm():
     assert np.array_equal(same["a"], grads["a"])
     untouched, _ = clip_global_norm(grads, None)
     assert np.array_equal(untouched["b"], grads["b"])
+
+
+def test_adam_update_is_the_textbook_formula_bit_for_bit():
+    """The in-place update keeps the textbook operation order: parameters
+    and moments equal the out-of-place formula exactly, and the gradients
+    are only read."""
+    rng = np.random.default_rng(72)
+    shapes = {"w": (5, 7), "b": (7,)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_p, ref_m, ref_v = ({k: a.copy() for k, a in d.items()} for d in (params, m, v))
+    lr = 1e-2
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        seen = {k: g.copy() for k, g in grads.items()}
+        adam_update(params, grads, m, v, lr=lr, t=t)
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        for k, g in seen.items():
+            ref_m[k] = ADAM_BETA1 * ref_m[k] + (1.0 - ADAM_BETA1) * g
+            ref_v[k] = ADAM_BETA2 * ref_v[k] + (1.0 - ADAM_BETA2) * (g * g)
+            ref_p[k] = ref_p[k] - lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2)
+                                                            + ADAM_EPS)
+            assert np.array_equal(grads[k], g)
+            assert np.array_equal(m[k], ref_m[k])
+            assert np.array_equal(v[k], ref_v[k])
+            assert np.array_equal(params[k], ref_p[k])
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_apply_gradients_leaves_grads_unchanged(clip_norm):
+    state = tiny_state(seed=11, clip_norm=clip_norm, warmup_steps=0)
+    rng = np.random.default_rng(73)
+    grads = {k: rng.standard_normal(p.shape) for k, p in state.model.params.items()}
+    seen = {k: g.copy() for k, g in grads.items()}
+    _, norm = clip_global_norm(grads, clip_norm)
+    assert norm > 1.0  # so the clipped case really clips
+    before = {k: p.copy() for k, p in state.model.params.items()}
+    apply_gradients(state, 1.0, grads)
+    assert all(np.array_equal(grads[k], seen[k]) for k in grads)
+    assert any(not np.array_equal(state.model.params[k], before[k]) for k in before)
 
 
 def replay_pretrain_loss(cfg, grids, seed, support):
@@ -169,6 +224,85 @@ def test_pretrain_learns_on_fixed_batch():
         first = first if first is not None else loss
         last = loss
     assert last < first
+
+
+def _step_in_slices(monkeypatch, frames_per_slice, gradients):
+    """(loss, grads, slice sizes) of `gradients()` with MICRO_BATCH_FRAMES
+    set to frames_per_slice."""
+    sizes = []
+    record = training.forward_batch
+
+    def counting(model, x_t, *args, **kwargs):
+        sizes.append(len(x_t))
+        return record(model, x_t, *args, **kwargs)
+
+    monkeypatch.setattr(training, "MICRO_BATCH_FRAMES", frames_per_slice)
+    monkeypatch.setattr(training, "forward_batch", counting)
+    loss, grads = gradients()
+    return loss, grads, sizes
+
+
+def assert_slices_match_one_pass(monkeypatch, frames, gradients):
+    """Seven items in slices of 3, 3 and 1 give the loss of one pass over
+    all seven within 1e-14 and every gradient segment within 1e-12,
+    relative."""
+    loss, grads, sizes = _step_in_slices(monkeypatch, 3 * frames + 2, gradients)
+    assert sizes == [3, 3, 1]
+    whole_loss, whole, sizes = _step_in_slices(monkeypatch, 7 * frames, gradients)
+    assert sizes == [7]
+    assert abs(loss - whole_loss) <= 1e-14 * abs(whole_loss)
+    assert list(grads) == list(whole)
+    for name, g in whole.items():
+        assert np.linalg.norm(g) > 0.0, name
+        assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+@pytest.mark.parametrize("support", list(LossSupport))
+def test_pretrain_micro_batches_match_one_pass(monkeypatch, support):
+    rng = np.random.default_rng(74)
+    grids = [FeatureGrid(rng.standard_normal((8, 20))) for _ in range(7)]
+    cfg = TrainConfig(loss_support=support, dropout_prob=0.3, seed=12)
+    assert_slices_match_one_pass(
+        monkeypatch, 20,
+        lambda: pretrain_gradients(randomized_state(TINY, cfg, 13), grids))
+
+
+def test_finetune_micro_batches_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(75)
+    pairs = []
+    for _ in range(7):
+        clean = AudioSignal(rng.uniform(-0.5, 0.5, 400), 16000)
+        degraded = AudioSignal(clean.samples + 0.1 * rng.standard_normal(400), 16000)
+        pairs.append(TrainPair(clean=clean, degraded=degraded))
+    frames = features_from_audio(pairs[0].clean, SMALL_STFT,
+                                 CompressionParams()).num_frames
+    cfg = TrainConfig.for_mode(TrainMode.FINETUNE, task=TaskKind.DENOISE, seed=14)
+    assert_slices_match_one_pass(
+        monkeypatch, frames,
+        lambda: finetune_gradients(randomized_state(SMALL_MODEL, cfg, 15), pairs,
+                                   SMALL_STFT, CompressionParams()))
+
+
+def test_training_step_memory_does_not_grow_with_the_batch():
+    """A step records one slice at a time, so quadrupling the batch from 8
+    to 32 crops of 128 frames adds only the stacked inputs (a whole-batch
+    tape would grow about fourfold)."""
+    config = ModelConfig(num_layers=2, model_dim=32, num_heads=2,
+                         feature_channels=8, time_embed_dim=16, feedforward_dim=64)
+
+    def peak_mib(items):
+        state = init_train_state(init_parameters(config, np.random.default_rng(16)),
+                                 TrainConfig())
+        rng = np.random.default_rng(items)
+        grids = [FeatureGrid(rng.standard_normal((8, 128))) for _ in range(items)]
+        tracemalloc.start()
+        try:
+            pretrain_gradients(state, grids)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mib(32) < 1.25 * peak_mib(8)
 
 
 def test_finetune_replay_consumes_no_dropout_draws():
@@ -287,12 +421,25 @@ def test_dataset_validation():
     degraded = AudioSignal(np.zeros(90), 16000)
     with pytest.raises(ValueError):
         WaveformDataset([TrainPair(clean=clean, degraded=degraded)])
-    # make_batch sizes every crop by the first pair's rate, so one rate only
+    # make_batch sizes every crop by the first pair's rate, so one rate only;
+    # a pair refuses mixed rates itself (test_train_pair_refuses_mixed_rates)
     narrow = AudioSignal(np.zeros(100), 8000)
-    for pair in (TrainPair(clean=narrow), TrainPair(clean=clean, degraded=narrow),
-                 TrainPair(clean=clean, reference=narrow)):
-        with pytest.raises(ValueError, match=r"pair 1: .*8000 != dataset rate 16000"):
-            WaveformDataset([TrainPair(clean=clean), pair])
+    with pytest.raises(ValueError, match=r"pair 1: clean rate 8000 != dataset rate 16000"):
+        WaveformDataset([TrainPair(clean=clean), TrainPair(clean=narrow)])
+
+
+def test_train_pair_refuses_mixed_rates():
+    """A denoise pair whose clean side is 800 samples at 8000 Hz and whose
+    degraded side is the same samples at 16000 Hz is refused where it is
+    built, so `finetune_gradients` and `WaveformDataset` both see one rate."""
+    samples = np.random.default_rng(70).uniform(-0.5, 0.5, 800)
+    clean = AudioSignal(samples, 8000)
+    wide = AudioSignal(samples, 16000)
+    with pytest.raises(ValueError, match=r"degraded rate 16000 != clean rate 8000"):
+        TrainPair(clean=clean, degraded=wide)
+    with pytest.raises(ValueError, match=r"reference rate 16000 != clean rate 8000"):
+        TrainPair(clean=clean, degraded=clean, reference=wide)
+    TrainPair(clean=wide, degraded=wide, reference=wide)
 
 
 def small_dataset(seed=62, n=3):

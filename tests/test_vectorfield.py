@@ -42,8 +42,9 @@ def dense_forward(model, x_t, cond, t):
     def modulate(x, shift, scale):
         return _ln_forward(x)[0] * (1.0 + scale)[:, None, :] + shift[:, None, :]
 
-    u = np.concatenate([x_t, cond], axis=1).transpose(0, 2, 1)
-    h = u @ p["input_proj.weight"] + p["input_proj.bias"]
+    w_in, channels = p["input_proj.weight"], cfg.feature_channels
+    h = (x_t.transpose(0, 2, 1) @ w_in[:channels]
+         + cond.transpose(0, 2, 1) @ w_in[channels:] + p["input_proj.bias"])
     temb = time_embedding(t, cfg.time_embed_dim)
     a_t = _silu(temb @ p["time_mlp.weight1"] + p["time_mlp.bias1"])
     silu_c = _silu(a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"])
@@ -322,9 +323,10 @@ def test_attention_memory_grows_linearly_in_frames():
 
 def test_inference_forward_peak_is_bounded():
     """Without recording, activations are freed at their last use: one NFE on
-    20 s (2501 frames) at the defaults peaks near the 19.5 MiB input
-    [frames, 2 * channels] of the input projection, not at the sum of every
-    layer's temporaries."""
+    20 s (2501 frames) at the defaults peaks at about 23 MiB, at one
+    attention sublayer, not at the sum of every layer's temporaries (nor at
+    a [frames, 2 * channels] input, which the split input projection never
+    builds)."""
     model = init_parameters(ModelConfig(), np.random.default_rng(27))
     rng = np.random.default_rng(28)
     x = rng.standard_normal((1, 512, 2501))

@@ -17,11 +17,14 @@ Attention is exact and computed in blocks of query rows, each scored against
 every key, so inference holds O(batch * heads * rows * frames) attention
 memory, with rows chosen to keep a block near ATTENTION_BLOCK_ELEMENTS
 scores, rather than a full [batch, heads, frames, frames] grid. Queries are
-scaled by 1/sqrt(head_dim) before the score matmul, and the softmax is
-normalised on the context (exp(scores) @ v divided by the row sums) rather
-than on the probabilities, which are normalised only when taped. A recorded
-forward pass tapes every probability block, O(batch * frames^2) in total;
-training bounds it by recording slices of about
+scaled by 1/sqrt(head_dim), and each row's softmax is shifted by the row's
+diagonal score rather than its maximum (ALiBi's bias is 0 on the diagonal),
+which one extra column of q and k folds into the score matmul. The softmax
+is normalised on the context: exp(scores) @ [v, 1] gives the weighted values
+beside the row sums, which divide them; the probabilities are normalised
+only when taped. A block thus costs two matmuls, one bias add and one exp.
+A recorded forward pass tapes every probability block, O(batch * frames^2)
+in total; training bounds it by recording slices of about
 `training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the whole
 batch.
 
@@ -29,7 +32,7 @@ The attention and feed-forward branches of a block are each one function
 whose temporaries are locals, and each returns its tape entries only when
 recording. Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
-at about 17 MiB at 1501 frames and 23 MiB at 2501 frames.
+at about 16 MiB at 1501 frames and 22 MiB at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward_batch(..., record=True)`,
@@ -223,39 +226,85 @@ class ForwardTape:
     final: dict
 
 
+def _attention_operands(qkv, num_heads):
+    """Attention operands q, k, v, each [batch, heads, frames, head_dim + 1],
+    from the [batch, frames, 3 * heads * head_dim] qkv projection.
+
+    q holds [q / sqrt(head_dim), -c], where c_i = q_i . k_i / sqrt(head_dim)
+    is row i's diagonal score; k holds [k, 1] and v holds [v, 1]. So q @ k^T
+    gives every score shifted by its row's diagonal score, and
+    weights @ v gives the weighted sum of values beside the row sum of the
+    weights. `_attention_backward` reads the first head_dim columns.
+    """
+    batch, frames, width = qkv.shape
+    head_dim = width // (3 * num_heads)
+    q, k, v = (np.empty((batch, num_heads, frames, head_dim + 1)) for _ in range(3))
+    parts = [a.reshape(batch, frames, num_heads, head_dim).transpose(0, 2, 1, 3)
+             for a in np.split(qkv, 3, axis=2)]
+    np.divide(parts[0], np.sqrt(head_dim), out=q[..., :-1])
+    k[..., :-1] = parts[1]
+    v[..., :-1] = parts[2]
+    np.einsum("bhld,bhld->bhl", q[..., :-1], k[..., :-1], out=q[..., -1])
+    np.negative(q[..., -1], out=q[..., -1])
+    k[..., -1] = 1.0
+    v[..., -1] = 1.0
+    return q, k, v
+
+
 def _attention_forward(q, k, v, bias, record):
     """Exact softmax attention with ALiBi, one block of query rows at a time.
 
-    Every block sees every key, so each row's softmax is complete without an
-    online rescaling. q, k, v: [batch, heads, frames, head_dim]; bias: the
-    `alibi_bias` grid. Returns the context [batch, frames, heads * head_dim]
-    and, when recording, the list of probability blocks
-    [batch, heads, rows, frames] (empty otherwise).
+    q, k, v: the `_attention_operands` of the layer; bias: the `alibi_bias`
+    grid. Every block sees every key, so each row's softmax is complete
+    without an online rescaling. Each row is shifted by its diagonal score
+    instead of its maximum, which the score matmul applies: the bias is 0 on
+    the diagonal, so the diagonal weight is exp(0) = 1 and every row sum is
+    at least 1. The row sums come out of the context matmul, so a block
+    costs two matmuls, one bias add and one exp. A row sum overflows float64
+    only when scores lie about 709 - ln(frames) or more above their row's
+    diagonal score; a row sum of inf would turn that row's context into
+    zeros, so the block raises FloatingPointError instead.
+
+    Returns the context [batch, frames, heads * head_dim] and, when
+    recording, the list of probability blocks [batch, heads, rows, frames]
+    (empty otherwise).
     """
-    batch, heads, frames, head_dim = q.shape
+    batch, heads, frames, width = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
-    q = q / np.sqrt(head_dim)
     k_t = k.transpose(0, 1, 3, 2)
-    ctx = np.empty((batch, frames, heads, head_dim))
+    ctx = np.empty((batch, frames, heads, width - 1))
     attn_blocks = []
     for start in range(0, frames, rows):
         sel = slice(start, start + rows)
         attn = q[:, :, sel] @ k_t
         attn += bias[:, sel]
-        attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
-        total = attn.sum(axis=-1, keepdims=True)
-        ctx[:, sel] = (attn @ v / total).transpose(0, 2, 1, 3)
+        out = attn @ v  # [..., :-1] weighted values, [..., -1:] row sums
+        total = out[..., -1:]
+        if np.isinf(total).any():
+            raise FloatingPointError(
+                "attention weights overflow float64: a score lies about "
+                f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
+        ctx[:, sel] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
         if record:
             attn /= total
             attn_blocks.append(attn)
-        del attn  # otherwise it is still held while the next block is scored
-    return ctx.reshape(batch, frames, heads * head_dim), attn_blocks
+        del attn, out, total  # otherwise still held while the next block is scored
+    return ctx.reshape(batch, frames, heads * (width - 1)), attn_blocks
 
 
-def _attention_backward(dctx, q, k, v, attn_blocks):
-    """Gradients (dq, dk, dv) of `_attention_forward` given dctx shaped like q."""
+def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
+    """Gradients (dq, dk, dv) of the unscaled q, k, v [batch, heads, frames,
+    head_dim] of `_attention_forward`, given dctx and ctx shaped like them
+    and the forward's `_attention_operands` and probability blocks.
+
+    The softmax backward's row term sum_j dP_ij * P_ij equals dctx_i . ctx_i,
+    because P @ v = ctx, so it is one O(frames * head_dim) product per layer
+    rather than a reduction over every probability block.
+    """
+    q, k, v = q[..., :-1], k[..., :-1], v[..., :-1]  # q is already scaled
     scale = np.sqrt(q.shape[-1])
+    row_terms = np.einsum("bhld,bhld->bhl", dctx, ctx)[..., None]
     dq = np.empty(q.shape)
     dk = np.zeros(k.shape)
     dv = np.zeros(v.shape)
@@ -265,11 +314,12 @@ def _attention_backward(dctx, q, k, v, attn_blocks):
         sel = slice(start, start + attn.shape[2])
         start = sel.stop
         dctx_blk = dctx[:, :, sel]
-        dattn = dctx_blk @ v_t
         dv += attn.transpose(0, 1, 3, 2) @ dctx_blk
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores = dctx_blk @ v_t
+        dscores -= row_terms[:, :, sel]
+        dscores *= attn
         dq[:, :, sel] = dscores @ k / scale
-        dk += dscores.transpose(0, 1, 3, 2) @ q[:, :, sel] / scale
+        dk += dscores.transpose(0, 1, 3, 2) @ q[:, :, sel]
     return dq, dk, dv
 
 
@@ -280,15 +330,13 @@ def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, reco
     `backward` (None otherwise). Without recording every temporary is freed
     at its last use.
     """
-    batch, frames, dim = h_in.shape
     n1, inv1 = _ln_forward(h_in)
     m1 = n1 * (1.0 + scale)[:, None, :] + shift[:, None, :]
     qkv = m1 @ p[f"{name}.qkv.weight"] + p[f"{name}.qkv.bias"]
     tape = dict(n1=n1, inv1=inv1, m1=m1) if record else None
     del n1, m1
-    q, k, v = [a.reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
-               for a in np.split(qkv, 3, axis=2)]
-    del qkv  # q, k and v are views of it
+    q, k, v = _attention_operands(qkv, num_heads)
+    del qkv  # the operands are copies, so it is freed before the block loop
     ctx, attn_blocks = _attention_forward(q, k, v, bias, record)
     if record:
         tape.update(q=q, k=k, v=v, attn_blocks=attn_blocks, ctx=ctx)
@@ -310,9 +358,9 @@ def _attention_sublayer_backward(dh, blk, p, name, num_heads):
     dattn_out = dh * blk["gate_a"][:, None, :]
     dgate = np.einsum("bld,bld->bd", dh, blk["attn_out"])
     grads = _linear_grads(blk["ctx"], dattn_out, f"{name}.attn_out")
-    dctx = (dattn_out @ p[f"{name}.attn_out.weight"].T) \
-        .reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
-    dq, dk, dv = _attention_backward(dctx, blk["q"], blk["k"], blk["v"],
+    dctx, ctx = [a.reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
+                 for a in (dattn_out @ p[f"{name}.attn_out.weight"].T, blk["ctx"])]
+    dq, dk, dv = _attention_backward(dctx, ctx, blk["q"], blk["k"], blk["v"],
                                      blk["attn_blocks"])
     dqkv = np.concatenate(
         [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
@@ -378,9 +426,10 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     recording it holds O(batch * heads * rows * frames) attention memory
     (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
     grid. The ALiBi bias on frame indices is one `alibi_bias` view built per
-    call and read by every layer and block. Each block's softmax is
-    normalised on its context; the probabilities are normalised only for the
-    tape of a recorded pass, which keeps every block: O(batch * frames^2).
+    call and read by every layer and block. Each block's softmax is shifted
+    by each row's diagonal score and normalised on its context; the
+    probabilities are normalised only for the tape of a recorded pass, which
+    keeps every block: O(batch * frames^2).
 
     The state and the condition are projected by the two halves of
     `input_proj.weight`, so no [batch, frames, 2 * channels] input is built,
@@ -389,7 +438,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     temporaries inside `_attention_sublayer` and `_ffn_sublayer`, and the
     last hidden state before the output projection. Only the hidden state
     and the step in progress stay live, so the peak is one attention block
-    beside q, k, v and the context, or the output projection.
+    beside the attention operands and the context, or the output projection.
 
     Args:
         x_t: state grids [batch, channels, frames].

@@ -1,5 +1,6 @@
 """Transformer vector-field estimator: conditioning, forward, gradients."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,10 @@ from scipy.special import erf
 from flowsr import vectorfield
 from flowsr.flowpath import cfm_loss
 from flowsr.masking import maybe_drop_condition
+from flowsr.sampler import sample_features
 from flowsr.spectral import FeatureGrid
+from flowsr.training import (TrainConfig, apply_gradients, init_train_state,
+                             pretrain_gradients)
 from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
                                 _silu, alibi_bias,
                                 alibi_slopes, backward, forward_batch,
@@ -18,6 +22,7 @@ from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
+ONE_LAYER = dataclasses.replace(TINY, num_layers=1)
 
 
 def randomized(config, seed, scale=0.1):
@@ -28,10 +33,20 @@ def randomized(config, seed, scale=0.1):
     return VectorFieldModel(config=config, params=params)
 
 
-def dense_forward(model, x_t, cond, t):
+def textbook_attention(scores, v):
+    """Max-shifted softmax of biased scores [..., frames, frames] and its
+    context probabilities @ v."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return probs, probs @ v
+
+
+def dense_forward(model, x_t, cond, t, trace=None):
     """Reference forward pass: the full [batch, heads, frames, frames]
-    attention grid with a [heads, frames, frames] ALiBi grid and erf GELU,
-    in the arithmetic order of the blocked implementation's single block."""
+    attention grid with a [heads, frames, frames] ALiBi grid, the textbook
+    max-shifted softmax and erf GELU. A `trace` list gets one dict per layer
+    with its attention input m1, its unscaled q, k, v [batch, heads, frames,
+    head_dim] and its biased scores."""
     cfg, p = model.config, model.params
     batch, _, frames = x_t.shape
     heads, head_dim = cfg.num_heads, cfg.head_dim
@@ -53,12 +68,14 @@ def dense_forward(model, x_t, cond, t):
              if name.startswith(f"block{i}.")}
         mod = silu_c @ w["ada.weight"] + w["ada.bias"]
         shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = np.split(mod, 6, axis=1)
-        qkv = modulate(h, shift_a, scale_a) @ w["qkv.weight"] + w["qkv.bias"]
+        m1 = modulate(h, shift_a, scale_a)
+        qkv = m1 @ w["qkv.weight"] + w["qkv.bias"]
         q, k, v = [a.reshape(batch, frames, heads, head_dim).transpose(0, 2, 1, 3)
                    for a in np.split(qkv, 3, axis=2)]
         scores = (q / np.sqrt(head_dim)) @ k.transpose(0, 1, 3, 2) + bias[None]
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        ctx = e @ v / e.sum(axis=-1, keepdims=True)
+        if trace is not None:
+            trace.append(dict(m1=m1, q=q, k=k, v=v, scores=scores))
+        ctx = textbook_attention(scores, v)[1]
         ctx = ctx.transpose(0, 2, 1, 3).reshape(batch, frames, cfg.model_dim)
         h = h + gate_a[:, None, :] * (ctx @ w["attn_out.weight"] + w["attn_out.bias"])
         z1 = modulate(h, shift_m, scale_m) @ w["ffn.weight1"] + w["ffn.bias1"]
@@ -292,7 +309,8 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
     single, tape = run()  # the default budget holds the whole 2 x 2 x 11 x 11 grid
     if record:
         assert len(tape.blocks[0]["attn_blocks"]) == 1
-    assert np.array_equal(single, dense)
+    # the diagonal shift and the matmul row sums reorder the arithmetic
+    assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     # 2 * 2 * 11 scores per query row: rows of 3 give blocks of 3, 3, 3, 2
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 3 * 44)
@@ -300,6 +318,127 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
     if record:
         assert [a.shape[2] for a in tape.blocks[0]["attn_blocks"]] == [3, 3, 3, 2]
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def scored_qkv(scores, values):
+    """A [1, frames, 3 * heads * 16] qkv projection whose attention scores are
+    `scores` [heads, frames, frames] and whose values are `values` [heads,
+    frames, 16], for frames <= 16: query i holds row i of the scores and key
+    j is 4 e_j, so with sqrt(head_dim) = 4 every score is exact."""
+    heads, frames, head_dim = values.shape
+    q = np.zeros((heads, frames, head_dim))
+    q[:, :, :frames] = scores
+    k = np.broadcast_to(4.0 * np.eye(frames, head_dim), q.shape)
+    return np.concatenate([a.transpose(1, 0, 2).reshape(1, frames, heads * head_dim)
+                           for a in (q, k, values)], axis=2)
+
+
+def run_attention(qkv, heads, bias, record):
+    return vectorfield._attention_forward(
+        *vectorfield._attention_operands(qkv, heads), bias, record)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_diagonal_shift_matches_max_shifted_softmax(monkeypatch, record):
+    """Rows are shifted by their diagonal score, not their maximum: where
+    the other keys score ~300 above the diagonal and where they score ~300
+    below it, the context and the probabilities match the textbook softmax,
+    in one block and in blocks of 5 rows."""
+    heads, frames = 2, 12
+    rng = np.random.default_rng(33)
+    diagonal = 5.0 * rng.standard_normal((heads, frames, 1))
+    above = np.where(np.arange(frames) % 2 == 0, 1.0, -1.0)[None, :, None]
+    scores = diagonal + above * (300.0 + 3.0 * rng.standard_normal((heads, frames, frames)))
+    scores[:, np.arange(frames), np.arange(frames)] = diagonal[..., 0]
+    values = rng.standard_normal((heads, frames, 16))
+    bias = alibi_bias(frames, heads)
+    probs, ctx = textbook_attention(scores + bias, values)
+    ctx = ctx.transpose(1, 0, 2).reshape(1, frames, heads * 16)
+    for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 5 * heads * frames):
+        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        got, blocks = run_attention(scored_qkv(scores, values), heads, bias, record)
+        assert np.max(np.abs(got - ctx)) <= 1e-13 * np.max(np.abs(ctx))
+        if record:
+            got_probs = np.concatenate(blocks, axis=2)[0]
+            assert np.max(np.abs(got_probs - probs)) <= 1e-13 * np.max(probs)
+
+
+def test_overflowing_attention_raises_instead_of_a_finite_field():
+    """Weights that overflow float64 must end in an error, never in a
+    finite field. A key more than 709 above its row's diagonal score
+    overflows `exp`; eleven keys each ~709 above it overflow only the row
+    sum, which without a check turns that row's context into zeros."""
+    heads, frames = 2, 12
+    rng = np.random.default_rng(34)
+    values = rng.standard_normal((heads, frames, 16))
+    bias = alibi_bias(frames, heads)
+    for row, gap in ((0, 720.0), (5, 709.0)):
+        scores = np.zeros((heads, frames, frames))
+        scores[0, row] = gap
+        scores[0, row, row] = 0.0
+        assert np.all(np.isfinite(textbook_attention(scores + bias, values)[1]))
+        for record in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(FloatingPointError, match="overflow"):
+                run_attention(scored_qkv(scores, values), heads, bias, record)
+
+    # end to end: a model whose scores run far above their diagonal
+    model = randomized(ONE_LAYER, seed=35)
+    model.params["block0.qkv.weight"] *= 300.0
+    x = rng.standard_normal((1, 8, 10))
+    cond = rng.standard_normal((1, 8, 10))
+    trace = []
+    assert np.all(np.isfinite(dense_forward(model, x, cond, np.array([0.0]), trace)))
+    scores = trace[0]["scores"]
+    assert np.max(scores - np.diagonal(scores, axis1=2, axis2=3)[..., None]) > 709.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            sample_features(model, FeatureGrid(cond[0]), rng)
+        state = init_train_state(model, TrainConfig())
+        with pytest.raises(FloatingPointError, match="overflow"):
+            apply_gradients(state, *pretrain_gradients(state, [FeatureGrid(x[0])] * 2))
+
+
+def test_attention_gradients_match_dense_textbook(monkeypatch):
+    """`backward`'s qkv gradients on a one-layer model equal the textbook
+    softmax gradient P * (dP - rowsum(dP * P)) on the dense grid, given the
+    same context gradient, with one block and with blocks of 3 rows."""
+    model = randomized(ONE_LAYER, seed=36, scale=0.5)
+    rng = np.random.default_rng(37)
+    batch, frames, heads, head_dim = 2, 11, 2, 8
+    x = rng.standard_normal((batch, 8, frames))
+    cond = rng.standard_normal((batch, 8, frames))
+    t = np.array([0.3, 0.6])
+    trace = []
+    dense_forward(model, x, cond, t, trace)
+    layer = trace[0]
+    probs, _ = textbook_attention(layer["scores"], layer["v"])
+    assert np.min(probs.max(axis=-1)) < 0.9  # no row is one-hot
+
+    captured = []
+    attention_backward = vectorfield._attention_backward
+
+    def capture(dctx, *args):
+        captured.append(dctx)
+        return attention_backward(dctx, *args)
+
+    monkeypatch.setattr(vectorfield, "_attention_backward", capture)
+    for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 3 * batch * heads * frames):
+        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
+        out, tape = forward_batch(model, x, cond, t, record=True)
+        grads = backward(model, tape, rng.standard_normal(out.shape))
+        dctx = captured.pop()
+        dprobs = dctx @ layer["v"].transpose(0, 1, 3, 2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+        dq = dscores @ layer["k"] / np.sqrt(head_dim)
+        dk = dscores.transpose(0, 1, 3, 2) @ layer["q"] / np.sqrt(head_dim)
+        dv = probs.transpose(0, 1, 3, 2) @ dctx
+        dqkv = np.concatenate([a.transpose(0, 2, 1, 3).reshape(batch, frames, 16)
+                               for a in (dq, dk, dv)], axis=2)
+        expected = {"block0.qkv.weight": np.einsum("bli,blo->io", layer["m1"], dqkv),
+                    "block0.qkv.bias": dqkv.sum(axis=(0, 1))}
+        for name, ref in expected.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_attention_memory_grows_linearly_in_frames():
@@ -323,7 +462,7 @@ def test_attention_memory_grows_linearly_in_frames():
 
 def test_inference_forward_peak_is_bounded():
     """Without recording, activations are freed at their last use: one NFE on
-    20 s (2501 frames) at the defaults peaks at about 23 MiB, at one
+    20 s (2501 frames) at the defaults peaks at about 22 MiB, at one
     attention sublayer, not at the sum of every layer's temporaries (nor at
     a [frames, 2 * channels] input, which the split input projection never
     builds)."""

@@ -13,26 +13,30 @@ and j. The [heads, frames, frames] bias grid is a read-only strided view over
 one [heads, 2 * frames - 1] array of offsets, built once per forward pass and
 shared by every layer and block, so it costs O(heads * frames) memory.
 
-Attention is exact and computed in blocks of query rows, each scored against
-every key, so inference holds O(batch * heads * rows * frames) attention
-memory, with rows chosen to keep a block near ATTENTION_BLOCK_ELEMENTS
-scores, rather than a full [batch, heads, frames, frames] grid. Queries are
-scaled by 1/sqrt(head_dim), and each row's softmax is shifted by the row's
-diagonal score rather than its maximum (ALiBi's bias is 0 on the diagonal),
-which one extra column of q and k folds into the score matmul. The softmax
-is normalised on the context: exp(scores) @ [v, 1] gives the weighted values
-beside the row sums, which divide them; the probabilities are normalised
-only when taped. A block thus costs two matmuls, one bias add and one exp.
-A recorded forward pass tapes every probability block, O(batch * frames^2)
-in total; training bounds it by recording slices of about
-`training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the whole
-batch.
+Attention is exact and computed in blocks of query rows, so inference holds
+O(batch * heads * rows * frames) attention memory, with rows chosen to keep a
+block near ATTENTION_BLOCK_ELEMENTS scores, rather than a full [batch, heads,
+frames, frames] grid. Queries are scaled by 1/sqrt(head_dim), and each row's
+softmax is shifted by the row's diagonal score rather than its maximum
+(ALiBi's bias is 0 on the diagonal), which one extra column of q and k folds
+into the score matmul. The softmax is normalised on the context:
+exp(scores) @ [v, 1] gives the weighted values beside the row sums, which
+divide them; the probabilities are normalised only when taped. A block thus
+costs two matmuls, one bias add and one exp. A block scores only the keys
+whose weight can reach 1e-16 of its row sums: ALiBi's steep heads decay by
+e^(-m_h) per frame, so on long inputs they score a band of keys around the
+block, sized from a bound on the layer's scores (`_key_bands`), while the
+other heads score every key in one batched group. Training crops and short
+utterances fit in one block, which sees every key. A recorded forward pass
+tapes every probability block, O(batch * frames^2) in total; training bounds
+it by recording slices of about `training.MICRO_BATCH_FRAMES` frames (four
+128-frame crops), not the whole batch.
 
 The attention and feed-forward branches of a block are each one function
 whose temporaries are locals, and each returns its tape entries only when
 recording. Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
-at about 16 MiB at 1501 frames and 22 MiB at 2501 frames.
+at about 13 MiB at 1501 frames and 22 MiB at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64;
 `backward` consumes the tape recorded by `forward_batch(..., record=True)`,
@@ -251,75 +255,144 @@ def _attention_operands(qkv, num_heads):
     return q, k, v
 
 
+def _key_bands(q, k, bias, rows):
+    """The keys each head scores per block of `rows` query rows in
+    `_attention_forward`.
+
+    Returns (banded, lo, hi): heads 0 .. banded - 1 score the rows of block
+    b against keys lo[h, b] <= j < hi[h, b] only, and heads banded .. heads - 1
+    score every key. `bias` is the `alibi_bias` grid, whose entry one frame
+    off the diagonal is -m_h.
+
+    The band keeps every key whose weight can reach 1e-16 of its row sum.
+    Row i's weight on key j is exp(q_i . k_j - c_i - m_h |i - j|), q scaled
+    and c_i the diagonal score. With K_h = max_j |k_j| over the batch and
+    frames, q_i . k_j - c_i <= S_i = |q_i| K_h - c_i, and q's last column
+    holds -c_i. The keys more than W frames away then weigh at most
+    2 sum_{d > W} e^(S_i - m_h d) = 2 e^(S_i - m_h (W + 1)) / (1 - e^-m_h)
+    <= 2 e^(S_i - m_h W) / m_h in total, since 1 - e^-m >= m e^-m, while the
+    diagonal weight 1 makes the row sum at least 1. With S the largest S_i
+    of the block and at least 0, W = ceil((S + R_h) / m_h) and
+    R_h = ln(2e16) - ln m_h drop less than 1e-16 of every row sum.
+
+    A band gives its head blocks of its own, so a head is banded only where
+    its band skips at least one block's worth of scores (rows * frames);
+    bands that skipped less were measured no faster. Slopes fall with h, so
+    the banded heads come first and the others stay one batched group.
+    Blocks of rows >= frames see every key whatever W is, so they cost no
+    bound.
+    """
+    frames = q.shape[2]
+    if rows >= frames:
+        return 0, None, None
+    slopes = -bias[:, 0, 1]
+    starts = np.arange(0, frames, rows)
+    key_norm = np.sqrt(np.einsum("bhld,bhld->bhl", k[..., :-1], k[..., :-1]).max(axis=(0, 2)))
+    query_norm = np.sqrt(np.einsum("bhld,bhld->bhl", q[..., :-1], q[..., :-1]))
+    reach = np.maximum.reduceat((query_norm * key_norm[:, None] + q[..., -1]).max(axis=0),
+                                starts, axis=1)  # S per head and block
+    half_width = np.ceil((np.maximum(reach, 0.0) + np.log(2e16 / slopes)[:, None])
+                         / slopes[:, None])  # W per head and block
+    half_width = np.where(half_width < frames, half_width, frames).astype(np.int64)  # inf, nan
+    lo = np.maximum(starts - half_width, 0)
+    hi = np.minimum(starts + rows + half_width, frames)
+    block_rows = np.minimum(starts + rows, frames) - starts
+    skipped = frames * frames - ((hi - lo) * block_rows).sum(axis=1)
+    pays = np.flatnonzero(skipped >= rows * frames)
+    banded = int(pays[-1]) + 1 if pays.size else 0
+    return banded, lo[:banded], hi[:banded]
+
+
 def _attention_forward(q, k, v, bias, record):
     """Exact softmax attention with ALiBi, one block of query rows at a time.
 
     q, k, v: the `_attention_operands` of the layer; bias: the `alibi_bias`
-    grid. Every block sees every key, so each row's softmax is complete
-    without an online rescaling. Each row is shifted by its diagonal score
-    instead of its maximum, which the score matmul applies: the bias is 0 on
-    the diagonal, so the diagonal weight is exp(0) = 1 and every row sum is
-    at least 1. The row sums come out of the context matmul, so a block
-    costs two matmuls, one bias add and one exp. A row sum overflows float64
-    only when scores lie about 709 - ln(frames) or more above their row's
-    diagonal score; a row sum of inf would turn that row's context into
-    zeros, so the block raises FloatingPointError instead.
+    grid. Each block sees every key whose weight can reach 1e-16 of its row
+    sum (`_key_bands`): ALiBi's steep heads score only a band of keys around
+    the block, and the other heads, batched, every key, so each row's softmax
+    is complete without an online rescaling. Each row is shifted by its
+    diagonal score instead of its maximum, which the score matmul applies:
+    the bias is 0 on the diagonal, which every band holds, so the diagonal
+    weight is exp(0) = 1 and every row sum is at least 1. The row sums come
+    out of the context matmul, so a block costs two matmuls, one bias add
+    and one exp. A row sum overflows float64 only when scores lie about
+    709 - ln(frames) or more above their row's diagonal score; a row sum of
+    inf would turn that row's context into zeros, so the block raises
+    FloatingPointError instead.
 
     Returns the context [batch, frames, heads * head_dim] and, when
-    recording, the list of probability blocks [batch, heads, rows, frames]
-    (empty otherwise).
+    recording, the list of probability blocks (empty otherwise): a banded
+    head's block as (head, start, lo, probabilities [batch, 1, rows, keys]),
+    which covers rows start .. and keys lo .., and the blocks of the heads
+    that see every key, the last ones, as probabilities [batch, those heads,
+    rows, frames] in row order.
     """
     batch, heads, frames, width = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
+    starts = range(0, frames, rows)
+    banded, lo, hi = _key_bands(q, k, bias, rows)
+    groups = [(slice(h, h + 1), lo[h], hi[h]) for h in range(banded)]
+    if banded < heads:
+        groups.append((slice(banded, heads), [0] * len(starts), [frames] * len(starts)))
     k_t = k.transpose(0, 1, 3, 2)
     ctx = np.empty((batch, frames, heads, width - 1))
     attn_blocks = []
-    for start in range(0, frames, rows):
-        sel = slice(start, start + rows)
-        attn = q[:, :, sel] @ k_t
-        attn += bias[:, sel]
-        np.exp(attn, out=attn)
-        out = attn @ v  # [..., :-1] weighted values, [..., -1:] row sums
-        total = out[..., -1:]
-        if np.isinf(total).any():
-            raise FloatingPointError(
-                "attention weights overflow float64: a score lies about "
-                f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
-        ctx[:, sel] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
-        if record:
-            attn /= total
-            attn_blocks.append(attn)
-        del attn, out, total  # otherwise still held while the next block is scored
+    for group, group_lo, group_hi in groups:
+        for start, key_lo, key_hi in zip(starts, group_lo, group_hi):
+            sel, keys = slice(start, start + rows), slice(key_lo, key_hi)
+            attn = q[:, group, sel] @ k_t[:, group, :, keys]
+            attn += bias[group, sel, keys]
+            np.exp(attn, out=attn)
+            out = attn @ v[:, group, keys]  # [..., :-1] weighted values, [..., -1:] row sums
+            total = out[..., -1:]
+            if np.isinf(total).any():
+                raise FloatingPointError(
+                    "attention weights overflow float64: a score lies about "
+                    f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
+            ctx[:, sel, group] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
+            if record:
+                attn /= total
+                attn_blocks.append(attn if group.start == banded
+                                   else (group.start, start, int(key_lo), attn))
+            del attn, out, total  # otherwise still held while the next block is scored
     return ctx.reshape(batch, frames, heads * (width - 1)), attn_blocks
 
 
 def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
     """Gradients (dq, dk, dv) of the unscaled q, k, v [batch, heads, frames,
     head_dim] of `_attention_forward`, given dctx and ctx shaped like them
-    and the forward's `_attention_operands` and probability blocks.
+    and the forward's `_attention_operands` and probability blocks, each
+    differentiated over the rows and keys it covers.
 
     The softmax backward's row term sum_j dP_ij * P_ij equals dctx_i . ctx_i,
     because P @ v = ctx, so it is one O(frames * head_dim) product per layer
     rather than a reduction over every probability block.
     """
     q, k, v = q[..., :-1], k[..., :-1], v[..., :-1]  # q is already scaled
+    heads = q.shape[1]
     scale = np.sqrt(q.shape[-1])
     row_terms = np.einsum("bhld,bhld->bhl", dctx, ctx)[..., None]
     dq = np.empty(q.shape)
     dk = np.zeros(k.shape)
     dv = np.zeros(v.shape)
     v_t = v.transpose(0, 1, 3, 2)
-    start = 0
-    for attn in attn_blocks:
-        sel = slice(start, start + attn.shape[2])
-        start = sel.stop
-        dctx_blk = dctx[:, :, sel]
-        dv += attn.transpose(0, 1, 3, 2) @ dctx_blk
-        dscores = dctx_blk @ v_t
-        dscores -= row_terms[:, :, sel]
+    full_start = 0
+    for block in attn_blocks:
+        if isinstance(block, tuple):
+            head, start, lo, attn = block
+            group = slice(head, head + 1)
+        else:  # the last heads on every key, in row order
+            attn, group, start, lo = block, slice(heads - block.shape[1], heads), full_start, 0
+            full_start += attn.shape[2]
+        sel, keys = slice(start, start + attn.shape[2]), slice(lo, lo + attn.shape[3])
+        dk_keys, dv_keys = dk[:, group, keys], dv[:, group, keys]
+        dctx_blk = dctx[:, group, sel]
+        dv_keys += attn.transpose(0, 1, 3, 2) @ dctx_blk
+        dscores = dctx_blk @ v_t[:, group, :, keys]
+        dscores -= row_terms[:, group, sel]
         dscores *= attn
-        dq[:, :, sel] = dscores @ k / scale
-        dk += dscores.transpose(0, 1, 3, 2) @ q[:, :, sel]
+        dq[:, group, sel] = dscores @ k[:, group, keys] / scale
+        dk_keys += dscores.transpose(0, 1, 3, 2) @ q[:, group, sel]
     return dq, dk, dv
 
 
@@ -422,7 +495,8 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
                   t: np.ndarray, record: bool = False):
     """Batched forward pass on raw arrays.
 
-    Attention runs in blocks of query rows against all keys, so without
+    Attention runs in blocks of query rows, each against every key whose
+    weight can reach 1e-16 of its row sums (`_attention_forward`), so without
     recording it holds O(batch * heads * rows * frames) attention memory
     (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
     grid. The ALiBi bias on frame indices is one `alibi_bias` view built per

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from flowsr import vectorfield
+from flowsr import training, vectorfield
 from flowsr.flowpath import cfm_loss
 from flowsr.masking import maybe_drop_condition
 from flowsr.sampler import sample_features
@@ -23,6 +23,10 @@ from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
 ONE_LAYER = dataclasses.replace(TINY, num_layers=1)
+# ALiBi slopes 1/2 ... 1/256: heads 0 and 1 score only a band of keys from a
+# few hundred frames on
+EIGHT_HEADS = ModelConfig(num_layers=2, model_dim=32, num_heads=8,
+                          feature_channels=8, time_embed_dim=16, feedforward_dim=32)
 
 
 def randomized(config, seed, scale=0.1):
@@ -35,18 +39,28 @@ def randomized(config, seed, scale=0.1):
 
 def textbook_attention(scores, v):
     """Max-shifted softmax of biased scores [..., frames, frames] and its
-    context probabilities @ v."""
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    context probabilities @ v. Complex scores are shifted by the largest
+    real part, which the softmax ignores."""
+    e = np.exp(scores - scores.real.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     return probs, probs @ v
+
+
+def layer_norm(x):
+    """`_ln_forward`'s normalisation with the variance as mean((x - mean)^2),
+    which stays analytic in complex arithmetic (`x.var` takes |x - mean|^2)."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return centred / np.sqrt((centred * centred).mean(axis=-1, keepdims=True)
+                             + vectorfield.LN_EPS)
 
 
 def dense_forward(model, x_t, cond, t, trace=None):
     """Reference forward pass: the full [batch, heads, frames, frames]
     attention grid with a [heads, frames, frames] ALiBi grid, the textbook
-    max-shifted softmax and erf GELU. A `trace` list gets one dict per layer
-    with its attention input m1, its unscaled q, k, v [batch, heads, frames,
-    head_dim] and its biased scores."""
+    max-shifted softmax and erf GELU. It is analytic in the parameters, so
+    complex parameters give complex-step derivatives. A `trace` list gets one
+    dict per layer with its attention input m1, its unscaled q, k, v [batch,
+    heads, frames, head_dim] and its biased scores."""
     cfg, p = model.config, model.params
     batch, _, frames = x_t.shape
     heads, head_dim = cfg.num_heads, cfg.head_dim
@@ -55,7 +69,7 @@ def dense_forward(model, x_t, cond, t, trace=None):
     bias = -alibi_slopes(heads)[:, None, None] * dist[None]
 
     def modulate(x, shift, scale):
-        return _ln_forward(x)[0] * (1.0 + scale)[:, None, :] + shift[:, None, :]
+        return layer_norm(x) * (1.0 + scale)[:, None, :] + shift[:, None, :]
 
     w_in, channels = p["input_proj.weight"], cfg.feature_channels
     h = (x_t.transpose(0, 2, 1) @ w_in[:channels]
@@ -402,19 +416,9 @@ def test_overflowing_attention_raises_instead_of_a_finite_field():
 def test_attention_gradients_match_dense_textbook(monkeypatch):
     """`backward`'s qkv gradients on a one-layer model equal the textbook
     softmax gradient P * (dP - rowsum(dP * P)) on the dense grid, given the
-    same context gradient, with one block and with blocks of 3 rows."""
-    model = randomized(ONE_LAYER, seed=36, scale=0.5)
-    rng = np.random.default_rng(37)
-    batch, frames, heads, head_dim = 2, 11, 2, 8
-    x = rng.standard_normal((batch, 8, frames))
-    cond = rng.standard_normal((batch, 8, frames))
-    t = np.array([0.3, 0.6])
-    trace = []
-    dense_forward(model, x, cond, t, trace)
-    layer = trace[0]
-    probs, _ = textbook_attention(layer["scores"], layer["v"])
-    assert np.min(probs.max(axis=-1)) < 0.9  # no row is one-hot
-
+    same context gradient: with one block and with blocks of 3 rows, and on
+    eight heads in blocks of 40 rows, whose first two score only a band of
+    keys."""
     captured = []
     attention_backward = vectorfield._attention_backward
 
@@ -423,22 +427,147 @@ def test_attention_gradients_match_dense_textbook(monkeypatch):
         return attention_backward(dctx, *args)
 
     monkeypatch.setattr(vectorfield, "_attention_backward", capture)
-    for block_elements in (vectorfield.ATTENTION_BLOCK_ELEMENTS, 3 * batch * heads * frames):
-        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
-        out, tape = forward_batch(model, x, cond, t, record=True)
-        grads = backward(model, tape, rng.standard_normal(out.shape))
-        dctx = captured.pop()
-        dprobs = dctx @ layer["v"].transpose(0, 1, 3, 2)
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = dscores @ layer["k"] / np.sqrt(head_dim)
-        dk = dscores.transpose(0, 1, 3, 2) @ layer["q"] / np.sqrt(head_dim)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dqkv = np.concatenate([a.transpose(0, 2, 1, 3).reshape(batch, frames, 16)
-                               for a in (dq, dk, dv)], axis=2)
-        expected = {"block0.qkv.weight": np.einsum("bli,blo->io", layer["m1"], dqkv),
-                    "block0.qkv.bias": dqkv.sum(axis=(0, 1))}
-        for name, ref in expected.items():
-            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+    batch = 2
+    for config, frames, scale, block_rows in [
+            (ONE_LAYER, 11, 0.5, (None, 3)),
+            (dataclasses.replace(EIGHT_HEADS, num_layers=1), 400, 0.1, (40,))]:
+        model = randomized(config, seed=36, scale=scale)
+        rng = np.random.default_rng(37)
+        heads, head_dim = config.num_heads, config.head_dim
+        x = rng.standard_normal((batch, 8, frames))
+        cond = rng.standard_normal((batch, 8, frames))
+        t = np.array([0.3, 0.6])
+        trace = []
+        dense_forward(model, x, cond, t, trace)
+        layer = trace[0]
+        probs, _ = textbook_attention(layer["scores"], layer["v"])
+        assert np.min(probs.max(axis=-1)) < 0.9  # no row is one-hot
+
+        for rows in block_rows:
+            monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS",
+                                2 ** 20 if rows is None else rows * batch * heads * frames)
+            out, tape = forward_batch(model, x, cond, t, record=True)
+            if heads == 8:
+                assert {0, 1} <= set(banded_blocks(tape, 0))
+            grads = backward(model, tape, rng.standard_normal(out.shape))
+            dctx = captured.pop()
+            dprobs = dctx @ layer["v"].transpose(0, 1, 3, 2)
+            dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+            dq = dscores @ layer["k"] / np.sqrt(head_dim)
+            dk = dscores.transpose(0, 1, 3, 2) @ layer["q"] / np.sqrt(head_dim)
+            dv = probs.transpose(0, 1, 3, 2) @ dctx
+            dqkv = np.concatenate([a.transpose(0, 2, 1, 3).reshape(batch, frames, -1)
+                                   for a in (dq, dk, dv)], axis=2)
+            expected = {"block0.qkv.weight": np.einsum("bli,blo->io", layer["m1"], dqkv),
+                        "block0.qkv.bias": dqkv.sum(axis=(0, 1))}
+            for name, ref in expected.items():
+                assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def banded_blocks(tape, layer):
+    """{head: [(start, lo, probabilities)]} of a recorded layer's banded heads."""
+    bands = {}
+    for block in tape.blocks[layer]["attn_blocks"]:
+        if isinstance(block, tuple):
+            head, start, lo, attn = block
+            bands.setdefault(head, []).append((start, lo, attn))
+    return bands
+
+
+def full_range(monkeypatch):
+    """Make every head score every key."""
+    monkeypatch.setattr(vectorfield, "_key_bands", lambda *args: (0, None, None))
+
+
+def test_key_bands_keep_the_field(monkeypatch):
+    """Eight heads at 400 frames in blocks of 40 rows: heads 0 and 1 score
+    a band of keys, and the field stays within 1e-14 of the dense textbook
+    and of a pass over every key. The recorded field equals the unrecorded
+    one bit for bit, and the tape's banded blocks cover their rows, skip
+    keys, and lie in row order per head."""
+    model = randomized(EIGHT_HEADS, seed=38)
+    rng = np.random.default_rng(39)
+    batch, frames = 2, 400
+    x = rng.standard_normal((batch, 8, frames))
+    cond = rng.standard_normal((batch, 8, frames))
+    t = np.array([0.0, 0.6])
+    monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 40 * batch * 8 * frames)
+    field = forward_batch(model, x, cond, t)
+    recorded, tape = forward_batch(model, x, cond, t, record=True)
+    assert np.array_equal(recorded, field)
+    dense = dense_forward(model, x, cond, t)
+    assert np.max(np.abs(field - dense)) <= 1e-14 * np.max(np.abs(dense))
+    for layer in range(2):
+        bands = banded_blocks(tape, layer)
+        assert {0, 1} <= set(bands) and set(bands) == set(range(len(bands)))
+        for head, blocks in bands.items():
+            assert [start for start, _, _ in blocks] == list(range(0, frames, 40))
+            for start, lo, attn in blocks:
+                assert attn.shape[:3] == (batch, 1, 40)
+                assert lo <= start and start + 40 <= lo + attn.shape[3] <= frames
+        kept = sum(attn.shape[2] * attn.shape[3] for _, _, attn in bands[0]) / frames ** 2
+        assert kept < 0.6, kept
+        full = [a for a in tape.blocks[layer]["attn_blocks"] if not isinstance(a, tuple)]
+        assert {a.shape for a in full} == {(batch, 8 - len(bands), 40, frames)}
+    full_range(monkeypatch)
+    everything = forward_batch(model, x, cond, t)
+    assert np.max(np.abs(field - everything)) <= 1e-14 * np.max(np.abs(everything))
+
+
+def test_key_bands_at_the_default_config(monkeypatch):
+    """At the default config on 1501 frames (12 s), heads 0 and 1 score a
+    band of keys, and the field stays within 1e-14 of a pass over every
+    key."""
+    model = randomized(ModelConfig(), seed=40, scale=0.05)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((1, 512, 1501))
+    cond = rng.standard_normal((1, 512, 1501))
+    banded = []
+    key_bands = vectorfield._key_bands
+
+    def count_banded(*args):
+        bands = key_bands(*args)
+        banded.append(bands[0])
+        return bands
+
+    monkeypatch.setattr(vectorfield, "_key_bands", count_banded)
+    for t in (0.0, 0.6):
+        field = forward_batch(model, x, cond, np.array([t]))
+        assert banded == [2] * 4
+        banded.clear()
+        with monkeypatch.context() as patch:
+            full_range(patch)
+            everything = forward_batch(model, x, cond, np.array([t]))
+        assert np.max(np.abs(field - everything)) <= 1e-14 * np.max(np.abs(everything))
+
+
+def test_rows_far_above_their_diagonal_see_every_key(monkeypatch):
+    """A query whose score on one key lies 300 above its diagonal score
+    widens its block's band to every key, and the context still matches the
+    textbook softmax; the other blocks keep their band."""
+    heads, frames, head_dim, row = 8, 400, 4, 205
+    rng = np.random.default_rng(42)
+    qkv = rng.standard_normal((1, frames, 3 * heads * head_dim))
+    key_dim = heads * head_dim + head_dim - 1  # head 0's last key coordinate
+    qkv[0, :, key_dim] = 0.0
+    qkv[0, row + 10, key_dim] = 1.0
+    qkv[0, row, head_dim - 1] = 300.0 * np.sqrt(head_dim)
+    q, k, v = [a.reshape(frames, heads, head_dim).transpose(1, 0, 2)
+               for a in np.split(qkv[0], 3, axis=1)]
+    bias = alibi_bias(frames, heads)
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
+    assert scores[0, row, row + 10] - scores[0, row, row] > 295.0
+    probs, ctx = textbook_attention(scores + bias, v)
+    ctx = ctx.transpose(1, 0, 2).reshape(1, frames, heads * head_dim)
+    monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 40 * heads * frames)
+    got, blocks = run_attention(qkv, heads, bias, record=True)
+    assert np.max(np.abs(got - ctx)) <= 1e-13 * np.max(np.abs(ctx))
+    head0 = {start: (lo, attn) for head, start, lo, attn in
+             (b for b in blocks if isinstance(b, tuple)) if head == 0}
+    assert head0[200][0] == 0 and head0[200][1].shape[3] == frames
+    assert np.max(np.abs(head0[200][1][0, 0] - probs[0, 200:240])) <= 1e-13
+    assert all(attn.shape[3] < frames for start, (_, attn) in head0.items()
+               if start != 200)
 
 
 def test_attention_memory_grows_linearly_in_frames():
@@ -462,10 +591,11 @@ def test_attention_memory_grows_linearly_in_frames():
 
 def test_inference_forward_peak_is_bounded():
     """Without recording, activations are freed at their last use: one NFE on
-    20 s (2501 frames) at the defaults peaks at about 22 MiB, at one
-    attention sublayer, not at the sum of every layer's temporaries (nor at
-    a [frames, 2 * channels] input, which the split input projection never
-    builds)."""
+    20 s (2501 frames) at the defaults peaks at about 22 MiB, where an
+    attention sublayer builds its operands beside the qkv projection (its
+    block loop peaks at about 17 MiB) and at the output projection, not at
+    the sum of every layer's temporaries (nor at a [frames, 2 * channels]
+    input, which the split input projection never builds)."""
     model = init_parameters(ModelConfig(), np.random.default_rng(27))
     rng = np.random.default_rng(28)
     x = rng.standard_normal((1, 512, 2501))
@@ -575,3 +705,79 @@ def test_backward_spot_finite_differences(monkeypatch):
             (2, 7, 2 * 2 * 7 * 2)]:
         monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", block_elements)
         _spot_check_gradients(batch, frames)
+
+
+def analytic_cfm_loss(predicted, target, frame_mask=None):
+    """`cfm_loss`'s value, in arithmetic that stays analytic."""
+    batch, channels, frames = predicted.shape
+    diff = predicted - target
+    mask = np.ones((batch, frames)) if frame_mask is None else frame_mask.astype(np.float64)
+    per_item = np.maximum(mask.sum(axis=1) * channels, 1.0)
+    return ((diff * diff * mask[:, None, :]).sum(axis=(1, 2)) / per_item).sum() / batch
+
+
+FOUR_HEADS = dataclasses.replace(TINY, num_heads=4)
+# name: (config, parameter scale, batch, frames, attention block rows or None
+# for one block, training slice frames or None for `backward` on one pass,
+# masked loss)
+COMPLEX_STEP_CASES = {
+    "one pass": (FOUR_HEADS, 0.3, 2, 9, None, None, False),
+    "blocks of 2 rows, masked": (FOUR_HEADS, 0.3, 2, 9, 2, None, True),
+    "slices of 2, 2, 1 items": (FOUR_HEADS, 0.3, 5, 7, 3, 14, False),
+    "slices of 2, 2, 1 items, masked": (FOUR_HEADS, 0.3, 5, 7, None, 14, True),
+    "banded heads": (dataclasses.replace(EIGHT_HEADS, num_layers=1), 0.1, 1, 240, 24,
+                     None, False),
+}
+
+
+@pytest.mark.parametrize("case", COMPLEX_STEP_CASES)
+def test_gradients_match_complex_step(monkeypatch, case):
+    """Every segment's gradient, from `backward` on one pass or from the
+    training step's slices, equals the complex-step derivative
+    Im loss(p + ih e_k) / h at h = 1e-30 of the dense analytic loss to 1e-12
+    of the segment's largest gradient: for the argmax entry and two others
+    per segment, with one and several attention blocks, banded heads and
+    `cfm_loss` masked (with one item that has no masked frame) or not. The
+    complex step has no subtractive cancellation, so it is exact to
+    rounding."""
+    config, scale, batch, frames, rows, slice_frames, masked = COMPLEX_STEP_CASES[case]
+    model = randomized(config, seed=43, scale=scale)
+    rng = np.random.default_rng(44)
+    x, cond, target = (rng.standard_normal((batch, 8, frames)) for _ in range(3))
+    t = np.linspace(0.2, 0.9, batch)
+    mask = None
+    if masked:
+        mask = rng.random((batch, frames)) < 0.5
+        mask[1] = False
+    if rows is not None:
+        sliced = batch if slice_frames is None else slice_frames // frames
+        monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS",
+                            rows * sliced * config.num_heads * frames)
+    if slice_frames is None:
+        out, tape = forward_batch(model, x, cond, t, record=True)
+        assert (len(tape.blocks[0]["attn_blocks"]) > 1) == (rows is not None)
+        if config.num_heads == 8:
+            assert 0 in banded_blocks(tape, 0)
+        loss, dpred = cfm_loss(out, target, mask)
+        grads = backward(model, tape, dpred)
+    else:
+        monkeypatch.setattr(training, "MICRO_BATCH_FRAMES", slice_frames)
+        loss, grads = training._forward_backward(model, x, cond, t, target, mask)
+
+    def complex_loss(params):
+        return analytic_cfm_loss(dense_forward(VectorFieldModel(config, params),
+                                               x, cond, t), target, mask)
+
+    h = 1e-30
+    assert abs(complex_loss(model.params) - loss) <= 1e-13 * loss
+    for name, grad in grads.items():
+        largest = np.max(np.abs(grad))
+        assert largest > 0.0, name
+        entries = {int(np.argmax(np.abs(grad))),
+                   *rng.choice(grad.size, size=min(2, grad.size), replace=False)}
+        for k in entries:
+            params = {n: a.astype(complex) for n, a in model.params.items()}
+            params[name].reshape(-1)[k] += 1j * h
+            exact = complex_loss(params).imag / h
+            assert abs(grad.reshape(-1)[k] - exact) <= 1e-12 * largest, (
+                f"{case}: {name}[{k}] {grad.reshape(-1)[k]!r} vs complex step {exact!r}")

@@ -98,7 +98,7 @@ class RunConfig:
             seed=self.seed, mask_ratio=self.mask_ratio,
             mask_min_span=self.mask_min_span, dropout_prob=self.dropout_prob,
             loss_support=LossSupport(self.loss_support),
-            clip_norm=self.clip_norm if self.clip_norm > 0 else None)
+            clip_norm=None if self.clip_norm <= 0 else self.clip_norm)
         if self.peak_lr is not None:
             kwargs["peak_lr"] = self.peak_lr
         if self.final_lr is not None:

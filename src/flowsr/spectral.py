@@ -29,7 +29,8 @@ _OLA_EPS = 1e-10
 
 @dataclasses.dataclass
 class StftParams:
-    """Analysis/synthesis parameters for the STFT.
+    """Analysis/synthesis parameters for the STFT, with a periodic Hann
+    window.
 
     The window/hop pair must admit perfect reconstruction: the squared
     analysis window, overlap-added at the hop, must be bounded away from
@@ -38,7 +39,6 @@ class StftParams:
 
     window_size: int = 510
     hop_size: int = 128
-    window_kind: str = "hann"
 
     def __post_init__(self):
         if self.hop_size <= 0 or self.window_size <= 0:
@@ -56,11 +56,11 @@ class StftParams:
             weight[valid] += w[idx[valid]] ** 2
         if weight.min() < 1e-6:
             raise ValueError(
-                f"window '{self.window_kind}' at hop {self.hop_size} does not satisfy "
+                f"Hann window {self.window_size} at hop {self.hop_size} does not satisfy "
                 f"the overlap-add reconstruction condition (min weight {weight.min():.2e})")
 
     def window(self) -> np.ndarray:
-        return get_window(self.window_kind, self.window_size, fftbins=True).astype(np.float64)
+        return get_window("hann", self.window_size, fftbins=True).astype(np.float64)
 
     @property
     def num_bins(self) -> int:

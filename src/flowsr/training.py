@@ -85,6 +85,11 @@ class TrainConfig:
     clip_norm: float | None = 1.0
 
     def __post_init__(self):
+        # the range checks below let NaN and several infinities through
+        for name in ("peak_lr", "final_lr", "batch_seconds", "crop_seconds", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.final_lr <= self.peak_lr:
             raise ValueError(f"need 0 < final_lr <= peak_lr, got "
                              f"{self.final_lr} / {self.peak_lr}")

@@ -25,27 +25,35 @@ divide them; the probabilities are normalised only when taped. A block thus
 costs two matmuls, one bias add and one exp. A block scores only the keys
 whose weight can reach 1e-16 of its row sums: ALiBi's steep heads decay by
 e^(-m_h) per frame, so on long inputs they score a band of keys around the
-block, sized from a bound on the layer's scores (`_key_bands`), while the
-other heads score every key in one batched group. Training crops and short
-utterances fit in one block, which sees every key. A recorded forward pass
-tapes every probability block, O(batch * frames^2) in total; training bounds
-it by recording slices of about `training.MICRO_BATCH_FRAMES` frames (four
-128-frame crops), not the whole batch.
+block, sized from a bound on the layer's scores, while the other heads score
+every key in one batched group. `_key_bands` lays this out once per layer as
+one list of (heads, rows, keys) slices, which the forward loop scores and
+the backward loop differentiates. Training crops and short utterances fit
+in one block: (all heads, all rows, all keys). A recorded forward pass tapes
+every block as (heads, rows, keys, probabilities), O(batch * frames^2) in
+total; training bounds it by recording slices of about
+`training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the whole
+batch.
 
 The attention and feed-forward branches of a block are each one function
-whose temporaries are locals, and each returns its tape entries only when
-recording. Without recording only the hidden state and the step in progress
+whose temporaries are locals; both, and the final layer, modulate their
+input with `_modulate` (layer norm, then the time-dependent scale and
+shift). Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
 at about 13 MiB at 1501 frames and 22 MiB at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64;
-`backward` consumes the tape recorded by `forward_batch(..., record=True)`,
-which holds only what it reads (the residual stream's hidden states are not
-taped), and is validated against central finite differences in the test
-suite. Backward mirrors the sublayers: `_attention_sublayer_backward` and
-`_ffn_sublayer_backward` each return their input's gradient, their own
-segments' gradients and their modulation's gradients, so every parameter
-segment's gradient is computed once, in one place.
+`backward` consumes the `ForwardTape` recorded by
+`forward_batch(..., record=True)`, which holds only what it reads (the
+residual stream's hidden states are not taped), and is validated against
+central finite differences and complex-step derivatives in the test suite.
+Each sublayer tapes itself, under the same key names n, inv, m (the
+`_modulate` outputs), scale, gate and out (its un-gated output), beside its
+own extra entries. Backward mirrors the sublayers:
+`_attention_sublayer_backward` and `_ffn_sublayer_backward` each read only
+their own tape and return their input's gradient, their own segments'
+gradients and their modulation's gradients, so every parameter segment's
+gradient is computed once, in one place.
 
 Parameter count for a config (D = model_dim, C = feature_channels,
 T = time_embed_dim, F = feedforward_dim, N = num_layers):
@@ -223,7 +231,13 @@ def _linear_grads(x, dy, layer, suffix=""):
 
 @dataclasses.dataclass
 class ForwardTape:
-    """Intermediate activations recorded for one batched forward pass."""
+    """Intermediate activations recorded for one batched forward pass.
+
+    inputs: the state and condition grids and the time-embedding MLP's
+    activations. blocks: per layer, the pair (attention tape, FFN tape) of
+    `_attention_sublayer` and `_ffn_sublayer`. final: the final layer's
+    `_modulate` outputs n, inv, m and its scale.
+    """
 
     inputs: dict
     blocks: list
@@ -255,20 +269,23 @@ def _attention_operands(qkv, num_heads):
     return q, k, v
 
 
-def _key_bands(q, k, bias, rows):
-    """The keys each head scores per block of `rows` query rows in
-    `_attention_forward`.
+def _key_bands(q, k, rows):
+    """The attention blocks of `_attention_forward`: a list of (heads, rows,
+    keys) slices, in which every head's query rows appear exactly once, each
+    against every key whose weight can reach 1e-16 of its row sum.
 
-    Returns (banded, lo, hi): heads 0 .. banded - 1 score the rows of block
-    b against keys lo[h, b] <= j < hi[h, b] only, and heads banded .. heads - 1
-    score every key. `bias` is the `alibi_bias` grid, whose entry one frame
-    off the diagonal is -m_h.
+    Query rows are cut into blocks of `rows`. A banded head gets one entry
+    per row block, on the keys within W frames of the block; the other heads,
+    the last ones, get one batched group entry per row block on every key.
+    When rows >= frames the list is the single block (all heads, all rows,
+    all keys), which sees every key whatever W is, so it costs no bound.
 
     The band keeps every key whose weight can reach 1e-16 of its row sum.
-    Row i's weight on key j is exp(q_i . k_j - c_i - m_h |i - j|), q scaled
-    and c_i the diagonal score. With K_h = max_j |k_j| over the batch and
-    frames, q_i . k_j - c_i <= S_i = |q_i| K_h - c_i, and q's last column
-    holds -c_i. The keys more than W frames away then weigh at most
+    Row i's weight on key j is exp(q_i . k_j - c_i - m_h |i - j|), q scaled,
+    c_i the diagonal score and m_h the `alibi_slopes` slope. With
+    K_h = max_j |k_j| over the batch and frames,
+    q_i . k_j - c_i <= S_i = |q_i| K_h - c_i, and q's last column holds
+    -c_i. The keys more than W frames away then weigh at most
     2 sum_{d > W} e^(S_i - m_h d) = 2 e^(S_i - m_h (W + 1)) / (1 - e^-m_h)
     <= 2 e^(S_i - m_h W) / m_h in total, since 1 - e^-m >= m e^-m, while the
     diagonal weight 1 makes the row sum at least 1. With S the largest S_i
@@ -279,14 +296,13 @@ def _key_bands(q, k, bias, rows):
     its band skips at least one block's worth of scores (rows * frames);
     bands that skipped less were measured no faster. Slopes fall with h, so
     the banded heads come first and the others stay one batched group.
-    Blocks of rows >= frames see every key whatever W is, so they cost no
-    bound.
     """
-    frames = q.shape[2]
+    heads, frames = q.shape[1:3]
     if rows >= frames:
-        return 0, None, None
-    slopes = -bias[:, 0, 1]
+        return [(slice(0, heads), slice(0, frames), slice(0, frames))]
+    slopes = alibi_slopes(heads)
     starts = np.arange(0, frames, rows)
+    stops = np.minimum(starts + rows, frames)
     key_norm = np.sqrt(np.einsum("bhld,bhld->bhl", k[..., :-1], k[..., :-1]).max(axis=(0, 2)))
     query_norm = np.sqrt(np.einsum("bhld,bhld->bhl", q[..., :-1], q[..., :-1]))
     reach = np.maximum.reduceat((query_norm * key_norm[:, None] + q[..., -1]).max(axis=0),
@@ -295,96 +311,83 @@ def _key_bands(q, k, bias, rows):
                          / slopes[:, None])  # W per head and block
     half_width = np.where(half_width < frames, half_width, frames).astype(np.int64)  # inf, nan
     lo = np.maximum(starts - half_width, 0)
-    hi = np.minimum(starts + rows + half_width, frames)
-    block_rows = np.minimum(starts + rows, frames) - starts
-    skipped = frames * frames - ((hi - lo) * block_rows).sum(axis=1)
+    hi = np.minimum(stops + half_width, frames)
+    skipped = frames * frames - ((hi - lo) * (stops - starts)).sum(axis=1)
     pays = np.flatnonzero(skipped >= rows * frames)
     banded = int(pays[-1]) + 1 if pays.size else 0
-    return banded, lo[:banded], hi[:banded]
+    row_blocks = [slice(start, stop) for start, stop in zip(starts.tolist(), stops.tolist())]
+    blocks = [(slice(h, h + 1), sel, slice(key_lo, key_hi)) for h in range(banded)
+              for sel, key_lo, key_hi in zip(row_blocks, lo[h].tolist(), hi[h].tolist())]
+    if banded < heads:
+        blocks += [(slice(banded, heads), sel, slice(0, frames)) for sel in row_blocks]
+    return blocks
 
 
 def _attention_forward(q, k, v, bias, record):
     """Exact softmax attention with ALiBi, one block of query rows at a time.
 
     q, k, v: the `_attention_operands` of the layer; bias: the `alibi_bias`
-    grid. Each block sees every key whose weight can reach 1e-16 of its row
-    sum (`_key_bands`): ALiBi's steep heads score only a band of keys around
-    the block, and the other heads, batched, every key, so each row's softmax
-    is complete without an online rescaling. Each row is shifted by its
-    diagonal score instead of its maximum, which the score matmul applies:
-    the bias is 0 on the diagonal, which every band holds, so the diagonal
-    weight is exp(0) = 1 and every row sum is at least 1. The row sums come
-    out of the context matmul, so a block costs two matmuls, one bias add
-    and one exp. A row sum overflows float64 only when scores lie about
-    709 - ln(frames) or more above their row's diagonal score; a row sum of
-    inf would turn that row's context into zeros, so the block raises
-    FloatingPointError instead.
+    grid. The blocks are `_key_bands`' (heads, rows, keys) slices, and each
+    sees every key whose weight can reach 1e-16 of its row sum: ALiBi's
+    steep heads score only a band of keys around the block, and the other
+    heads, batched, every key, so each row's softmax is complete without an
+    online rescaling. Each row is shifted by its diagonal score instead of
+    its maximum, which the score matmul applies: the bias is 0 on the
+    diagonal, which every band holds, so the diagonal weight is exp(0) = 1
+    and every row sum is at least 1. The row sums come out of the context
+    matmul, so a block costs two matmuls, one bias add and one exp. A row
+    sum overflows float64 only when scores lie about 709 - ln(frames) or
+    more above their row's diagonal score; a row sum of inf would turn that
+    row's context into zeros, so the block raises FloatingPointError
+    instead.
 
     Returns the context [batch, frames, heads * head_dim] and, when
-    recording, the list of probability blocks (empty otherwise): a banded
-    head's block as (head, start, lo, probabilities [batch, 1, rows, keys]),
-    which covers rows start .. and keys lo .., and the blocks of the heads
-    that see every key, the last ones, as probabilities [batch, those heads,
-    rows, frames] in row order.
+    recording, the tape of blocks (empty otherwise): (heads, rows, keys,
+    probabilities [batch, heads, rows, keys]) for each block, in
+    `_key_bands`' order.
     """
     batch, heads, frames, width = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
-    starts = range(0, frames, rows)
-    banded, lo, hi = _key_bands(q, k, bias, rows)
-    groups = [(slice(h, h + 1), lo[h], hi[h]) for h in range(banded)]
-    if banded < heads:
-        groups.append((slice(banded, heads), [0] * len(starts), [frames] * len(starts)))
     k_t = k.transpose(0, 1, 3, 2)
     ctx = np.empty((batch, frames, heads, width - 1))
     attn_blocks = []
-    for group, group_lo, group_hi in groups:
-        for start, key_lo, key_hi in zip(starts, group_lo, group_hi):
-            sel, keys = slice(start, start + rows), slice(key_lo, key_hi)
-            attn = q[:, group, sel] @ k_t[:, group, :, keys]
-            attn += bias[group, sel, keys]
-            np.exp(attn, out=attn)
-            out = attn @ v[:, group, keys]  # [..., :-1] weighted values, [..., -1:] row sums
-            total = out[..., -1:]
-            if np.isinf(total).any():
-                raise FloatingPointError(
-                    "attention weights overflow float64: a score lies about "
-                    f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
-            ctx[:, sel, group] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
-            if record:
-                attn /= total
-                attn_blocks.append(attn if group.start == banded
-                                   else (group.start, start, int(key_lo), attn))
-            del attn, out, total  # otherwise still held while the next block is scored
+    for group, sel, keys in _key_bands(q, k, rows):
+        attn = q[:, group, sel] @ k_t[:, group, :, keys]
+        attn += bias[group, sel, keys]
+        np.exp(attn, out=attn)
+        out = attn @ v[:, group, keys]  # [..., :-1] weighted values, [..., -1:] row sums
+        total = out[..., -1:]
+        if np.isinf(total).any():
+            raise FloatingPointError(
+                "attention weights overflow float64: a score lies about "
+                f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
+        ctx[:, sel, group] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
+        if record:
+            attn /= total
+            attn_blocks.append((group, sel, keys, attn))
+        del attn, out, total  # otherwise still held while the next block is scored
     return ctx.reshape(batch, frames, heads * (width - 1)), attn_blocks
 
 
 def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
     """Gradients (dq, dk, dv) of the unscaled q, k, v [batch, heads, frames,
     head_dim] of `_attention_forward`, given dctx and ctx shaped like them
-    and the forward's `_attention_operands` and probability blocks, each
-    differentiated over the rows and keys it covers.
+    and the forward's `_attention_operands` and tape of (heads, rows, keys,
+    probabilities) blocks, each differentiated over the heads, rows and keys
+    it covers.
 
     The softmax backward's row term sum_j dP_ij * P_ij equals dctx_i . ctx_i,
     because P @ v = ctx, so it is one O(frames * head_dim) product per layer
     rather than a reduction over every probability block.
     """
     q, k, v = q[..., :-1], k[..., :-1], v[..., :-1]  # q is already scaled
-    heads = q.shape[1]
     scale = np.sqrt(q.shape[-1])
     row_terms = np.einsum("bhld,bhld->bhl", dctx, ctx)[..., None]
     dq = np.empty(q.shape)
     dk = np.zeros(k.shape)
     dv = np.zeros(v.shape)
     v_t = v.transpose(0, 1, 3, 2)
-    full_start = 0
-    for block in attn_blocks:
-        if isinstance(block, tuple):
-            head, start, lo, attn = block
-            group = slice(head, head + 1)
-        else:  # the last heads on every key, in row order
-            attn, group, start, lo = block, slice(heads - block.shape[1], heads), full_start, 0
-            full_start += attn.shape[2]
-        sel, keys = slice(start, start + attn.shape[2]), slice(lo, lo + attn.shape[3])
+    for group, sel, keys, attn in attn_blocks:
         dk_keys, dv_keys = dk[:, group, keys], dv[:, group, keys]
         dctx_blk = dctx[:, group, sel]
         dv_keys += attn.transpose(0, 1, 3, 2) @ dctx_blk
@@ -396,69 +399,84 @@ def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
     return dq, dk, dv
 
 
-def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, record):
-    """Pre-norm adaLN attention branch: h_in + gate * attn_out.
+def _modulate(x, shift, scale):
+    """adaLN modulation of x [batch, frames, dim] by per-item shift and scale
+    [batch, dim]. Returns (n, inv, m): the layer-normalised x, its inverse
+    deviations and the modulated m = n * (1 + scale) + shift."""
+    n, inv = _ln_forward(x)
+    return n, inv, n * (1.0 + scale)[:, None, :] + shift[:, None, :]
 
-    Returns the new hidden state and, when recording, the tape entries for
-    `backward` (None otherwise). Without recording every temporary is freed
-    at its last use.
+
+def _modulate_backward(dm, n, inv, scale):
+    """Backward of `_modulate`, given the gradient of m: the gradients of x,
+    shift and scale."""
+    dscale = np.einsum("bld,bld->bd", dm, n)
+    dshift = dm.sum(axis=1)
+    return _ln_backward(dm * (1.0 + scale)[:, None, :], n, inv), dshift, dscale
+
+
+def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, record):
+    """Pre-norm adaLN attention branch: h_in + gate * out.
+
+    Returns the new hidden state and, when recording, its tape for `backward`
+    (None otherwise): the `_modulate` outputs n, inv and m, its scale and
+    gate, the un-gated branch output out, and the attention operands, blocks
+    and context. Without recording every temporary is freed at its last use.
     """
-    n1, inv1 = _ln_forward(h_in)
-    m1 = n1 * (1.0 + scale)[:, None, :] + shift[:, None, :]
-    qkv = m1 @ p[f"{name}.qkv.weight"] + p[f"{name}.qkv.bias"]
-    tape = dict(n1=n1, inv1=inv1, m1=m1) if record else None
-    del n1, m1
+    n, inv, m = _modulate(h_in, shift, scale)
+    qkv = m @ p[f"{name}.qkv.weight"] + p[f"{name}.qkv.bias"]
+    tape = dict(n=n, inv=inv, m=m, scale=scale, gate=gate) if record else None
+    del n, m
     q, k, v = _attention_operands(qkv, num_heads)
     del qkv  # the operands are copies, so it is freed before the block loop
     ctx, attn_blocks = _attention_forward(q, k, v, bias, record)
     if record:
         tape.update(q=q, k=k, v=v, attn_blocks=attn_blocks, ctx=ctx)
     del q, k, v
-    attn_out = ctx @ p[f"{name}.attn_out.weight"] + p[f"{name}.attn_out.bias"]
+    out = ctx @ p[f"{name}.attn_out.weight"] + p[f"{name}.attn_out.bias"]
     del ctx
     if record:
-        tape["attn_out"] = attn_out  # un-gated: backward's dgate reads it
-    return h_in + gate[:, None, :] * attn_out, tape
+        tape["out"] = out  # un-gated: backward's dgate reads it
+    return h_in + gate[:, None, :] * out, tape
 
 
-def _attention_sublayer_backward(dh, blk, p, name, num_heads):
+def _attention_sublayer_backward(dh, tape, p, name):
     """Backward of `_attention_sublayer`, given the gradient of its output.
 
     Returns the gradient of its input, its segments' gradients and the
     gradients of its modulation (shift, scale, gate).
     """
     batch, frames, dim = dh.shape
-    dattn_out = dh * blk["gate_a"][:, None, :]
-    dgate = np.einsum("bld,bld->bd", dh, blk["attn_out"])
-    grads = _linear_grads(blk["ctx"], dattn_out, f"{name}.attn_out")
+    num_heads = tape["q"].shape[1]
+    dout = dh * tape["gate"][:, None, :]
+    dgate = np.einsum("bld,bld->bd", dh, tape["out"])
+    grads = _linear_grads(tape["ctx"], dout, f"{name}.attn_out")
     dctx, ctx = [a.reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
-                 for a in (dattn_out @ p[f"{name}.attn_out.weight"].T, blk["ctx"])]
-    dq, dk, dv = _attention_backward(dctx, ctx, blk["q"], blk["k"], blk["v"],
-                                     blk["attn_blocks"])
+                 for a in (dout @ p[f"{name}.attn_out.weight"].T, tape["ctx"])]
+    dq, dk, dv = _attention_backward(dctx, ctx, tape["q"], tape["k"], tape["v"],
+                                     tape["attn_blocks"])
     dqkv = np.concatenate(
         [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
         axis=2)
-    grads.update(_linear_grads(blk["m1"], dqkv, f"{name}.qkv"))
-    dm1 = dqkv @ p[f"{name}.qkv.weight"].T
-    dscale = np.einsum("bld,bld->bd", dm1, blk["n1"])
-    dshift = dm1.sum(axis=1)
-    dn1 = dm1 * (1.0 + blk["scale_a"])[:, None, :]
-    return dh + _ln_backward(dn1, blk["n1"], blk["inv1"]), grads, (dshift, dscale, dgate)
+    grads.update(_linear_grads(tape["m"], dqkv, f"{name}.qkv"))
+    dx, dshift, dscale = _modulate_backward(dqkv @ p[f"{name}.qkv.weight"].T,
+                                            tape["n"], tape["inv"], tape["scale"])
+    return dh + dx, grads, (dshift, dscale, dgate)
 
 
 def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
-    """Pre-norm adaLN GELU feed-forward branch: h_mid + gate * ffn_out.
+    """Pre-norm adaLN GELU feed-forward branch: h_mid + gate * out.
 
-    Returns the new hidden state and, when recording, the tape entries for
-    `backward` (None otherwise); the GELU derivative is taped in place of
-    the pre-activation. Without recording every temporary is freed at its
-    last use.
+    Returns the new hidden state and, when recording, its tape for `backward`
+    (None otherwise): the `_modulate` outputs n, inv and m, its scale and
+    gate, the un-gated branch output out, the GELU output and the GELU
+    derivative, which is taped in place of the pre-activation. Without
+    recording every temporary is freed at its last use.
     """
-    n2, inv2 = _ln_forward(h_mid)
-    m2 = n2 * (1.0 + scale)[:, None, :] + shift[:, None, :]
-    z1 = m2 @ p[f"{name}.ffn.weight1"] + p[f"{name}.ffn.bias1"]
-    tape = dict(n2=n2, inv2=inv2, m2=m2) if record else None
-    del n2, m2
+    n, inv, m = _modulate(h_mid, shift, scale)
+    z1 = m @ p[f"{name}.ffn.weight1"] + p[f"{name}.ffn.bias1"]
+    tape = dict(n=n, inv=inv, m=m, scale=scale, gate=gate) if record else None
+    del n, m
     cdf = 0.5 * (1.0 + erf(z1 / np.sqrt(2.0)))  # standard normal CDF
     a1 = z1 * cdf
     if record:
@@ -466,29 +484,27 @@ def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
         tape["gelu_grad"] = cdf + z1 * np.exp(-0.5 * z1 * z1) / np.sqrt(2.0 * np.pi)
         tape["a1"] = a1
     del z1, cdf
-    ffn_out = a1 @ p[f"{name}.ffn.weight2"] + p[f"{name}.ffn.bias2"]
+    out = a1 @ p[f"{name}.ffn.weight2"] + p[f"{name}.ffn.bias2"]
     del a1
     if record:
-        tape["ffn_out"] = ffn_out  # un-gated: backward's dgate reads it
-    return h_mid + gate[:, None, :] * ffn_out, tape
+        tape["out"] = out  # un-gated: backward's dgate reads it
+    return h_mid + gate[:, None, :] * out, tape
 
 
-def _ffn_sublayer_backward(dh, blk, p, name):
+def _ffn_sublayer_backward(dh, tape, p, name):
     """Backward of `_ffn_sublayer`, given the gradient of its output.
 
     Returns the gradient of its input, its segments' gradients and the
     gradients of its modulation (shift, scale, gate).
     """
-    dffn_out = dh * blk["gate_m"][:, None, :]
-    dgate = np.einsum("bld,bld->bd", dh, blk["ffn_out"])
-    grads = _linear_grads(blk["a1"], dffn_out, f"{name}.ffn", "2")
-    dz1 = (dffn_out @ p[f"{name}.ffn.weight2"].T) * blk["gelu_grad"]
-    grads.update(_linear_grads(blk["m2"], dz1, f"{name}.ffn", "1"))
-    dm2 = dz1 @ p[f"{name}.ffn.weight1"].T
-    dscale = np.einsum("bld,bld->bd", dm2, blk["n2"])
-    dshift = dm2.sum(axis=1)
-    dn2 = dm2 * (1.0 + blk["scale_m"])[:, None, :]
-    return dh + _ln_backward(dn2, blk["n2"], blk["inv2"]), grads, (dshift, dscale, dgate)
+    dout = dh * tape["gate"][:, None, :]
+    dgate = np.einsum("bld,bld->bd", dh, tape["out"])
+    grads = _linear_grads(tape["a1"], dout, f"{name}.ffn", "2")
+    dz1 = (dout @ p[f"{name}.ffn.weight2"].T) * tape["gelu_grad"]
+    grads.update(_linear_grads(tape["m"], dz1, f"{name}.ffn", "1"))
+    dx, dshift, dscale = _modulate_backward(dz1 @ p[f"{name}.ffn.weight1"].T,
+                                            tape["n"], tape["inv"], tape["scale"])
+    return dh + dx, grads, (dshift, dscale, dgate)
 
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
@@ -536,7 +552,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     t = np.asarray(t, dtype=np.float64)
     if t.shape != (batch,):
         raise ValueError(f"times shape {t.shape} != {(batch,)} for input {x_t.shape}")
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # also refuses NaN
         raise ValueError(f"times must lie in [0, 1], got {t}")
     bias = alibi_bias(frames, cfg.num_heads)
 
@@ -551,7 +567,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     h += cond.transpose(0, 2, 1) @ w_in[cfg.feature_channels:]
     h += p["input_proj.bias"]
     inputs = dict(x_t=x_t, cond=cond, temb=temb, z_t=z_t, a_t=a_t, c=c,
-                  silu_c=silu_c, batch=batch, frames=frames) if record else None
+                  silu_c=silu_c) if record else None
 
     blocks_tape = []
     for i in range(cfg.num_layers):
@@ -561,16 +577,14 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
                                            bias, cfg.num_heads, record)
         h, ffn_tape = _ffn_sublayer(h, p, f"block{i}", shift_m, scale_m, gate_m, record)
         if record:
-            blocks_tape.append(dict(**attn_tape, **ffn_tape, scale_a=scale_a,
-                                    gate_a=gate_a, scale_m=scale_m, gate_m=gate_m))
+            blocks_tape.append((attn_tape, ffn_tape))
 
     mod_f = silu_c @ p["final_ada.weight"] + p["final_ada.bias"]
     shift_f, scale_f = np.split(mod_f, 2, axis=1)
-    n_f, inv_f = _ln_forward(h)
-    m_f = n_f * (1.0 + scale_f)[:, None, :] + shift_f[:, None, :]
-    final = dict(n_f=n_f, inv_f=inv_f, m_f=m_f, scale_f=scale_f) if record else None
-    del h, n_f
-    out = m_f @ p["output_proj.weight"] + p["output_proj.bias"]
+    n, inv, m = _modulate(h, shift_f, scale_f)
+    final = dict(n=n, inv=inv, m=m, scale=scale_f) if record else None
+    del h, n
+    out = m @ p["output_proj.weight"] + p["output_proj.bias"]
     field = out.transpose(0, 2, 1)  # [B, C, L]
 
     if not record:
@@ -592,33 +606,27 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
     """
     if tape is None:
         raise ValueError("backward called without a recorded forward pass")
-    cfg = model.config
     p = model.params
-    batch = tape.inputs["batch"]
-    frames = tape.inputs["frames"]
-    if output_grad.shape != (batch, cfg.feature_channels, frames):
+    if output_grad.shape != tape.inputs["x_t"].shape:
         raise ValueError(f"output_grad shape {output_grad.shape} != "
-                         f"{(batch, cfg.feature_channels, frames)}")
+                         f"{tape.inputs['x_t'].shape}")
     silu_c = tape.inputs["silu_c"]
 
     # final projection and modulation
     dout = output_grad.transpose(0, 2, 1)  # [B, L, C]
     fin = tape.final
-    grads = _linear_grads(fin["m_f"], dout, "output_proj")
-    dm_f = dout @ p["output_proj.weight"].T
-    dscale_f = np.einsum("bld,bld->bd", dm_f, fin["n_f"])
-    dshift_f = dm_f.sum(axis=1)
+    grads = _linear_grads(fin["m"], dout, "output_proj")
+    dh, dshift_f, dscale_f = _modulate_backward(dout @ p["output_proj.weight"].T,
+                                                fin["n"], fin["inv"], fin["scale"])
     dmod_f = np.concatenate([dshift_f, dscale_f], axis=1)
     grads.update(_linear_grads(silu_c, dmod_f, "final_ada"))
     d_silu_c = dmod_f @ p["final_ada.weight"].T
-    dn_f = dm_f * (1.0 + fin["scale_f"])[:, None, :]
-    dh = _ln_backward(dn_f, fin["n_f"], fin["inv_f"])
 
-    for i in reversed(range(cfg.num_layers)):
+    for i in reversed(range(model.config.num_layers)):
         name = f"block{i}"
-        dh, ffn_grads, dmod_m = _ffn_sublayer_backward(dh, tape.blocks[i], p, name)
-        dh, attn_grads, dmod_a = _attention_sublayer_backward(
-            dh, tape.blocks[i], p, name, cfg.num_heads)
+        attn_tape, ffn_tape = tape.blocks[i]
+        dh, ffn_grads, dmod_m = _ffn_sublayer_backward(dh, ffn_tape, p, name)
+        dh, attn_grads, dmod_a = _attention_sublayer_backward(dh, attn_tape, p, name)
         dmod = np.concatenate([*dmod_a, *dmod_m], axis=1)
         grads.update(ffn_grads)
         grads.update(attn_grads)

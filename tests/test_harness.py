@@ -79,6 +79,9 @@ def test_train_config_inherits_mode_defaults():
     assert tuned.peak_lr == 3e-4
     # clip_norm <= 0 in the flat config means "disable clipping"
     assert RunConfig(clip_norm=0.0).train_config(TrainMode.PRETRAIN).clip_norm is None
+    # NaN is not <= 0: it reaches TrainConfig, which refuses it instead of never clipping
+    with pytest.raises(ValueError, match="clip_norm"):
+        RunConfig(clip_norm=float("nan")).train_config(TrainMode.PRETRAIN)
     with pytest.raises(ValueError):
         cfg.train_config(TrainMode.FINETUNE)  # needs a task
     ft = cfg.train_config(TrainMode.FINETUNE, task=TaskKind.DENOISE)

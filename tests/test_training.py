@@ -66,6 +66,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=-1.0)
     assert TrainConfig(clip_norm=None).clip_norm is None
+    # NaN fails every comparison, so it slips past some range checks; each
+    # non-finite field is refused by name
+    for name in ("peak_lr", "final_lr", "batch_seconds", "crop_seconds", "clip_norm"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
     assert TrainConfig(batch_seconds=16.0, crop_seconds=1.0).batch_items == 16
 
 

@@ -263,8 +263,9 @@ def test_forward_validation():
     with pytest.raises(ValueError, match="condition shape"):
         forward_batch(model, x, rng.standard_normal((1, 8, 12)), np.array([0.5]))
     good = rng.standard_normal((1, 8, 10))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        forward_batch(model, x, good, np.array([1.5]))
+    for bad_t in (1.5, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            forward_batch(model, x, good, np.array([bad_t]))
     bad = x.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -322,7 +323,7 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
 
     single, tape = run()  # the default budget holds the whole 2 x 2 x 11 x 11 grid
     if record:
-        assert len(tape.blocks[0]["attn_blocks"]) == 1
+        assert len(tape.blocks[0][0]["attn_blocks"]) == 1
     # the diagonal shift and the matmul row sums reorder the arithmetic
     assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -330,7 +331,7 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 3 * 44)
     blocked, tape = run()
     if record:
-        assert [a.shape[2] for a in tape.blocks[0]["attn_blocks"]] == [3, 3, 3, 2]
+        assert [attn.shape[2] for *_, attn in tape.blocks[0][0]["attn_blocks"]] == [3, 3, 3, 2]
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -373,7 +374,7 @@ def test_diagonal_shift_matches_max_shifted_softmax(monkeypatch, record):
         got, blocks = run_attention(scored_qkv(scores, values), heads, bias, record)
         assert np.max(np.abs(got - ctx)) <= 1e-13 * np.max(np.abs(ctx))
         if record:
-            got_probs = np.concatenate(blocks, axis=2)[0]
+            got_probs = np.concatenate([attn for *_, attn in blocks], axis=2)[0]
             assert np.max(np.abs(got_probs - probs)) <= 1e-13 * np.max(probs)
 
 
@@ -464,19 +465,28 @@ def test_attention_gradients_match_dense_textbook(monkeypatch):
                 assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
+def banded_heads(blocks, frames):
+    """The heads of (heads, rows, keys, ...) attention blocks that score a
+    band of keys: those with a block on fewer keys than every frame."""
+    return {heads.start for heads, _, keys, *_ in blocks if keys != slice(0, frames)}
+
+
 def banded_blocks(tape, layer):
     """{head: [(start, lo, probabilities)]} of a recorded layer's banded heads."""
-    bands = {}
-    for block in tape.blocks[layer]["attn_blocks"]:
-        if isinstance(block, tuple):
-            head, start, lo, attn = block
-            bands.setdefault(head, []).append((start, lo, attn))
-    return bands
+    blocks = tape.blocks[layer][0]["attn_blocks"]
+    return {head: [(rows.start, keys.start, attn) for heads, rows, keys, attn in blocks
+                   if heads == slice(head, head + 1)]
+            for head in sorted(banded_heads(blocks, tape.inputs["x_t"].shape[2]))}
 
 
 def full_range(monkeypatch):
-    """Make every head score every key."""
-    monkeypatch.setattr(vectorfield, "_key_bands", lambda *args: (0, None, None))
+    """Make every head score every key, in blocks of rows."""
+    def every_key(q, k, rows):
+        heads, frames = q.shape[1:3]
+        return [(slice(0, heads), slice(start, min(start + rows, frames)), slice(0, frames))
+                for start in range(0, frames, rows)]
+
+    monkeypatch.setattr(vectorfield, "_key_bands", every_key)
 
 
 def test_key_bands_keep_the_field(monkeypatch):
@@ -484,7 +494,9 @@ def test_key_bands_keep_the_field(monkeypatch):
     a band of keys, and the field stays within 1e-14 of the dense textbook
     and of a pass over every key. The recorded field equals the unrecorded
     one bit for bit, and the tape's banded blocks cover their rows, skip
-    keys, and lie in row order per head."""
+    keys, and lie in row order per head. Every head's row blocks tile the
+    frames exactly once, each block's keys hold its own rows, and each
+    block's probabilities have its extent."""
     model = randomized(EIGHT_HEADS, seed=38)
     rng = np.random.default_rng(39)
     batch, frames = 2, 400
@@ -507,8 +519,16 @@ def test_key_bands_keep_the_field(monkeypatch):
                 assert lo <= start and start + 40 <= lo + attn.shape[3] <= frames
         kept = sum(attn.shape[2] * attn.shape[3] for _, _, attn in bands[0]) / frames ** 2
         assert kept < 0.6, kept
-        full = [a for a in tape.blocks[layer]["attn_blocks"] if not isinstance(a, tuple)]
+        blocks = tape.blocks[layer][0]["attn_blocks"]
+        full = [attn for heads, _, _, attn in blocks if heads.start not in bands]
         assert {a.shape for a in full} == {(batch, 8 - len(bands), 40, frames)}
+        covered = np.zeros((8, frames), dtype=int)
+        for heads, rows, keys, attn in blocks:
+            covered[heads, rows] += 1
+            assert keys.start <= rows.start and rows.stop <= keys.stop
+            assert attn.shape == (batch, heads.stop - heads.start, rows.stop - rows.start,
+                                  keys.stop - keys.start)
+        assert np.all(covered == 1)
     full_range(monkeypatch)
     everything = forward_batch(model, x, cond, t)
     assert np.max(np.abs(field - everything)) <= 1e-14 * np.max(np.abs(everything))
@@ -525,10 +545,10 @@ def test_key_bands_at_the_default_config(monkeypatch):
     banded = []
     key_bands = vectorfield._key_bands
 
-    def count_banded(*args):
-        bands = key_bands(*args)
-        banded.append(bands[0])
-        return bands
+    def count_banded(q, k, rows):
+        blocks = key_bands(q, k, rows)
+        banded.append(len(banded_heads(blocks, q.shape[2])))
+        return blocks
 
     monkeypatch.setattr(vectorfield, "_key_bands", count_banded)
     for t in (0.0, 0.6):
@@ -562,8 +582,8 @@ def test_rows_far_above_their_diagonal_see_every_key(monkeypatch):
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 40 * heads * frames)
     got, blocks = run_attention(qkv, heads, bias, record=True)
     assert np.max(np.abs(got - ctx)) <= 1e-13 * np.max(np.abs(ctx))
-    head0 = {start: (lo, attn) for head, start, lo, attn in
-             (b for b in blocks if isinstance(b, tuple)) if head == 0}
+    head0 = {rows.start: (keys.start, attn) for heads, rows, keys, attn in blocks
+             if heads == slice(0, 1)}
     assert head0[200][0] == 0 and head0[200][1].shape[3] == frames
     assert np.max(np.abs(head0[200][1][0, 0] - probs[0, 200:240])) <= 1e-13
     assert all(attn.shape[3] < frames for start, (_, attn) in head0.items()
@@ -622,7 +642,7 @@ def test_unrecorded_field_equals_recorded(monkeypatch):
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 5 * 184)
     recorded, tape = forward_batch(model, x, cond, t, record=True)
     assert len(tape.blocks) == 4
-    assert [a.shape[2] for a in tape.blocks[3]["attn_blocks"]] == [5, 5, 5, 5, 3]
+    assert [attn.shape[2] for *_, attn in tape.blocks[3][0]["attn_blocks"]] == [5, 5, 5, 5, 3]
     assert np.array_equal(forward_batch(model, x, cond, t), recorded)
 
 
@@ -640,7 +660,9 @@ def test_backward_zero_seed_gives_zero_gradients():
 
 def test_tape_holds_only_what_backward_reads():
     """Every taped entry is read by `backward`, so a recorded pass keeps no
-    activation alive for nothing (the hidden states are not taped)."""
+    activation alive for nothing (the hidden states are not taped). Every
+    layer tapes an attention and an FFN sublayer, each under the same
+    modulation and output key names."""
 
     class ReadTracking(dict):
         def __init__(self, entries):
@@ -658,9 +680,13 @@ def test_tape_holds_only_what_backward_reads():
                               np.array([0.3, 0.7]), record=True)
     tape.inputs = ReadTracking(tape.inputs)
     tape.final = ReadTracking(tape.final)
-    tape.blocks = [ReadTracking(blk) for blk in tape.blocks]
+    tape.blocks = [tuple(ReadTracking(sub) for sub in blk) for blk in tape.blocks]
     backward(model, tape, np.ones_like(out))
-    for entries in [tape.inputs, tape.final, *tape.blocks]:
+    sublayers = [sub for blk in tape.blocks for sub in blk]
+    assert len(sublayers) == 2 * TINY.num_layers
+    for sub in sublayers:
+        assert {"n", "inv", "m", "scale", "gate", "out"} <= set(sub)
+    for entries in [tape.inputs, tape.final, *sublayers]:
         assert entries.read == set(entries)
 
 
@@ -755,7 +781,7 @@ def test_gradients_match_complex_step(monkeypatch, case):
                             rows * sliced * config.num_heads * frames)
     if slice_frames is None:
         out, tape = forward_batch(model, x, cond, t, record=True)
-        assert (len(tape.blocks[0]["attn_blocks"]) > 1) == (rows is not None)
+        assert (len(tape.blocks[0][0]["attn_blocks"]) > 1) == (rows is not None)
         if config.num_heads == 8:
             assert 0 in banded_blocks(tape, 0)
         loss, dpred = cfm_loss(out, target, mask)

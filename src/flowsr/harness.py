@@ -4,8 +4,15 @@ restoration commands, and evaluation.
 Subcommands: synth-data, pretrain, finetune, enhance, extract, evaluate.
 `--seed` and `--config` are accepted by every subcommand; config files are
 flat `key = value` text addressing any RunConfig field, and every override
-is echoed to the run log. Training commands write `training.save_checkpoint`
-files; `finetune --init`, `enhance` and `extract` read the model from one.
+is echoed to the run log. `pretrain` and `finetune` share one body and
+one set of training flags; `enhance` and `extract` share one restore body,
+`extract` fixing the task and adding the reference prompt.
+
+Training commands write a `training.save_checkpoint` file at exactly their
+`--out` path, refusing up front an `--out` whose directory does not exist;
+`--resume`, `finetune --init`, `enhance` and `extract` read the model from
+one. `--resume` and `--init` refuse a checkpoint whose model config differs
+from the run's, naming each differing field.
 """
 
 import argparse
@@ -25,8 +32,8 @@ from .spectral import CompressionParams, StftParams
 from .tasks import (TaskKind, bandwidth_reduce, codec_degrade, mix_at_snr,
                     mix_two_speakers)
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
-                       WaveformDataset, init_train_state, load_checkpoint,
-                       run_training)
+                       WaveformDataset, config_mismatch, init_train_state,
+                       load_checkpoint, run_training)
 from .vectorfield import ModelConfig, init_parameters
 
 
@@ -34,7 +41,7 @@ from .vectorfield import ModelConfig, init_parameters
 class RunConfig:
     """Flat view of every tunable knob, with working defaults.
 
-    Feature width is derived (2 * (window_size // 2 + 1) channels), never set
+    Feature width is derived (two channels per STFT bin), never set
     directly. Learning rates of None defer to the mode defaults at training
     time. Step counts default to desk scale; raise them via a config file for
     longer runs.
@@ -84,7 +91,7 @@ class RunConfig:
             num_layers=self.num_layers,
             model_dim=self.model_dim,
             num_heads=self.num_heads,
-            feature_channels=2 * (self.window_size // 2 + 1),
+            feature_channels=2 * self.stft_params().num_bins,
             time_embed_dim=self.time_embed_dim,
             feedforward_dim=self.feedforward_dim)
 
@@ -428,22 +435,26 @@ def _cmd_train(args) -> None:
         mode = TrainMode.FINETUNE
     else:
         mode = TrainMode.SCRATCH
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"checkpoint directory {out_dir} does not exist")
     dataset = _load_dataset(args.manifest, cfg.sample_rate,
                             need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
     resumed = args.resume and Path(args.out).exists()
+    source = args.out if resumed else args.init
+    if source:
+        state = load_checkpoint(source, expected=train_cfg if resumed else None)
+        mismatch = config_mismatch(dataclasses.asdict(state.model.config),
+                                   dataclasses.asdict(cfg.model_config()))
+        if mismatch:
+            raise ValueError(f"model config in {source} does not match the "
+                             f"run config: {mismatch}")
     if resumed:
-        state = load_checkpoint(args.out, expected=train_cfg)
         print(f"resuming from step {state.step}")
     else:
-        if args.init:
-            model = load_checkpoint(args.init).model
-            if dataclasses.asdict(model.config) != dataclasses.asdict(cfg.model_config()):
-                raise ValueError(f"model config in {args.init} does not match "
-                                 "the run config")
-        else:
-            model = init_parameters(cfg.model_config(),
-                                    np.random.default_rng(cfg.seed))
+        model = state.model if source else init_parameters(
+            cfg.model_config(), np.random.default_rng(cfg.seed))
         state = init_train_state(model, train_cfg)
     state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
                          log_path=args.log, log_append=resumed,
@@ -454,31 +465,22 @@ def _cmd_train(args) -> None:
           f"checkpoint at {args.out}")
 
 
-def _cmd_enhance(args) -> None:
+def _cmd_restore(args) -> None:
+    """Shared body of `enhance` and `extract`. `extract` fixes the task to
+    target_speaker_extract and adds the --reference prompt, which is None
+    for `enhance`."""
     cfg = _run_config(args)
     model = load_checkpoint(args.model).model
     task = TaskKind(args.task)
-    if task is TaskKind.TARGET_SPEAKER_EXTRACT:
-        raise ValueError("use the 'extract' subcommand for speaker extraction")
     degraded = _read_wav_at(args.in_path, cfg.sample_rate)
+    reference = (None if args.reference is None
+                 else _read_wav_at(args.reference, cfg.sample_rate))
     restored = generate(model, task, degraded, np.random.default_rng(cfg.seed),
-                        cfg.stft_params(), cfg.compression(), cfg.solver())
+                        cfg.stft_params(), cfg.compression(), cfg.solver(),
+                        reference=reference)
     write_wav(args.out, restored)
-    print(f"enhanced {args.in_path} -> {args.out} "
+    print(f"restored {args.in_path} -> {args.out} "
           f"({restored.duration:.2f} s, task {task.value})")
-
-
-def _cmd_extract(args) -> None:
-    cfg = _run_config(args)
-    model = load_checkpoint(args.model).model
-    mixture = _read_wav_at(args.mixture, cfg.sample_rate)
-    reference = _read_wav_at(args.reference, cfg.sample_rate)
-    restored = generate(model, TaskKind.TARGET_SPEAKER_EXTRACT, mixture,
-                        np.random.default_rng(cfg.seed), cfg.stft_params(),
-                        cfg.compression(), cfg.solver(), reference=reference)
-    write_wav(args.out, restored)
-    print(f"extracted target speaker from {args.mixture} -> {args.out} "
-          f"({restored.duration:.2f} s)")
 
 
 def _cmd_evaluate(args) -> None:
@@ -496,7 +498,7 @@ def _cmd_evaluate(args) -> None:
                              "(no estimate_path or degraded_path)")
         estimate = _read_wav_at(est_path, cfg.sample_rate)
         baseline = (_read_wav_at(rec.degraded_path, cfg.sample_rate)
-                    if rec.degraded_path else estimate)
+                    if rec.estimate_path and rec.degraded_path else estimate)
         scores.append(score_utterance(rec.id, estimate, baseline, reference,
                                       stft_params))
     report = MetricsReport.from_scores(scores)
@@ -525,43 +527,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth_data)
 
-    p = sub.add_parser("pretrain", parents=[common],
+    train = argparse.ArgumentParser(add_help=False, parents=[common])
+    train.add_argument("--manifest", required=True)
+    train.add_argument("--out", required=True,
+                       help="training checkpoint, written at exactly this path")
+    train.add_argument("--log", default=None,
+                       help="loss log (line-delimited JSON)")
+    train.add_argument("--resume", action="store_true")
+    train.add_argument("--checkpoint-every", type=int, default=0)
+
+    p = sub.add_parser("pretrain", parents=[train],
                        help="masked-condition pretraining on clean audio")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="training checkpoint (.npz)")
-    p.add_argument("--log", default=None, help="loss log (line-delimited JSON)")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--checkpoint-every", type=int, default=0)
     p.set_defaults(func=_cmd_train, task=None, init=None)
 
-    p = sub.add_parser("finetune", parents=[common],
+    p = sub.add_parser("finetune", parents=[train],
                        help="task-condition training (from scratch without --init)")
     p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--init", default=None, help="warm-start checkpoint")
-    p.add_argument("--log", default=None)
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--checkpoint-every", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("enhance", parents=[common],
+    restore = argparse.ArgumentParser(add_help=False, parents=[common])
+    restore.add_argument("--out", required=True)
+    restore.add_argument("--model", required=True)
+
+    p = sub.add_parser("enhance", parents=[restore],
                        help="restore one degraded recording")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", required=True)
     p.add_argument("--task", default=TaskKind.DENOISE.value,
                    choices=[t.value for t in TaskKind
                             if t is not TaskKind.TARGET_SPEAKER_EXTRACT])
-    p.set_defaults(func=_cmd_enhance)
+    p.set_defaults(func=_cmd_restore, reference=None)
 
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[restore],
                        help="extract the speaker matching a reference prompt")
-    p.add_argument("--mixture", required=True)
+    p.add_argument("--mixture", dest="in_path", metavar="MIXTURE", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_restore,
+                   task=TaskKind.TARGET_SPEAKER_EXTRACT.value)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="score manifest estimates against clean references")

@@ -26,6 +26,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 
 import numpy as np
 
@@ -462,8 +463,21 @@ def _train_config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(**d)
 
 
+def config_mismatch(stored: dict, wanted: dict) -> str:
+    """Name each field whose value differs between a checkpoint's config and
+    the run's, with both values; empty when they agree."""
+    return "; ".join(f"{key}: {stored[key]!r} in the checkpoint, "
+                     f"{value!r} in the run config"
+                     for key, value in wanted.items() if stored[key] != value)
+
+
 def save_checkpoint(state: TrainState, path) -> None:
-    """Serialize the full TrainState (params, moments, rng, counters)."""
+    """Serialize the full TrainState (params, moments, rng, counters).
+
+    The file is written at exactly `path`, whatever its suffix, by way of a
+    temporary file beside it that replaces `path` only once complete: a save
+    that fails leaves the previous checkpoint loadable and no temporary file.
+    """
     payload = {
         "__format__": np.array(CHECKPOINT_TAG),
         "__model_config__": np.array(
@@ -478,7 +492,17 @@ def save_checkpoint(state: TrainState, path) -> None:
         payload[f"param.{name}"] = arr
         payload[f"adam_m.{name}"] = state.adam_m[name]
         payload[f"adam_v.{name}"] = state.adam_v[name]
-    np.savez(path, **payload)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
@@ -489,10 +513,12 @@ def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
         model_config = ModelConfig(**json.loads(str(data["__model_config__"])))
         train_config = _train_config_from_dict(
             json.loads(str(data["__train_config__"])))
-        if expected is not None and _train_config_dict(expected) != \
-                _train_config_dict(train_config):
-            raise ValueError(f"{path}: checkpoint config does not match the "
-                             "requested run config")
+        if expected is not None:
+            mismatch = config_mismatch(_train_config_dict(train_config),
+                                       _train_config_dict(expected))
+            if mismatch:
+                raise ValueError(f"{path}: checkpoint config does not match "
+                                 f"the requested run config: {mismatch}")
         params, m, v = {}, {}, {}
         for name, shape in segment_shapes(model_config).items():
             for prefix, dest in (("param.", params), ("adam_m.", m), ("adam_v.", v)):

@@ -1,15 +1,17 @@
 """Run configuration, manifests, toy corpus synthesis, and the CLI."""
 
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from flowsr import harness, training
 from flowsr.audio import AudioSignal, read_wav, write_wav
 from flowsr.harness import (ManifestRecord, RunConfig, apply_overrides,
-                            cli_dispatch, load_manifest, parse_config_file,
-                            synth_toy_corpus, write_manifest)
+                            build_parser, cli_dispatch, load_manifest,
+                            parse_config_file, synth_toy_corpus, write_manifest)
 from flowsr.tasks import TaskKind
 from flowsr.training import (TrainConfig, TrainMode, init_train_state,
                              save_checkpoint)
@@ -444,3 +446,117 @@ def test_cli_extract_runs_tse_model(tmp_path):
     assert rc == 0
     # prompt frames are trimmed: output matches the mixture duration exactly
     assert len(read_wav(tmp_path / "target.wav")) == len(read_wav(tmp_path / "mix.wav"))
+
+
+def subcommand_options(parser):
+    """{subcommand: {option string: required}} for every subcommand."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: action.required for action in p._actions
+                   for opt in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_option_strings_and_required_flags():
+    common = {"-h": False, "--help": False, "--seed": False, "--config": False}
+    train = {"--manifest": True, "--out": True, "--log": False,
+             "--resume": False, "--checkpoint-every": False}
+    assert subcommand_options(build_parser()) == {
+        "synth-data": {**common, "--task": True, "--count": True,
+                       "--out-dir": True},
+        "pretrain": {**common, **train},
+        "finetune": {**common, **train, "--task": True, "--init": False},
+        "enhance": {**common, "--in": True, "--out": True, "--model": True,
+                    "--task": False},
+        "extract": {**common, "--mixture": True, "--reference": True,
+                    "--out": True, "--model": True},
+        "evaluate": {**common, "--manifest": True, "--report": False,
+                     "--no-strict": False},
+    }
+
+
+def tiny_corpus(tmp_path, seed=6):
+    out_dir = tmp_path / "corpus"
+    assert cli_dispatch(["synth-data", "--task", "denoise", "--count", "2",
+                         "--out-dir", str(out_dir), "--seed", str(seed)]) == 0
+    return str(out_dir / "manifest.jsonl")
+
+
+def test_cli_resume_reads_the_checkpoint_at_its_exact_path(tmp_path, capsys,
+                                                           monkeypatch):
+    """`--out x.ckpt` is the file written, so a run interrupted after its
+    step-2 checkpoint resumes there and appends to its log, and the same
+    path serves `enhance --model`."""
+    cfg_path = write_config(tmp_path, TINY)
+    manifest = tiny_corpus(tmp_path)
+    ckpt, log = tmp_path / "x.ckpt", tmp_path / "pre.jsonl"
+    train = ["pretrain", "--manifest", manifest, "--out", str(ckpt),
+             "--log", str(log), "--checkpoint-every", "2", "--resume",
+             "--config", str(cfg_path)]
+    real_apply = training.apply_gradients
+
+    def interrupted_at_step_2(state, loss, grads):
+        if state.step == 2:
+            raise RuntimeError("interrupted")
+        return real_apply(state, loss, grads)
+
+    monkeypatch.setattr(training, "apply_gradients", interrupted_at_step_2)
+    assert cli_dispatch(train) == 1
+    monkeypatch.undo()
+    assert ckpt.exists()
+    capsys.readouterr()
+
+    assert cli_dispatch(train) == 0
+    assert "resuming from step 2" in capsys.readouterr().out
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == [0, 1, 2]
+
+    tone_wav(tmp_path / "noisy.wav")
+    assert cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
+                         "--out", str(tmp_path / "restored.wav"),
+                         "--model", str(ckpt), "--config", str(cfg_path)]) == 0
+
+
+def test_cli_training_refuses_a_missing_out_directory(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY)
+    manifest = tiny_corpus(tmp_path)
+    capsys.readouterr()
+    log = tmp_path / "pre.jsonl"
+    for command in (["pretrain"], ["finetune", "--task", "denoise"]):
+        rc = cli_dispatch([*command, "--manifest", manifest,
+                           "--out", str(tmp_path / "nodir" / "pre.npz"),
+                           "--log", str(log), "--config", str(cfg_path)])
+        assert rc == 1
+        assert str(tmp_path / "nodir") in capsys.readouterr().err
+        assert not log.exists()
+
+
+def test_cli_resume_refuses_another_model_config(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY)
+    manifest = tiny_corpus(tmp_path)
+    ckpt = tmp_path / "pre.npz"
+    assert cli_dispatch(["pretrain", "--manifest", manifest, "--out", str(ckpt),
+                         "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    wide = write_config(tmp_path, {**TINY, "model_dim": "32"}, name="wide.cfg")
+    rc = cli_dispatch(["pretrain", "--manifest", manifest, "--out", str(ckpt),
+                       "--resume", "--config", str(wide)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "resuming" not in captured.out
+    assert "does not match the run config" in captured.err
+    assert "model_dim: 16 in the checkpoint, 32 in the run config" in captured.err
+
+
+def test_cli_evaluate_reads_each_wav_once(tmp_path, monkeypatch):
+    """Without an estimate_path the degraded file is both the estimate and
+    the baseline, and is read once."""
+    out_dir = tmp_path / "corpus"
+    synth_toy_corpus(TaskKind.DENOISE, 2, np.random.default_rng(3), out_dir)
+    reads = []
+    real_read_wav = harness.read_wav
+    monkeypatch.setattr(harness, "read_wav",
+                        lambda path: reads.append(path) or real_read_wav(path))
+    assert cli_dispatch(["evaluate", "--manifest",
+                         str(out_dir / "manifest.jsonl")]) == 0
+    assert len(reads) == 4 and len(set(reads)) == 4

@@ -1,6 +1,7 @@
 """Optimization loop: schedules, Adam, draw order, checkpoints, resume."""
 
 import inspect
+import io
 import json
 import re
 import tracemalloc
@@ -523,7 +524,8 @@ def test_checkpoint_config_mismatch(tmp_path):
     save_checkpoint(state, path)
     other = TrainConfig(warmup_steps=1, total_steps=7,
                         batch_seconds=0.1, crop_seconds=0.1, seed=17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="total_steps: 6 in the checkpoint, "
+                       "7 in the run config"):
         load_checkpoint(path, expected=other)
     same = load_checkpoint(path, expected=cfg)
     assert same.step == 0
@@ -531,6 +533,47 @@ def test_checkpoint_config_mismatch(tmp_path):
     np.savez(foreign, data=np.zeros(3))
     with pytest.raises(ValueError):
         load_checkpoint(foreign)
+
+
+def test_checkpoint_is_written_at_exactly_its_path(tmp_path):
+    """No suffix is appended: `x.ckpt` is the file written and read back."""
+    state = randomized_state(SMALL_MODEL, TrainConfig(), seed=20)
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(state, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+    loaded = load_checkpoint(path)
+    for name, arr in state.model.params.items():
+        assert np.array_equal(loaded.model.params[name], arr)
+        assert np.array_equal(loaded.adam_v[name], state.adam_v[name])
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that dies halfway through writing leaves the checkpoint it
+    would have replaced loadable, and no temporary file behind."""
+    model = init_parameters(SMALL_MODEL, np.random.default_rng(21))
+    state = init_train_state(model, TrainConfig())
+    path = tmp_path / "state.npz"
+    save_checkpoint(state, path)
+    real_savez = np.savez
+
+    def savez_dies_halfway(file, **arrays):
+        buf = io.BytesIO()
+        real_savez(buf, **arrays)
+        data = buf.getvalue()
+        if hasattr(file, "write"):
+            file.write(data[:len(data) // 2])
+        else:
+            with open(file, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", savez_dies_halfway)
+    state.step = 5
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(state, path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    assert load_checkpoint(path).step == 0
 
 
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):

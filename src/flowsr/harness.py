@@ -9,10 +9,11 @@ one set of training flags; `enhance` and `extract` share one restore body,
 `extract` fixing the task and adding the reference prompt.
 
 Training commands write a `training.save_checkpoint` file at exactly their
-`--out` path, refusing up front an `--out` whose directory does not exist;
-`--resume`, `finetune --init`, `enhance` and `extract` read the model from
-one. `--resume` and `--init` refuse a checkpoint whose model config differs
-from the run's, naming each differing field.
+`--out` path; `--resume`, `finetune --init`, `enhance` and `extract` read the
+model from one. `--resume` and `--init` refuse a checkpoint whose model
+config differs from the run's, naming each differing field. Every command
+refuses an output path (`--out`, `--log`, `--report`) whose directory does
+not exist before it reads any input.
 """
 
 import argparse
@@ -156,7 +157,12 @@ def apply_overrides(cfg: RunConfig, overrides: dict):
         if key not in fields:
             known = ", ".join(sorted(fields))
             raise ValueError(f"unknown config key '{key}' (known keys: {known})")
-        value = _convert(raw, fields[key].type)
+        try:
+            value = _convert(raw, fields[key].type)
+            if key == "loss_support":
+                LossSupport(value)
+        except ValueError as exc:
+            raise ValueError(f"config key '{key}' = {raw!r}: {exc}") from None
         updates[key] = value
         echoes.append(f"config: {key} = {value}")
     return dataclasses.replace(cfg, **updates), echoes
@@ -306,21 +312,34 @@ def _render_voice(profile: _SpeakerProfile, duration: float, rate: int,
     return AudioSignal(voice * (_CLEAN_PEAK / np.max(np.abs(voice))), rate)
 
 
-def _degrade(task: TaskKind, clean: AudioSignal, rate: int,
-             rng: np.random.Generator):
-    """Apply one task degradation; returns (degraded, reference|None, params)."""
+def _synth_clip(task: TaskKind, duration: float, rate: int,
+                rng: np.random.Generator):
+    """One toy clip for `task`: (clean, degraded, reference or None, params).
+
+    The clean side is the voice of a freshly drawn speaker. Denoising,
+    bandwidth extension and codec restoration degrade it; speaker extraction
+    mixes it with a second speaker's voice and adds a 3-3.5 s reference take
+    of the first speaker.
+    """
+    profile = _draw_profile(rng)
+    clean = _render_voice(profile, duration, rate, rng)
     if task is TaskKind.DENOISE:
         snr_db = float(rng.uniform(0.0, 10.0))
         cutoff = float(rng.uniform(2000.0, 6000.0))
         noise = AudioSignal(_bandlimited_noise(len(clean), cutoff, rate, rng), rate)
-        return mix_at_snr(clean, noise, snr_db, rng), None, {"snr_db": snr_db}
+        return clean, mix_at_snr(clean, noise, snr_db, rng), None, {"snr_db": snr_db}
     if task is TaskKind.BANDWIDTH_EXTEND:
         factor = int(rng.choice([2, 4, 8]))
-        return bandwidth_reduce(clean, factor), None, {"factor": factor}
+        return clean, bandwidth_reduce(clean, factor), None, {"factor": factor}
     if task is TaskKind.CODEC_RESTORE:
         bits = int(rng.choice([4, 6, 8]))
-        return codec_degrade(clean, bits), None, {"bits": bits}
-    raise ValueError(f"no degradation recipe for task {task}")
+        return clean, codec_degrade(clean, bits), None, {"bits": bits}
+    # target speaker extraction
+    interferer = _render_voice(_draw_profile(rng), duration, rate, rng)
+    ratio_db = float(rng.uniform(-5.0, 5.0))
+    mixture, target = mix_two_speakers(clean, interferer, rng, ratio_db=ratio_db)
+    reference = _render_voice(profile, 3.0 + float(rng.uniform(0.0, 0.5)), rate, rng)
+    return target, mixture, reference, {"ratio_db": ratio_db}
 
 
 def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
@@ -343,24 +362,12 @@ def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
     for i in range(count):
         clip_id = f"{task.value}_{i:05d}"
         duration = float(rng.uniform(1.0, 3.0))
-        profile = _draw_profile(rng)
-        if task is TaskKind.TARGET_SPEAKER_EXTRACT:
-            target = _render_voice(profile, duration, sample_rate, rng)
-            other = _draw_profile(rng)
-            interferer = _render_voice(other, duration, sample_rate, rng)
-            ratio_db = float(rng.uniform(-5.0, 5.0))
-            mixture, target = mix_two_speakers(target, interferer, rng,
-                                               ratio_db=ratio_db)
-            reference = _render_voice(profile, 3.0 + float(rng.uniform(0.0, 0.5)),
-                                      sample_rate, rng)
-            degraded, params = mixture, {"ratio_db": ratio_db}
-            write_wav(out_dir / "reference" / f"{clip_id}.wav", reference)
+        clean, degraded, reference, params = _synth_clip(task, duration,
+                                                         sample_rate, rng)
+        reference_path = None
+        if reference is not None:
             reference_path = f"reference/{clip_id}.wav"
-            clean = target
-        else:
-            clean = _render_voice(profile, duration, sample_rate, rng)
-            degraded, _, params = _degrade(task, clean, sample_rate, rng)
-            reference_path = None
+            write_wav(out_dir / reference_path, reference)
         write_wav(out_dir / "clean" / f"{clip_id}.wav", clean)
         write_wav(out_dir / "degraded" / f"{clip_id}.wav", degraded)
         records.append(ManifestRecord(
@@ -385,6 +392,13 @@ def _run_config(args) -> RunConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
         print(f"config: seed = {args.seed}")
     return cfg
+
+
+def _require_directory(path, what: str) -> None:
+    """Refuse an output `path` whose directory does not exist, so a command
+    fails before it reads any input or does any work."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"{what} directory {Path(path).parent} does not exist")
 
 
 def _read_wav_at(path, rate: int) -> AudioSignal:
@@ -427,6 +441,8 @@ def _cmd_synth_data(args) -> None:
 def _cmd_train(args) -> None:
     """Shared body of `pretrain` (no task) and `finetune` (a task, warm-started
     from the checkpoint given with --init, else trained from scratch)."""
+    _require_directory(args.out, "checkpoint")
+    _require_directory(args.log, "log")
     cfg = _run_config(args)
     task = TaskKind(args.task) if args.task else None
     if task is None:
@@ -435,9 +451,6 @@ def _cmd_train(args) -> None:
         mode = TrainMode.FINETUNE
     else:
         mode = TrainMode.SCRATCH
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ValueError(f"checkpoint directory {out_dir} does not exist")
     dataset = _load_dataset(args.manifest, cfg.sample_rate,
                             need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
@@ -469,6 +482,7 @@ def _cmd_restore(args) -> None:
     """Shared body of `enhance` and `extract`. `extract` fixes the task to
     target_speaker_extract and adds the --reference prompt, which is None
     for `enhance`."""
+    _require_directory(args.out, "output")
     cfg = _run_config(args)
     model = load_checkpoint(args.model).model
     task = TaskKind(args.task)
@@ -484,6 +498,7 @@ def _cmd_restore(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    _require_directory(args.report, "report")
     cfg = _run_config(args)
     records = load_manifest(args.manifest, strict=args.strict)
     if not records:

@@ -112,10 +112,11 @@ class MetricsReport:
 
 def score_utterance(utterance_id: str, estimate: AudioSignal, degraded: AudioSignal,
                     reference: AudioSignal, stft_params: StftParams) -> UtteranceScores:
+    score = si_sdr(estimate, reference)
     return UtteranceScores(
         utterance_id=utterance_id,
-        si_sdr=si_sdr(estimate, reference),
-        si_sdr_improvement=si_sdr_improvement(estimate, degraded, reference),
+        si_sdr=score,
+        si_sdr_improvement=score - si_sdr(degraded, reference),
         lsd=lsd(estimate, reference, stft_params),
     )
 

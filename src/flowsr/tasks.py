@@ -138,9 +138,7 @@ def bandwidth_reduce(signal: AudioSignal, factor: int) -> AudioSignal:
     decimated = low[::factor]
     upsampled = np.zeros(len(decimated) * factor)
     upsampled[::factor] = decimated
-    restored = _filter_centered(upsampled, taps) * factor
-    if len(restored) < n:
-        restored = np.pad(restored, (0, n - len(restored)))
+    restored = _filter_centered(upsampled, taps) * factor  # ceil(n / factor) * factor >= n
     return AudioSignal(restored[:n], signal.sample_rate)
 
 

@@ -418,8 +418,11 @@ def run_training(state: TrainState, dataset: WaveformDataset,
     Batches are analysed with the caller's frontend (`stft_params`,
     `compression`), which restoration must reuse. The loss log is
     line-delimited JSON {"step", "lr", "loss"}; checkpoints are written every
-    `checkpoint_every` steps (0 = only at the end) when checkpoint_path is set.
+    `checkpoint_every` steps (0 = only at the end, negative refused) when
+    checkpoint_path is set.
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     cfg = state.config
     log_file = open(log_path, "a" if log_append else "w") if log_path else None
     try:

@@ -23,17 +23,17 @@ into the score matmul. The softmax is normalised on the context:
 exp(scores) @ [v, 1] gives the weighted values beside the row sums, which
 divide them; the probabilities are normalised only when taped. A block thus
 costs two matmuls, one bias add and one exp. A block scores only the keys
-whose weight can reach 1e-16 of its row sums: ALiBi's steep heads decay by
-e^(-m_h) per frame, so on long inputs they score a band of keys around the
-block, sized from a bound on the layer's scores, while the other heads score
-every key in one batched group. `_key_bands` lays this out once per layer as
-one list of (heads, rows, keys) slices, which the forward loop scores and
-the backward loop differentiates. Training crops and short utterances fit
-in one block: (all heads, all rows, all keys). A recorded forward pass tapes
-every block as (heads, rows, keys, probabilities), O(batch * frames^2) in
-total; training bounds it by recording slices of about
-`training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the whole
-batch.
+whose weight can reach 1e-16 of its row sums: ALiBi's heads decay by
+e^(-m_h) per frame, so on long inputs each head scores, per block of rows,
+its own band of keys around the block, sized from a bound on the layer's
+scores (the steep heads a narrow band, the shallow ones up to every key).
+`_key_bands` lays this out once per layer as one list of (heads, rows, keys)
+slices, which the forward loop scores and the backward loop differentiates.
+Training crops and short utterances fit in one block: (all heads, all rows,
+all keys). A recorded forward pass tapes every block as (heads, rows, keys,
+probabilities), O(batch * frames^2) in total; training bounds it by
+recording slices of about `training.MICRO_BATCH_FRAMES` frames (four
+128-frame crops), not the whole batch.
 
 The attention and feed-forward branches of a block are each one function
 whose temporaries are locals; both, and the final layer, modulate their
@@ -274,11 +274,11 @@ def _key_bands(q, k, rows):
     keys) slices, in which every head's query rows appear exactly once, each
     against every key whose weight can reach 1e-16 of its row sum.
 
-    Query rows are cut into blocks of `rows`. A banded head gets one entry
-    per row block, on the keys within W frames of the block; the other heads,
-    the last ones, get one batched group entry per row block on every key.
-    When rows >= frames the list is the single block (all heads, all rows,
-    all keys), which sees every key whatever W is, so it costs no bound.
+    Query rows are cut into blocks of `rows`, and every head gets one entry
+    per row block, head by head, on the keys within W frames of the block
+    (every key when W reaches that far). When rows >= frames the list is
+    the single block (all heads, all rows, all keys), which sees every key
+    whatever W is, so it costs no bound.
 
     The band keeps every key whose weight can reach 1e-16 of its row sum.
     Row i's weight on key j is exp(q_i . k_j - c_i - m_h |i - j|), q scaled,
@@ -291,11 +291,6 @@ def _key_bands(q, k, rows):
     diagonal weight 1 makes the row sum at least 1. With S the largest S_i
     of the block and at least 0, W = ceil((S + R_h) / m_h) and
     R_h = ln(2e16) - ln m_h drop less than 1e-16 of every row sum.
-
-    A band gives its head blocks of its own, so a head is banded only where
-    its band skips at least one block's worth of scores (rows * frames);
-    bands that skipped less were measured no faster. Slopes fall with h, so
-    the banded heads come first and the others stay one batched group.
     """
     heads, frames = q.shape[1:3]
     if rows >= frames:
@@ -312,15 +307,9 @@ def _key_bands(q, k, rows):
     half_width = np.where(half_width < frames, half_width, frames).astype(np.int64)  # inf, nan
     lo = np.maximum(starts - half_width, 0)
     hi = np.minimum(stops + half_width, frames)
-    skipped = frames * frames - ((hi - lo) * (stops - starts)).sum(axis=1)
-    pays = np.flatnonzero(skipped >= rows * frames)
-    banded = int(pays[-1]) + 1 if pays.size else 0
     row_blocks = [slice(start, stop) for start, stop in zip(starts.tolist(), stops.tolist())]
-    blocks = [(slice(h, h + 1), sel, slice(key_lo, key_hi)) for h in range(banded)
-              for sel, key_lo, key_hi in zip(row_blocks, lo[h].tolist(), hi[h].tolist())]
-    if banded < heads:
-        blocks += [(slice(banded, heads), sel, slice(0, frames)) for sel in row_blocks]
-    return blocks
+    return [(slice(h, h + 1), sel, slice(key_lo, key_hi)) for h in range(heads)
+            for sel, key_lo, key_hi in zip(row_blocks, lo[h].tolist(), hi[h].tolist())]
 
 
 def _attention_forward(q, k, v, bias, record):
@@ -328,10 +317,12 @@ def _attention_forward(q, k, v, bias, record):
 
     q, k, v: the `_attention_operands` of the layer; bias: the `alibi_bias`
     grid. The blocks are `_key_bands`' (heads, rows, keys) slices, and each
-    sees every key whose weight can reach 1e-16 of its row sum: ALiBi's
-    steep heads score only a band of keys around the block, and the other
-    heads, batched, every key, so each row's softmax is complete without an
-    online rescaling. Each row is shifted by its diagonal score instead of
+    sees every key whose weight can reach 1e-16 of its row sum: on an input
+    of several row blocks every head scores its own band of keys around each
+    block (ALiBi's steep heads a narrow one), so each row's softmax is
+    complete without an online rescaling. Rows are sized for all heads, so an
+    input that fits one row block is the single block over every head and
+    key. Each row is shifted by its diagonal score instead of
     its maximum, which the score matmul applies: the bias is 0 on the
     diagonal, which every band holds, so the diagonal weight is exp(0) = 1
     and every row sum is at least 1. The row sums come out of the context
@@ -351,20 +342,20 @@ def _attention_forward(q, k, v, bias, record):
     k_t = k.transpose(0, 1, 3, 2)
     ctx = np.empty((batch, frames, heads, width - 1))
     attn_blocks = []
-    for group, sel, keys in _key_bands(q, k, rows):
-        attn = q[:, group, sel] @ k_t[:, group, :, keys]
-        attn += bias[group, sel, keys]
+    for head_sel, sel, keys in _key_bands(q, k, rows):
+        attn = q[:, head_sel, sel] @ k_t[:, head_sel, :, keys]
+        attn += bias[head_sel, sel, keys]
         np.exp(attn, out=attn)
-        out = attn @ v[:, group, keys]  # [..., :-1] weighted values, [..., -1:] row sums
+        out = attn @ v[:, head_sel, keys]  # [..., :-1] weighted values, [..., -1:] row sums
         total = out[..., -1:]
         if np.isinf(total).any():
             raise FloatingPointError(
                 "attention weights overflow float64: a score lies about "
                 f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
-        ctx[:, sel, group] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
+        ctx[:, sel, head_sel] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
         if record:
             attn /= total
-            attn_blocks.append((group, sel, keys, attn))
+            attn_blocks.append((head_sel, sel, keys, attn))
         del attn, out, total  # otherwise still held while the next block is scored
     return ctx.reshape(batch, frames, heads * (width - 1)), attn_blocks
 
@@ -387,15 +378,15 @@ def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
     dk = np.zeros(k.shape)
     dv = np.zeros(v.shape)
     v_t = v.transpose(0, 1, 3, 2)
-    for group, sel, keys, attn in attn_blocks:
-        dk_keys, dv_keys = dk[:, group, keys], dv[:, group, keys]
-        dctx_blk = dctx[:, group, sel]
+    for head_sel, sel, keys, attn in attn_blocks:
+        dk_keys, dv_keys = dk[:, head_sel, keys], dv[:, head_sel, keys]
+        dctx_blk = dctx[:, head_sel, sel]
         dv_keys += attn.transpose(0, 1, 3, 2) @ dctx_blk
-        dscores = dctx_blk @ v_t[:, group, :, keys]
-        dscores -= row_terms[:, group, sel]
+        dscores = dctx_blk @ v_t[:, head_sel, :, keys]
+        dscores -= row_terms[:, head_sel, sel]
         dscores *= attn
-        dq[:, group, sel] = dscores @ k[:, group, keys] / scale
-        dk_keys += dscores.transpose(0, 1, 3, 2) @ q[:, group, sel]
+        dq[:, head_sel, sel] = dscores @ k[:, head_sel, keys] / scale
+        dk_keys += dscores.transpose(0, 1, 3, 2) @ q[:, head_sel, sel]
     return dq, dk, dv
 
 

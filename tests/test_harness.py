@@ -129,6 +129,13 @@ def test_apply_overrides_rejects_unknown_key_and_bad_values():
         apply_overrides(RunConfig(), {"hop_size": "1000"})
 
 
+@pytest.mark.parametrize("key, raw", [("hop_size", "63.5"), ("peak_lr", "fast"),
+                                      ("loss_support", "masked")])
+def test_apply_overrides_names_the_key_of_a_value_that_does_not_parse(key, raw):
+    with pytest.raises(ValueError, match=f"config key '{key}' = '{raw}': "):
+        apply_overrides(RunConfig(), {key: raw})
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -529,6 +536,45 @@ def test_cli_training_refuses_a_missing_out_directory(tmp_path, capsys):
         assert rc == 1
         assert str(tmp_path / "nodir") in capsys.readouterr().err
         assert not log.exists()
+
+
+def test_cli_refuses_a_missing_output_directory_before_any_work(tmp_path, capsys,
+                                                               monkeypatch):
+    """`enhance`/`extract --out`, `evaluate --report` and the training
+    `--log` name a missing directory before any WAV is read, any audio is
+    generated or any utterance is scored."""
+    cfg_path = write_config(tmp_path, TINY)
+    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
+    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(init_train_state(model, TrainConfig()), ckpt)
+    manifest = tiny_corpus(tmp_path)
+    noisy, ref = tmp_path / "noisy.wav", tmp_path / "ref.wav"
+    tone_wav(noisy)
+    tone_wav(ref, seconds=3.2)
+    capsys.readouterr()
+    calls = []
+    for name in ("read_wav", "generate", "score_utterance"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    nodir = tmp_path / "nodir"
+    restore = ["--model", str(ckpt), "--config", str(cfg_path)]
+    train = ["--manifest", manifest, "--out", str(tmp_path / "x.npz"),
+             "--log", str(nodir / "loss.jsonl"), "--config", str(cfg_path)]
+    commands = [
+        ["enhance", "--in", str(noisy), "--out", str(nodir / "e.wav"), *restore],
+        ["extract", "--mixture", str(noisy), "--reference", str(ref),
+         "--out", str(nodir / "x.wav"), *restore],
+        ["evaluate", "--manifest", manifest, "--report", str(nodir / "r.jsonl")],
+        ["pretrain", *train],
+        ["finetune", "--task", "denoise", *train],
+    ]
+    for argv in commands:
+        assert cli_dispatch(argv) == 1, argv
+        assert calls == [], argv
+        assert f"directory {nodir} does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_cli_resume_refuses_another_model_config(tmp_path, capsys):

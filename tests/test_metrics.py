@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flowsr import metrics
 from flowsr.audio import AudioSignal
 from flowsr.metrics import (MetricsReport, UtteranceScores, failure_rate,
                             format_summary, lsd, score_utterance, si_sdr,
@@ -154,6 +155,20 @@ def test_score_utterance_and_report_aggregation(tmp_path):
     table = format_summary(report)
     assert "utt3" in table
     assert "failure rate: 0.0%" in table
+
+
+def test_score_utterance_scores_the_estimate_once(monkeypatch):
+    """The estimate's SI-SDR is computed once and serves both scores, which
+    equal the direct computations bit for bit."""
+    ref = noise(4000, seed=20)
+    degraded = signal(ref.samples + noise(4000, seed=21).samples)
+    estimate = signal(ref.samples + 0.5 * noise(4000, seed=22).samples)
+    calls = []
+    monkeypatch.setattr(metrics, "si_sdr", lambda *a: calls.append(a) or si_sdr(*a))
+    scores = score_utterance("u", estimate, degraded, ref, StftParams())
+    assert len(calls) == 2
+    assert scores.si_sdr == si_sdr(estimate, ref)
+    assert scores.si_sdr_improvement == si_sdr_improvement(estimate, degraded, ref)
 
 
 def test_report_rejects_empty():

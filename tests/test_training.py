@@ -475,6 +475,21 @@ def test_run_training_logs_lr_and_losses(tmp_path):
     assert ckpt.exists()
 
 
+@pytest.mark.parametrize("every", [-1, -3])
+def test_run_training_refuses_a_negative_checkpoint_interval(tmp_path, every):
+    """A negative interval is refused before the first step: no step runs,
+    and no log or checkpoint is written."""
+    cfg = TrainConfig(warmup_steps=1, total_steps=3,
+                      batch_seconds=0.1, crop_seconds=0.1, seed=12)
+    state = init_train_state(init_parameters(SMALL_MODEL, np.random.default_rng(13)), cfg)
+    log, ckpt = tmp_path / "loss.jsonl", tmp_path / "state.npz"
+    with pytest.raises(ValueError, match=f"checkpoint_every must be >= 0, got {every}"):
+        run_training(state, small_dataset(), SMALL_STFT, CompressionParams(),
+                     log_path=log, checkpoint_path=ckpt, checkpoint_every=every)
+    assert state.step == 0
+    assert not log.exists() and not ckpt.exists()
+
+
 def test_checkpoint_round_trip_and_resume(tmp_path):
     """Interrupting after 3 steps and resuming matches 6 uninterrupted steps
     bit-for-bit: parameters, moments, rng stream, and losses."""

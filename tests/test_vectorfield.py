@@ -327,11 +327,13 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
     # the diagonal shift and the matmul row sums reorder the arithmetic
     assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    # 2 * 2 * 11 scores per query row: rows of 3 give blocks of 3, 3, 3, 2
+    # 2 * 2 * 11 scores per query row: rows of 3 give each head blocks of 3, 3, 3, 2
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 3 * 44)
     blocked, tape = run()
     if record:
-        assert [attn.shape[2] for *_, attn in tape.blocks[0][0]["attn_blocks"]] == [3, 3, 3, 2]
+        for head in range(2):
+            assert [attn.shape[2] for heads, _, _, attn in tape.blocks[0][0]["attn_blocks"]
+                    if heads == slice(head, head + 1)] == [3, 3, 3, 2]
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -374,7 +376,9 @@ def test_diagonal_shift_matches_max_shifted_softmax(monkeypatch, record):
         got, blocks = run_attention(scored_qkv(scores, values), heads, bias, record)
         assert np.max(np.abs(got - ctx)) <= 1e-13 * np.max(np.abs(ctx))
         if record:
-            got_probs = np.concatenate([attn for *_, attn in blocks], axis=2)[0]
+            got_probs = np.zeros(probs.shape)
+            for head_sel, rows, keys, attn in blocks:
+                got_probs[head_sel, rows, keys] = attn[0]
             assert np.max(np.abs(got_probs - probs)) <= 1e-13 * np.max(probs)
 
 
@@ -494,9 +498,10 @@ def test_key_bands_keep_the_field(monkeypatch):
     a band of keys, and the field stays within 1e-14 of the dense textbook
     and of a pass over every key. The recorded field equals the unrecorded
     one bit for bit, and the tape's banded blocks cover their rows, skip
-    keys, and lie in row order per head. Every head's row blocks tile the
-    frames exactly once, each block's keys hold its own rows, and each
-    block's probabilities have its extent."""
+    keys, and lie in row order per head; every other head scores every key
+    in blocks of its own. Every head's row blocks tile the frames exactly
+    once, each block's keys hold its own rows, and each block's
+    probabilities have its extent."""
     model = randomized(EIGHT_HEADS, seed=38)
     rng = np.random.default_rng(39)
     batch, frames = 2, 400
@@ -521,7 +526,7 @@ def test_key_bands_keep_the_field(monkeypatch):
         assert kept < 0.6, kept
         blocks = tape.blocks[layer][0]["attn_blocks"]
         full = [attn for heads, _, _, attn in blocks if heads.start not in bands]
-        assert {a.shape for a in full} == {(batch, 8 - len(bands), 40, frames)}
+        assert {a.shape for a in full} == {(batch, 1, 40, frames)}
         covered = np.zeros((8, frames), dtype=int)
         for heads, rows, keys, attn in blocks:
             covered[heads, rows] += 1
@@ -638,11 +643,13 @@ def test_unrecorded_field_equals_recorded(monkeypatch):
     x = rng.standard_normal((2, 512, 23))
     cond = rng.standard_normal((2, 512, 23))
     t = np.array([0.25, 0.75])
-    # 2 * 4 * 23 scores per query row: rows of 5 give blocks of 5, 5, 5, 5, 3
+    # 2 * 4 * 23 scores per query row: rows of 5 give each head blocks of 5, 5, 5, 5, 3
     monkeypatch.setattr(vectorfield, "ATTENTION_BLOCK_ELEMENTS", 5 * 184)
     recorded, tape = forward_batch(model, x, cond, t, record=True)
     assert len(tape.blocks) == 4
-    assert [attn.shape[2] for *_, attn in tape.blocks[3][0]["attn_blocks"]] == [5, 5, 5, 5, 3]
+    for head in range(4):
+        assert [attn.shape[2] for heads, _, _, attn in tape.blocks[3][0]["attn_blocks"]
+                if heads == slice(head, head + 1)] == [5, 5, 5, 5, 3]
     assert np.array_equal(forward_batch(model, x, cond, t), recorded)
 
 

@@ -34,8 +34,9 @@ from .tasks import (TaskKind, bandwidth_reduce, build_condition, codec_degrade,
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        TrainState, WaveformDataset, adam_update,
                        apply_gradients, clip_global_norm, finetune_gradients,
-                       init_train_state, load_checkpoint, lr_schedule,
-                       pretrain_gradients, run_training, save_checkpoint)
+                       init_train_state, load_checkpoint, load_model,
+                       lr_schedule, pretrain_gradients, run_training,
+                       save_checkpoint)
 from .vectorfield import (ModelConfig, VectorFieldModel, alibi_bias,
                           alibi_slopes, backward, forward_batch,
                           init_parameters, parameter_count, time_embedding)

@@ -9,11 +9,12 @@ one set of training flags; `enhance` and `extract` share one restore body,
 `extract` fixing the task and adding the reference prompt.
 
 Training commands write a `training.save_checkpoint` file at exactly their
-`--out` path; `--resume`, `finetune --init`, `enhance` and `extract` read the
-model from one. `--resume` and `--init` refuse a checkpoint whose model
-config differs from the run's, naming each differing field. Every command
-refuses an output path (`--out`, `--log`, `--report`) whose directory does
-not exist before it reads any input.
+`--out` path; `--resume` reads all of one, while `finetune --init`, `enhance`
+and `extract` read only its model (`training.load_model`). `--resume` and
+`--init` refuse a checkpoint whose model config differs from the run's,
+naming each differing field. Every command refuses an output path
+(`--out`, `--log`, `--report`) whose directory does not exist before it
+reads any input.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .tasks import (TaskKind, bandwidth_reduce, codec_degrade, mix_at_snr,
                     mix_two_speakers)
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        WaveformDataset, config_mismatch, init_train_state,
-                       load_checkpoint, run_training)
+                       load_checkpoint, load_model, run_training)
 from .vectorfield import ModelConfig, init_parameters
 
 
@@ -456,8 +457,13 @@ def _cmd_train(args) -> None:
     train_cfg = cfg.train_config(mode, task=task)
     resumed = args.resume and Path(args.out).exists()
     source = args.out if resumed else args.init
+    if resumed:
+        state = load_checkpoint(source, expected=train_cfg)
+    else:
+        model = load_model(source) if source else init_parameters(
+            cfg.model_config(), np.random.default_rng(cfg.seed))
+        state = init_train_state(model, train_cfg)
     if source:
-        state = load_checkpoint(source, expected=train_cfg if resumed else None)
         mismatch = config_mismatch(dataclasses.asdict(state.model.config),
                                    dataclasses.asdict(cfg.model_config()))
         if mismatch:
@@ -465,10 +471,6 @@ def _cmd_train(args) -> None:
                              f"run config: {mismatch}")
     if resumed:
         print(f"resuming from step {state.step}")
-    else:
-        model = state.model if source else init_parameters(
-            cfg.model_config(), np.random.default_rng(cfg.seed))
-        state = init_train_state(model, train_cfg)
     state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
                          log_path=args.log, log_append=resumed,
                          checkpoint_path=args.out,
@@ -484,7 +486,7 @@ def _cmd_restore(args) -> None:
     for `enhance`."""
     _require_directory(args.out, "output")
     cfg = _run_config(args)
-    model = load_checkpoint(args.model).model
+    model = load_model(args.model)
     task = TaskKind(args.task)
     degraded = _read_wav_at(args.in_path, cfg.sample_rate)
     reference = (None if args.reference is None

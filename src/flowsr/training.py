@@ -13,13 +13,17 @@ return (loss, grads) for a batch, followed by `apply_gradients`, which
 performs one clipped Adam update in place. The gradients come from recorded
 forward passes, the objective `flowpath.cfm_loss` and backward passes over
 slices of the stacked batch of about MICRO_BATCH_FRAMES frames each, summed
-in slice order. Only one slice's tape is alive at a time, so a step's memory
-does not grow with the batch; the sum equals one pass over the whole batch
-up to rounding.
+in slice order. Only one slice's tape is alive at a time, and `backward`
+releases it layer by layer, so a step's memory does not grow with the batch;
+the sum equals one pass over the whole batch up to rounding. A slice's tape
+is linear in its frames (attention tapes row sums, not probabilities), so a
+single long crop fits too: one 16 s crop at the default model peaks at
+about 115 MiB.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
-warm starts and the restoration commands read its `model`.
+warm starts and the restoration commands read only its parameters
+(`load_model`), checked the same way.
 """
 
 import dataclasses
@@ -212,9 +216,14 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 
 def clip_global_norm(grads: dict, max_norm: float | None):
-    """Scale all gradients so the joint L2 norm is at most max_norm."""
+    """Scale all gradients so the joint L2 norm is at most max_norm.
+
+    A non-finite norm is returned with the gradients unscaled, for the
+    caller to refuse (`apply_gradients` does): scaling by max_norm / inf
+    would only turn every entry into 0 or NaN.
+    """
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm is not None and norm > max_norm:
+    if max_norm is not None and max_norm < norm < math.inf:
         scale = max_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
     return grads, norm
@@ -355,12 +364,20 @@ def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
 
 
 def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:
-    """Clip, Adam-update, and advance the step counter. Returns the loss."""
+    """Clip, Adam-update, and advance the step counter. Returns the loss.
+
+    A non-finite loss or gradient norm is refused, naming the step, before
+    any state changes: one inf gradient entry would otherwise reach Adam and
+    leave the parameters non-finite.
+    """
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss!r} at step {state.step}; "
                            "aborting before the parameters are poisoned")
     lr = lr_schedule(state.step, state.config)
-    grads, _ = clip_global_norm(grads, state.config.clip_norm)
+    grads, norm = clip_global_norm(grads, state.config.clip_norm)
+    if not math.isfinite(norm):
+        raise RuntimeError(f"non-finite gradient norm {norm!r} at step {state.step}; "
+                           "aborting before the parameters are poisoned")
     adam_update(state.model.params, grads, state.adam_m, state.adam_v,
                 lr, state.step + 1)
     state.step += 1
@@ -508,12 +525,44 @@ def save_checkpoint(state: TrainState, path) -> None:
         raise
 
 
+def _checkpoint_model_config(data, path) -> ModelConfig:
+    """The model config of an opened checkpoint, after its format tag."""
+    if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_TAG:
+        raise ValueError(f"{path}: not a recognized training checkpoint")
+    return ModelConfig(**json.loads(str(data["__model_config__"])))
+
+
+def _checkpoint_segments(data, path, prefix: str, config: ModelConfig) -> dict:
+    """The arrays `prefix` + segment name of an opened checkpoint, one per
+    segment of `config`, each read once; a missing or misshaped one is
+    refused by name."""
+    arrays = {}
+    for name, shape in segment_shapes(config).items():
+        key = prefix + name
+        if key not in data:
+            raise ValueError(f"{path}: missing array '{key}'")
+        array = data[key]
+        if array.shape != shape:
+            raise ValueError(f"{path}: '{key}' has shape {array.shape}, "
+                             f"expected {shape}")
+        arrays[name] = array.astype(np.float64)
+    return arrays
+
+
+def load_model(path) -> VectorFieldModel:
+    """The model of a checkpoint, reading only its `param.*` arrays (the
+    Adam moments are two thirds of the file), checked as `load_checkpoint`
+    checks them."""
+    with np.load(path, allow_pickle=False) as data:
+        config = _checkpoint_model_config(data, path)
+        return VectorFieldModel(config=config,
+                                params=_checkpoint_segments(data, path, "param.", config))
+
+
 def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
     """Restore a TrainState; optionally insist it matches an expected config."""
     with np.load(path, allow_pickle=False) as data:
-        if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_TAG:
-            raise ValueError(f"{path}: not a recognized training checkpoint")
-        model_config = ModelConfig(**json.loads(str(data["__model_config__"])))
+        model_config = _checkpoint_model_config(data, path)
         train_config = _train_config_from_dict(
             json.loads(str(data["__train_config__"])))
         if expected is not None:
@@ -522,16 +571,8 @@ def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
             if mismatch:
                 raise ValueError(f"{path}: checkpoint config does not match "
                                  f"the requested run config: {mismatch}")
-        params, m, v = {}, {}, {}
-        for name, shape in segment_shapes(model_config).items():
-            for prefix, dest in (("param.", params), ("adam_m.", m), ("adam_v.", v)):
-                key = prefix + name
-                if key not in data:
-                    raise ValueError(f"{path}: missing array '{key}'")
-                if data[key].shape != shape:
-                    raise ValueError(f"{path}: '{key}' has shape {data[key].shape}, "
-                                     f"expected {shape}")
-                dest[name] = data[key].astype(np.float64)
+        params, m, v = (_checkpoint_segments(data, path, prefix, model_config)
+                        for prefix in ("param.", "adam_m.", "adam_v."))
         rng = np.random.default_rng(0)
         rng.bit_generator.state = json.loads(str(data["__rng__"]))
         loss_count, loss_sum, last_loss = json.loads(str(data["__loss_stats__"]))

@@ -21,19 +21,23 @@ softmax is shifted by the row's diagonal score rather than its maximum
 (ALiBi's bias is 0 on the diagonal), which one extra column of q and k folds
 into the score matmul. The softmax is normalised on the context:
 exp(scores) @ [v, 1] gives the weighted values beside the row sums, which
-divide them; the probabilities are normalised only when taped. A block thus
-costs two matmuls, one bias add and one exp. A block scores only the keys
+divide them; no probability is ever normalised in the forward pass. A block
+thus costs two matmuls, one bias add and one exp. A block scores only the keys
 whose weight can reach 1e-16 of its row sums: ALiBi's heads decay by
 e^(-m_h) per frame, so on long inputs each head scores, per block of rows,
 its own band of keys around the block, sized from a bound on the layer's
 scores (the steep heads a narrow band, the shallow ones up to every key).
 `_key_bands` lays this out once per layer as one list of (heads, rows, keys)
-slices, which the forward loop scores and the backward loop differentiates.
+slices, which the forward loop scores and the backward loop replays.
 Training crops and short utterances fit in one block: (all heads, all rows,
-all keys). A recorded forward pass tapes every block as (heads, rows, keys,
-probabilities), O(batch * frames^2) in total; training bounds it by
-recording slices of about `training.MICRO_BATCH_FRAMES` frames (four
-128-frame crops), not the whole batch.
+all keys). A recorded forward pass runs the same block loop and tapes only
+the slices and every row's sum of weights, [batch, heads, frames]; backward
+replays each block's probabilities from them, bit for bit, one block at a
+time. So a recorded pass and its backward hold memory linear in frames: one
+16 s crop (2001 frames) at the defaults peaks at about 115 MiB, where taping
+every probability block took about 500 MiB. Training also records slices of
+about `training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the
+whole batch.
 
 The attention and feed-forward branches of a block are each one function
 whose temporaries are locals; both, and the final layer, modulate their
@@ -42,14 +46,19 @@ shift). Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
 at about 13 MiB at 1501 frames and 22 MiB at 2501 frames.
 
-Forward and backward passes are written directly against numpy in float64;
+Forward and backward passes are written directly against numpy in float64,
+with element-wise chains written in place (`out=` and augmented assignment)
+in the order of the plain formula, so the arithmetic is the same.
 `backward` consumes the `ForwardTape` recorded by
 `forward_batch(..., record=True)`, which holds only what it reads (the
-residual stream's hidden states are not taped), and is validated against
-central finite differences and complex-step derivatives in the test suite.
-Each sublayer tapes itself, under the same key names n, inv, m (the
-`_modulate` outputs), scale, gate and out (its un-gated output), beside its
-own extra entries. Backward mirrors the sublayers:
+residual stream's hidden states and the modulated inputs are not taped),
+releases each layer's tape once it is differentiated, and is validated
+against central finite differences and complex-step derivatives in the test
+suite. Each sublayer tapes itself, under the same key names n and inv (the
+layer norm's outputs), shift, scale, gate and out (its un-gated output),
+beside its own extra entries; backward recomputes the modulated input
+m = n * (1 + scale) + shift with `_modulated`, the helper `_modulate` uses.
+Backward mirrors the sublayers:
 `_attention_sublayer_backward` and `_ffn_sublayer_backward` each read only
 their own tape and return their input's gradient, their own segments'
 gradients and their modulation's gradients, so every parameter segment's
@@ -199,15 +208,26 @@ def alibi_bias(frames: int, num_heads: int) -> np.ndarray:
 
 
 def _ln_forward(x):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    return (x - mean) * inv, inv
+    """Layer norm of x over its last axis: (y, inv), y = (x - mean) * inv.
+
+    The variance is `x.var`'s arithmetic (the mean of the squared centred
+    values) on the one centred array, which then becomes y in place.
+    """
+    y = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((y * y).mean(axis=-1, keepdims=True) + LN_EPS)
+    y *= inv
+    return y, inv
 
 
 def _ln_backward(dy, y, inv):
-    return inv * (dy - dy.mean(axis=-1, keepdims=True)
-                  - y * (dy * y).mean(axis=-1, keepdims=True))
+    """Backward of `_ln_forward`, given the gradient dy of y, which it
+    overwrites with the input's gradient and returns."""
+    term = dy * y
+    y_term = np.multiply(y, term.mean(axis=-1, keepdims=True), out=term)
+    dy -= dy.mean(axis=-1, keepdims=True)
+    dy -= y_term
+    dy *= inv
+    return dy
 
 
 def _silu(x):
@@ -236,7 +256,11 @@ class ForwardTape:
     inputs: the state and condition grids and the time-embedding MLP's
     activations. blocks: per layer, the pair (attention tape, FFN tape) of
     `_attention_sublayer` and `_ffn_sublayer`. final: the final layer's
-    `_modulate` outputs n, inv, m and its scale.
+    layer-norm outputs n and inv and its shift and scale.
+
+    A tape serves one `backward`, which consumes it: it releases each
+    layer's tapes as it goes and leaves inputs and final None and blocks
+    empty, so a second `backward` on it raises ValueError.
     """
 
     inputs: dict
@@ -252,7 +276,8 @@ def _attention_operands(qkv, num_heads):
     is row i's diagonal score; k holds [k, 1] and v holds [v, 1]. So q @ k^T
     gives every score shifted by its row's diagonal score, and
     weights @ v gives the weighted sum of values beside the row sum of the
-    weights. `_attention_backward` reads the first head_dim columns.
+    weights. `_attention_backward` replays the scores from every column and
+    differentiates the first head_dim columns.
     """
     batch, frames, width = qkv.shape
     head_dim = width // (3 * num_heads)
@@ -312,6 +337,17 @@ def _key_bands(q, k, rows):
             for sel, key_lo, key_hi in zip(row_blocks, lo[h].tolist(), hi[h].tolist())]
 
 
+def _block_weights(q, k, bias, block):
+    """exp of one (heads, rows, keys) block's scores [batch, heads, rows,
+    keys], each shifted by its row's diagonal score (q's last column), with
+    the ALiBi bias added. `_attention_forward` and `_attention_backward`
+    both call it, on the same operand views, so they get the same bits."""
+    head_sel, sel, keys = block
+    weights = q[:, head_sel, sel] @ k[:, head_sel, keys].transpose(0, 1, 3, 2)
+    weights += bias[head_sel, sel, keys]
+    return np.exp(weights, out=weights)
+
+
 def _attention_forward(q, k, v, bias, record):
     """Exact softmax attention with ALiBi, one block of query rows at a time.
 
@@ -332,21 +368,24 @@ def _attention_forward(q, k, v, bias, record):
     row's context into zeros, so the block raises FloatingPointError
     instead.
 
-    Returns the context [batch, frames, heads * head_dim] and, when
-    recording, the tape of blocks (empty otherwise): (heads, rows, keys,
-    probabilities [batch, heads, rows, keys]) for each block, in
-    `_key_bands`' order.
+    Recorded and unrecorded passes run the same loop and differ only in
+    what they keep. Returns the context [batch, frames, heads * head_dim]
+    and, when recording, the pair (blocks, row_sums) that
+    `_attention_backward` replays (None otherwise): the `_key_bands` list of
+    (heads, rows, keys) slices and every row's sum of weights, copied into
+    one [batch, heads, frames] array, so the tape is O(batch * heads *
+    frames) however many blocks there are.
     """
     batch, heads, frames, width = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
-    k_t = k.transpose(0, 1, 3, 2)
     ctx = np.empty((batch, frames, heads, width - 1))
-    attn_blocks = []
-    for head_sel, sel, keys in _key_bands(q, k, rows):
-        attn = q[:, head_sel, sel] @ k_t[:, head_sel, :, keys]
-        attn += bias[head_sel, sel, keys]
-        np.exp(attn, out=attn)
-        out = attn @ v[:, head_sel, keys]  # [..., :-1] weighted values, [..., -1:] row sums
+    blocks = _key_bands(q, k, rows)
+    row_sums = np.empty((batch, heads, frames)) if record else None
+    for block in blocks:
+        head_sel, sel, keys = block
+        weights = _block_weights(q, k, bias, block)
+        out = weights @ v[:, head_sel, keys]  # [..., :-1] weighted values, [..., -1:] row sums
+        del weights  # otherwise still held while the context is normalised
         total = out[..., -1:]
         if np.isinf(total).any():
             raise FloatingPointError(
@@ -354,85 +393,122 @@ def _attention_forward(q, k, v, bias, record):
                 f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
         ctx[:, sel, head_sel] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
         if record:
-            attn /= total
-            attn_blocks.append((head_sel, sel, keys, attn))
-        del attn, out, total  # otherwise still held while the next block is scored
-    return ctx.reshape(batch, frames, heads * (width - 1)), attn_blocks
+            row_sums[:, head_sel, sel] = total[..., 0]  # a copy: a view would keep `out`
+        del out, total
+    ctx = ctx.reshape(batch, frames, heads * (width - 1))
+    return ctx, (blocks, row_sums) if record else None
 
 
-def _attention_backward(dctx, ctx, q, k, v, attn_blocks):
+def _attention_backward(dctx, ctx, q, k, v, bias, blocks, row_sums):
     """Gradients (dq, dk, dv) of the unscaled q, k, v [batch, heads, frames,
-    head_dim] of `_attention_forward`, given dctx and ctx shaped like them
-    and the forward's `_attention_operands` and tape of (heads, rows, keys,
-    probabilities) blocks, each differentiated over the heads, rows and keys
-    it covers.
+    head_dim] of `_attention_forward`, given dctx and ctx shaped like them,
+    the forward's `_attention_operands` and `alibi_bias` grid, and its tape:
+    the (heads, rows, keys) blocks and the row sums.
 
-    The softmax backward's row term sum_j dP_ij * P_ij equals dctx_i . ctx_i,
-    because P @ v = ctx, so it is one O(frames * head_dim) product per layer
-    rather than a reduction over every probability block.
+    Each block's probabilities are replayed, not read from a tape: one score
+    matmul, bias add and exp (`_block_weights`, on the forward's operand
+    views) and a division by the taped row sums, which gives the forward's
+    probabilities bit for bit at O(rows * keys) memory per block (Rabe &
+    Staats 2021, arXiv 2112.05682). The softmax backward's row term
+    sum_j dP_ij * P_ij equals dctx_i . ctx_i, because P @ v = ctx, so it is
+    one O(frames * head_dim) product per layer rather than a reduction over
+    every probability block.
     """
-    q, k, v = q[..., :-1], k[..., :-1], v[..., :-1]  # q is already scaled
-    scale = np.sqrt(q.shape[-1])
+    head_dim = q.shape[-1] - 1  # q is already scaled
+    scale = np.sqrt(head_dim)
     row_terms = np.einsum("bhld,bhld->bhl", dctx, ctx)[..., None]
-    dq = np.empty(q.shape)
-    dk = np.zeros(k.shape)
-    dv = np.zeros(v.shape)
-    v_t = v.transpose(0, 1, 3, 2)
-    for head_sel, sel, keys, attn in attn_blocks:
+    dq = np.empty(dctx.shape)
+    dk = np.zeros(dctx.shape)
+    dv = np.zeros(dctx.shape)
+    v_t = v[..., :-1].transpose(0, 1, 3, 2)
+    for block in blocks:
+        head_sel, sel, keys = block
+        attn = _block_weights(q, k, bias, block)
+        attn /= row_sums[:, head_sel, sel, None]
         dk_keys, dv_keys = dk[:, head_sel, keys], dv[:, head_sel, keys]
         dctx_blk = dctx[:, head_sel, sel]
         dv_keys += attn.transpose(0, 1, 3, 2) @ dctx_blk
         dscores = dctx_blk @ v_t[:, head_sel, :, keys]
         dscores -= row_terms[:, head_sel, sel]
         dscores *= attn
-        dq[:, head_sel, sel] = dscores @ k[:, head_sel, keys] / scale
-        dk_keys += dscores.transpose(0, 1, 3, 2) @ q[:, head_sel, sel]
+        del attn  # otherwise still held while the next block is replayed
+        dq[:, head_sel, sel] = dscores @ k[:, head_sel, keys, :-1] / scale
+        dk_keys += dscores.transpose(0, 1, 3, 2) @ q[:, head_sel, sel, :-1]
+        del dscores
     return dq, dk, dv
+
+
+def _linear(x, weight, bias):
+    """x @ weight + bias, with the bias added in place."""
+    y = x @ weight
+    y += bias
+    return y
+
+
+def _modulated(n, shift, scale):
+    """adaLN's m = n * (1 + scale) + shift of a layer-normalised n [batch,
+    frames, dim], by per-item shift and scale [batch, dim]. `_modulate`
+    computes m with it, and backward recomputes m with it from the tape."""
+    m = n * (1.0 + scale)[:, None, :]
+    m += shift[:, None, :]
+    return m
 
 
 def _modulate(x, shift, scale):
     """adaLN modulation of x [batch, frames, dim] by per-item shift and scale
     [batch, dim]. Returns (n, inv, m): the layer-normalised x, its inverse
-    deviations and the modulated m = n * (1 + scale) + shift."""
+    deviations and the `_modulated` m."""
     n, inv = _ln_forward(x)
-    return n, inv, n * (1.0 + scale)[:, None, :] + shift[:, None, :]
+    return n, inv, _modulated(n, shift, scale)
 
 
 def _modulate_backward(dm, n, inv, scale):
-    """Backward of `_modulate`, given the gradient of m: the gradients of x,
-    shift and scale."""
+    """Backward of `_modulate`, given the gradient of m, which it overwrites:
+    the gradients of x, shift and scale."""
     dscale = np.einsum("bld,bld->bd", dm, n)
     dshift = dm.sum(axis=1)
-    return _ln_backward(dm * (1.0 + scale)[:, None, :], n, inv), dshift, dscale
+    dm *= (1.0 + scale)[:, None, :]
+    return _ln_backward(dm, n, inv), dshift, dscale
+
+
+def _gated_residual(h_in, out, gate, record):
+    """A branch's new hidden state h_in + gate * out, written into out unless
+    out is taped (backward's dgate reads the un-gated output)."""
+    h = out * gate[:, None, :] if record else np.multiply(out, gate[:, None, :], out=out)
+    h += h_in
+    return h
 
 
 def _attention_sublayer(h_in, p, name, shift, scale, gate, bias, num_heads, record):
     """Pre-norm adaLN attention branch: h_in + gate * out.
 
     Returns the new hidden state and, when recording, its tape for `backward`
-    (None otherwise): the `_modulate` outputs n, inv and m, its scale and
-    gate, the un-gated branch output out, and the attention operands, blocks
-    and context. Without recording every temporary is freed at its last use.
+    (None otherwise): the `_modulate` outputs n and inv, its shift, scale and
+    gate, the un-gated branch output out, the attention operands q, k, v,
+    the blocks and row sums of `_attention_forward`, and the context. Without
+    recording every temporary is freed at its last use.
     """
     n, inv, m = _modulate(h_in, shift, scale)
-    qkv = m @ p[f"{name}.qkv.weight"] + p[f"{name}.qkv.bias"]
-    tape = dict(n=n, inv=inv, m=m, scale=scale, gate=gate) if record else None
+    tape = dict(n=n, inv=inv, shift=shift, scale=scale, gate=gate) if record else None
+    qkv = _linear(m, p[f"{name}.qkv.weight"], p[f"{name}.qkv.bias"])
     del n, m
     q, k, v = _attention_operands(qkv, num_heads)
     del qkv  # the operands are copies, so it is freed before the block loop
-    ctx, attn_blocks = _attention_forward(q, k, v, bias, record)
+    ctx, attention = _attention_forward(q, k, v, bias, record)
     if record:
-        tape.update(q=q, k=k, v=v, attn_blocks=attn_blocks, ctx=ctx)
-    del q, k, v
-    out = ctx @ p[f"{name}.attn_out.weight"] + p[f"{name}.attn_out.bias"]
+        blocks, row_sums = attention
+        tape.update(q=q, k=k, v=v, blocks=blocks, row_sums=row_sums, ctx=ctx)
+    del q, k, v, attention
+    out = _linear(ctx, p[f"{name}.attn_out.weight"], p[f"{name}.attn_out.bias"])
     del ctx
     if record:
-        tape["out"] = out  # un-gated: backward's dgate reads it
-    return h_in + gate[:, None, :] * out, tape
+        tape["out"] = out
+    return _gated_residual(h_in, out, gate, record), tape
 
 
-def _attention_sublayer_backward(dh, tape, p, name):
-    """Backward of `_attention_sublayer`, given the gradient of its output.
+def _attention_sublayer_backward(dh, tape, p, name, bias):
+    """Backward of `_attention_sublayer`, given the gradient of its output
+    and the forward's `alibi_bias` grid.
 
     Returns the gradient of its input, its segments' gradients and the
     gradients of its modulation (shift, scale, gate).
@@ -444,42 +520,54 @@ def _attention_sublayer_backward(dh, tape, p, name):
     grads = _linear_grads(tape["ctx"], dout, f"{name}.attn_out")
     dctx, ctx = [a.reshape(batch, frames, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
                  for a in (dout @ p[f"{name}.attn_out.weight"].T, tape["ctx"])]
-    dq, dk, dv = _attention_backward(dctx, ctx, tape["q"], tape["k"], tape["v"],
-                                     tape["attn_blocks"])
+    del dout
+    dq, dk, dv = _attention_backward(dctx, ctx, tape["q"], tape["k"], tape["v"], bias,
+                                     tape["blocks"], tape["row_sums"])
+    del dctx, ctx
     dqkv = np.concatenate(
         [a.transpose(0, 2, 1, 3).reshape(batch, frames, dim) for a in (dq, dk, dv)],
         axis=2)
-    grads.update(_linear_grads(tape["m"], dqkv, f"{name}.qkv"))
-    dx, dshift, dscale = _modulate_backward(dqkv @ p[f"{name}.qkv.weight"].T,
-                                            tape["n"], tape["inv"], tape["scale"])
-    return dh + dx, grads, (dshift, dscale, dgate)
+    del dq, dk, dv
+    n, inv, scale = tape["n"], tape["inv"], tape["scale"]
+    grads.update(_linear_grads(_modulated(n, tape["shift"], scale), dqkv, f"{name}.qkv"))
+    dx, dshift, dscale = _modulate_backward(dqkv @ p[f"{name}.qkv.weight"].T, n, inv, scale)
+    dx += dh
+    return dx, grads, (dshift, dscale, dgate)
 
 
 def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
     """Pre-norm adaLN GELU feed-forward branch: h_mid + gate * out.
 
     Returns the new hidden state and, when recording, its tape for `backward`
-    (None otherwise): the `_modulate` outputs n, inv and m, its scale and
+    (None otherwise): the `_modulate` outputs n and inv, its shift, scale and
     gate, the un-gated branch output out, the GELU output and the GELU
     derivative, which is taped in place of the pre-activation. Without
     recording every temporary is freed at its last use.
     """
     n, inv, m = _modulate(h_mid, shift, scale)
-    z1 = m @ p[f"{name}.ffn.weight1"] + p[f"{name}.ffn.bias1"]
-    tape = dict(n=n, inv=inv, m=m, scale=scale, gate=gate) if record else None
+    tape = dict(n=n, inv=inv, shift=shift, scale=scale, gate=gate) if record else None
+    z1 = _linear(m, p[f"{name}.ffn.weight1"], p[f"{name}.ffn.bias1"])
     del n, m
-    cdf = 0.5 * (1.0 + erf(z1 / np.sqrt(2.0)))  # standard normal CDF
-    a1 = z1 * cdf
+    a1 = np.divide(z1, np.sqrt(2.0))  # the standard normal CDF, then the GELU output
+    erf(a1, out=a1)
+    a1 += 1.0
+    a1 *= 0.5
     if record:
-        # GELU derivative cdf(z) + z * pdf(z)
-        tape["gelu_grad"] = cdf + z1 * np.exp(-0.5 * z1 * z1) / np.sqrt(2.0 * np.pi)
-        tape["a1"] = a1
-    del z1, cdf
-    out = a1 @ p[f"{name}.ffn.weight2"] + p[f"{name}.ffn.bias2"]
+        # GELU derivative cdf(z) + z * pdf(z), built in one buffer
+        gelu_grad = np.multiply(z1, -0.5)
+        gelu_grad *= z1
+        np.exp(gelu_grad, out=gelu_grad)
+        gelu_grad *= z1
+        gelu_grad /= np.sqrt(2.0 * np.pi)
+        gelu_grad += a1
+        tape.update(gelu_grad=gelu_grad, a1=a1)
+    a1 *= z1
+    del z1
+    out = _linear(a1, p[f"{name}.ffn.weight2"], p[f"{name}.ffn.bias2"])
     del a1
     if record:
-        tape["out"] = out  # un-gated: backward's dgate reads it
-    return h_mid + gate[:, None, :] * out, tape
+        tape["out"] = out
+    return _gated_residual(h_mid, out, gate, record), tape
 
 
 def _ffn_sublayer_backward(dh, tape, p, name):
@@ -491,11 +579,14 @@ def _ffn_sublayer_backward(dh, tape, p, name):
     dout = dh * tape["gate"][:, None, :]
     dgate = np.einsum("bld,bld->bd", dh, tape["out"])
     grads = _linear_grads(tape["a1"], dout, f"{name}.ffn", "2")
-    dz1 = (dout @ p[f"{name}.ffn.weight2"].T) * tape["gelu_grad"]
-    grads.update(_linear_grads(tape["m"], dz1, f"{name}.ffn", "1"))
-    dx, dshift, dscale = _modulate_backward(dz1 @ p[f"{name}.ffn.weight1"].T,
-                                            tape["n"], tape["inv"], tape["scale"])
-    return dh + dx, grads, (dshift, dscale, dgate)
+    dz1 = dout @ p[f"{name}.ffn.weight2"].T
+    del dout
+    dz1 *= tape["gelu_grad"]
+    n, inv, scale = tape["n"], tape["inv"], tape["scale"]
+    grads.update(_linear_grads(_modulated(n, tape["shift"], scale), dz1, f"{name}.ffn", "1"))
+    dx, dshift, dscale = _modulate_backward(dz1 @ p[f"{name}.ffn.weight1"].T, n, inv, scale)
+    dx += dh
+    return dx, grads, (dshift, dscale, dgate)
 
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
@@ -508,9 +599,10 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
     grid. The ALiBi bias on frame indices is one `alibi_bias` view built per
     call and read by every layer and block. Each block's softmax is shifted
-    by each row's diagonal score and normalised on its context; the
-    probabilities are normalised only for the tape of a recorded pass, which
-    keeps every block: O(batch * frames^2).
+    by each row's diagonal score and normalised on its context. A recorded
+    pass runs the same blocks and tapes only their slices and the row sums,
+    from which `backward` replays them, so its tape is O(batch * frames) per
+    layer: no taped array has two axes of length frames.
 
     The state and the condition are projected by the two halves of
     `input_proj.weight`, so no [batch, frames, 2 * channels] input is built,
@@ -573,9 +665,10 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     mod_f = silu_c @ p["final_ada.weight"] + p["final_ada.bias"]
     shift_f, scale_f = np.split(mod_f, 2, axis=1)
     n, inv, m = _modulate(h, shift_f, scale_f)
-    final = dict(n=n, inv=inv, m=m, scale=scale_f) if record else None
+    final = dict(n=n, inv=inv, shift=shift_f, scale=scale_f) if record else None
     del h, n
-    out = m @ p["output_proj.weight"] + p["output_proj.bias"]
+    out = _linear(m, p["output_proj.weight"], p["output_proj.bias"])
+    del m
     field = out.transpose(0, 2, 1)  # [B, C, L]
 
     if not record:
@@ -587,6 +680,11 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
              output_grad: np.ndarray) -> dict:
     """Gradients of sum(output * output_grad) for every parameter segment.
 
+    Consumes `tape`: each layer's FFN tape is released once that sublayer is
+    differentiated and its attention tape after it, so the tape's memory
+    falls as the gradients are built. A consumed tape is refused with a
+    ValueError; record a new forward pass to differentiate again.
+
     Args:
         tape: activations from `forward_batch(..., record=True)`.
         output_grad: upstream gradient, [batch, channels, frames].
@@ -597,27 +695,35 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
     """
     if tape is None:
         raise ValueError("backward called without a recorded forward pass")
+    if tape.final is None:
+        raise ValueError("this tape was consumed by an earlier backward; "
+                         "record a new forward pass")
     p = model.params
     if output_grad.shape != tape.inputs["x_t"].shape:
         raise ValueError(f"output_grad shape {output_grad.shape} != "
                          f"{tape.inputs['x_t'].shape}")
     silu_c = tape.inputs["silu_c"]
+    bias = alibi_bias(output_grad.shape[2], model.config.num_heads)
 
     # final projection and modulation
     dout = output_grad.transpose(0, 2, 1)  # [B, L, C]
-    fin = tape.final
-    grads = _linear_grads(fin["m"], dout, "output_proj")
+    fin, tape.final = tape.final, None
+    grads = _linear_grads(_modulated(fin["n"], fin["shift"], fin["scale"]), dout,
+                          "output_proj")
     dh, dshift_f, dscale_f = _modulate_backward(dout @ p["output_proj.weight"].T,
                                                 fin["n"], fin["inv"], fin["scale"])
+    del fin
     dmod_f = np.concatenate([dshift_f, dscale_f], axis=1)
     grads.update(_linear_grads(silu_c, dmod_f, "final_ada"))
     d_silu_c = dmod_f @ p["final_ada.weight"].T
 
     for i in reversed(range(model.config.num_layers)):
         name = f"block{i}"
-        attn_tape, ffn_tape = tape.blocks[i]
+        attn_tape, ffn_tape = tape.blocks.pop()  # layer i's tapes, released once used
         dh, ffn_grads, dmod_m = _ffn_sublayer_backward(dh, ffn_tape, p, name)
-        dh, attn_grads, dmod_a = _attention_sublayer_backward(dh, attn_tape, p, name)
+        del ffn_tape
+        dh, attn_grads, dmod_a = _attention_sublayer_backward(dh, attn_tape, p, name, bias)
+        del attn_tape
         dmod = np.concatenate([*dmod_a, *dmod_m], axis=1)
         grads.update(ffn_grads)
         grads.update(attn_grads)
@@ -635,5 +741,6 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
     grads.update(_linear_grads(tape.inputs["a_t"], dc, "time_mlp", "2"))
     dz_t = (dc @ p["time_mlp.weight2"].T) * _silu_grad(tape.inputs["z_t"])
     grads.update(_linear_grads(tape.inputs["temb"], dz_t, "time_mlp", "1"))
+    tape.inputs = None
     # parameter order: clip_global_norm sums the squared norms in this order
     return {name: grads[name] for name in p}

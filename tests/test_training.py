@@ -22,8 +22,8 @@ from flowsr.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossSupport,
                              TrainConfig, TrainMode, TrainPair, WaveformDataset,
                              adam_update, apply_gradients,
                              clip_global_norm, finetune_gradients,
-                             init_train_state, load_checkpoint, lr_schedule,
-                             make_batch, pretrain_gradients, run_training,
+                             init_train_state, load_checkpoint, load_model,
+                             lr_schedule, make_batch, pretrain_gradients, run_training,
                              sample_crop, save_checkpoint)
 from flowsr.vectorfield import (ModelConfig, forward_batch, init_parameters,
                                 segment_shapes)
@@ -376,6 +376,26 @@ def test_non_finite_loss_aborts():
         apply_gradients(state, *pretrain_gradients(state, grids))
 
 
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_non_finite_gradient_aborts_before_any_state_changes(clip_norm):
+    """A finite loss with one inf gradient entry is refused, naming the step,
+    before the parameters, moments or counters change, with clipping on and
+    off."""
+    state = tiny_state(seed=12, clip_norm=clip_norm, warmup_steps=0)
+    rng = np.random.default_rng(74)
+    grads = {k: rng.standard_normal(p.shape) for k, p in state.model.params.items()}
+    apply_gradients(state, 1.0, grads)
+    grads["block0.qkv.weight"][0, 0] = np.inf
+    arrays = (state.model.params, state.adam_m, state.adam_v)
+    before = [{k: a.copy() for k, a in d.items()} for d in arrays]
+    counters = (state.step, state.loss_count, state.loss_sum, state.last_loss)
+    with pytest.raises(RuntimeError, match="non-finite gradient norm inf at step 1"):
+        apply_gradients(state, 1.0, grads)
+    assert (state.step, state.loss_count, state.loss_sum, state.last_loss) == counters
+    for d, saved in zip(arrays, before):
+        assert all(np.array_equal(d[k], saved[k]) for k in saved)
+
+
 def test_sample_crop_alignment_and_padding():
     rng = np.random.default_rng(58)
     clean = AudioSignal(rng.uniform(-0.5, 0.5, 5000), 16000)
@@ -610,6 +630,40 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):
     with pytest.raises(ValueError, match="missing array 'adam_v.output_proj.bias'"):
         load_checkpoint(missing)
     assert load_checkpoint(path).step == 0
+
+
+def test_load_model_reads_only_the_parameters(tmp_path, monkeypatch):
+    """`load_model` gives `load_checkpoint(path).model` bit for bit while
+    reading no array but the `param.*` ones, each once, and refuses a
+    missing or misshaped parameter by name as `load_checkpoint` does."""
+    state = randomized_state(SMALL_MODEL, TrainConfig(warmup_steps=0), seed=20)
+    rng = np.random.default_rng(21)
+    apply_gradients(state, 1.0, {k: rng.standard_normal(p.shape)
+                                 for k, p in state.model.params.items()})
+    path = tmp_path / "state.npz"
+    save_checkpoint(state, path)
+    full = load_checkpoint(path).model
+    read = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        lambda self, key: read.append(key) or getitem(self, key))
+    model = load_model(path)
+    monkeypatch.undo()
+    assert model.config == full.config and list(model.params) == list(full.params)
+    assert all(np.array_equal(model.params[k], full.params[k]) for k in full.params)
+    arrays = sorted(key for key in read if not key.startswith("__"))
+    assert arrays == sorted(f"param.{name}" for name in segment_shapes(SMALL_MODEL))
+    with np.load(path) as data:
+        good = dict(data)
+    for name, broken, message in [
+            ("bad_shape", {**good, "param.block0.qkv.weight": np.zeros((2, 2))},
+             "'param.block0.qkv.weight' has shape"),
+            ("missing", {k: v for k, v in good.items() if k != "param.output_proj.bias"},
+             "missing array 'param.output_proj.bias'")]:
+        np.savez(tmp_path / f"{name}.npz", **broken)
+        for load in (load_model, load_checkpoint):
+            with pytest.raises(ValueError, match=message):
+                load(tmp_path / f"{name}.npz")
 
 
 def test_mixed_shape_batch_is_refused():

@@ -323,7 +323,7 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
 
     single, tape = run()  # the default budget holds the whole 2 x 2 x 11 x 11 grid
     if record:
-        assert len(tape.blocks[0][0]["attn_blocks"]) == 1
+        assert len(tape.blocks[0][0]["blocks"]) == 1
     # the diagonal shift and the matmul row sums reorder the arithmetic
     assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -332,7 +332,7 @@ def test_blocked_attention_matches_dense_reference(monkeypatch, record):
     blocked, tape = run()
     if record:
         for head in range(2):
-            assert [attn.shape[2] for heads, _, _, attn in tape.blocks[0][0]["attn_blocks"]
+            assert [rows.stop - rows.start for heads, rows, _ in tape.blocks[0][0]["blocks"]
                     if heads == slice(head, head + 1)] == [3, 3, 3, 2]
     assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -351,8 +351,19 @@ def scored_qkv(scores, values):
 
 
 def run_attention(qkv, heads, bias, record):
-    return vectorfield._attention_forward(
-        *vectorfield._attention_operands(qkv, heads), bias, record)
+    """`_attention_forward` on a qkv projection: the context and, when
+    recording, each (heads, rows, keys) block with its probabilities
+    [batch, heads, rows, keys], replayed from the taped row sums as
+    `_attention_backward` replays them."""
+    q, k, v = vectorfield._attention_operands(qkv, heads)
+    ctx, attention = vectorfield._attention_forward(q, k, v, bias, record)
+    if not record:
+        return ctx, None
+    blocks, row_sums = attention
+    return ctx, [(head_sel, rows, keys,
+                  vectorfield._block_weights(q, k, bias, (head_sel, rows, keys))
+                  / row_sums[:, head_sel, rows, None])
+                 for head_sel, rows, keys in blocks]
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -476,9 +487,9 @@ def banded_heads(blocks, frames):
 
 
 def banded_blocks(tape, layer):
-    """{head: [(start, lo, probabilities)]} of a recorded layer's banded heads."""
-    blocks = tape.blocks[layer][0]["attn_blocks"]
-    return {head: [(rows.start, keys.start, attn) for heads, rows, keys, attn in blocks
+    """{head: [(rows, keys)]} of a recorded layer's banded heads."""
+    blocks = tape.blocks[layer][0]["blocks"]
+    return {head: [(rows, keys) for heads, rows, keys in blocks
                    if heads == slice(head, head + 1)]
             for head in sorted(banded_heads(blocks, tape.inputs["x_t"].shape[2]))}
 
@@ -500,8 +511,9 @@ def test_key_bands_keep_the_field(monkeypatch):
     one bit for bit, and the tape's banded blocks cover their rows, skip
     keys, and lie in row order per head; every other head scores every key
     in blocks of its own. Every head's row blocks tile the frames exactly
-    once, each block's keys hold its own rows, and each block's
-    probabilities have its extent."""
+    once, each block's keys hold its own rows, each block's replayed
+    weights have its extent, and the taped row sums, one per head and row,
+    are at least the diagonal weight 1."""
     model = randomized(EIGHT_HEADS, seed=38)
     rng = np.random.default_rng(39)
     batch, frames = 2, 400
@@ -518,22 +530,27 @@ def test_key_bands_keep_the_field(monkeypatch):
         bands = banded_blocks(tape, layer)
         assert {0, 1} <= set(bands) and set(bands) == set(range(len(bands)))
         for head, blocks in bands.items():
-            assert [start for start, _, _ in blocks] == list(range(0, frames, 40))
-            for start, lo, attn in blocks:
-                assert attn.shape[:3] == (batch, 1, 40)
-                assert lo <= start and start + 40 <= lo + attn.shape[3] <= frames
-        kept = sum(attn.shape[2] * attn.shape[3] for _, _, attn in bands[0]) / frames ** 2
+            assert [rows.start for rows, _ in blocks] == list(range(0, frames, 40))
+            for rows, keys in blocks:
+                assert rows.stop - rows.start == 40
+                assert keys.start <= rows.start and rows.stop <= keys.stop <= frames
+        kept = sum((rows.stop - rows.start) * (keys.stop - keys.start)
+                   for rows, keys in bands[0]) / frames ** 2
         assert kept < 0.6, kept
-        blocks = tape.blocks[layer][0]["attn_blocks"]
-        full = [attn for heads, _, _, attn in blocks if heads.start not in bands]
-        assert {a.shape for a in full} == {(batch, 1, 40, frames)}
+        sub = tape.blocks[layer][0]
+        blocks = sub["blocks"]
+        full = [block for block in blocks if block[0].start not in bands]
+        assert {tuple(s.stop - s.start for s in block) for block in full} == {(1, 40, frames)}
         covered = np.zeros((8, frames), dtype=int)
-        for heads, rows, keys, attn in blocks:
+        for block in blocks:
+            heads, rows, keys = block
             covered[heads, rows] += 1
             assert keys.start <= rows.start and rows.stop <= keys.stop
-            assert attn.shape == (batch, heads.stop - heads.start, rows.stop - rows.start,
-                                  keys.stop - keys.start)
+            weights = vectorfield._block_weights(sub["q"], sub["k"], alibi_bias(frames, 8), block)
+            assert weights.shape == (batch, heads.stop - heads.start, rows.stop - rows.start,
+                                     keys.stop - keys.start)
         assert np.all(covered == 1)
+        assert sub["row_sums"].shape == (batch, 8, frames) and np.all(sub["row_sums"] >= 1.0)
     full_range(monkeypatch)
     everything = forward_batch(model, x, cond, t)
     assert np.max(np.abs(field - everything)) <= 1e-14 * np.max(np.abs(everything))
@@ -648,7 +665,7 @@ def test_unrecorded_field_equals_recorded(monkeypatch):
     recorded, tape = forward_batch(model, x, cond, t, record=True)
     assert len(tape.blocks) == 4
     for head in range(4):
-        assert [attn.shape[2] for heads, _, _, attn in tape.blocks[3][0]["attn_blocks"]
+        assert [rows.stop - rows.start for heads, rows, _ in tape.blocks[3][0]["blocks"]
                 if heads == slice(head, head + 1)] == [5, 5, 5, 5, 3]
     assert np.array_equal(forward_batch(model, x, cond, t), recorded)
 
@@ -667,9 +684,11 @@ def test_backward_zero_seed_gives_zero_gradients():
 
 def test_tape_holds_only_what_backward_reads():
     """Every taped entry is read by `backward`, so a recorded pass keeps no
-    activation alive for nothing (the hidden states are not taped). Every
-    layer tapes an attention and an FFN sublayer, each under the same
-    modulation and output key names."""
+    activation alive for nothing (the hidden states and the modulated
+    inputs m are not taped; backward recomputes m from n, shift and scale).
+    Every layer tapes an attention and an FFN sublayer, each under the same
+    modulation and output key names. The references are taken before
+    `backward`, which consumes the tape."""
 
     class ReadTracking(dict):
         def __init__(self, entries):
@@ -688,13 +707,66 @@ def test_tape_holds_only_what_backward_reads():
     tape.inputs = ReadTracking(tape.inputs)
     tape.final = ReadTracking(tape.final)
     tape.blocks = [tuple(ReadTracking(sub) for sub in blk) for blk in tape.blocks]
+    entries = [tape.inputs, tape.final, *[sub for blk in tape.blocks for sub in blk]]
     backward(model, tape, np.ones_like(out))
-    sublayers = [sub for blk in tape.blocks for sub in blk]
+    _, final, *sublayers = entries
     assert len(sublayers) == 2 * TINY.num_layers
+    assert set(final) == {"n", "inv", "shift", "scale"}
     for sub in sublayers:
-        assert {"n", "inv", "m", "scale", "gate", "out"} <= set(sub)
-    for entries in [tape.inputs, tape.final, *sublayers]:
-        assert entries.read == set(entries)
+        assert {"n", "inv", "shift", "scale", "gate", "out"} <= set(sub) and "m" not in sub
+    for sub in entries:
+        assert sub.read == set(sub)
+
+
+def test_backward_consumes_its_tape():
+    """`backward` releases the tape as it goes: the tape holds nothing
+    afterwards, and a second `backward` on it is refused by name, while a
+    fresh recording gives the same gradients bit for bit."""
+    model = randomized(TINY, seed=45)
+    rng = np.random.default_rng(46)
+    x, cond, seed = (rng.standard_normal((2, 8, 9)) for _ in range(3))
+    t = np.array([0.3, 0.7])
+    _, tape = forward_batch(model, x, cond, t, record=True)
+    grads = backward(model, tape, seed)
+    assert tape.inputs is None and tape.final is None and tape.blocks == []
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        backward(model, tape, seed)
+    _, tape = forward_batch(model, x, cond, t, record=True)
+    again = backward(model, tape, seed)
+    assert all(np.array_equal(again[name], grads[name]) for name in grads)
+
+
+def test_recorded_pass_memory_is_linear_in_frames():
+    """No taped array has two axes of length frames, on an input that fits
+    one attention block (200 frames) and on one 16 s crop (2001 frames):
+    each attention layer tapes its blocks' slices and one row sum per head
+    and frame, not their probabilities. At the default config the 16 s
+    crop's recorded forward plus `backward` peaks under 160 MiB, where
+    taping every probability block took about 500 MiB."""
+    def arrays_in(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (dict, list, tuple)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from arrays_in(item)
+
+    model = randomized(ModelConfig(), seed=47, scale=0.05)
+    rng = np.random.default_rng(48)
+    for frames in (200, 2001):
+        x, cond, seed = (rng.standard_normal((1, 512, frames)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            _, tape = forward_batch(model, x, cond, np.array([0.5]), record=True)
+            assert len(tape.blocks[0][0]["blocks"]) == (1 if frames == 200 else 4 * 16)
+            arrays = list(arrays_in([tape.inputs, tape.final, tape.blocks]))
+            assert len(arrays) > 20
+            assert max(a.shape.count(frames) for a in arrays) == 1, frames
+            del arrays
+            backward(model, tape, seed)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert peak <= 160.0, peak
 
 
 def _spot_check_gradients(batch, frames):
@@ -788,7 +860,7 @@ def test_gradients_match_complex_step(monkeypatch, case):
                             rows * sliced * config.num_heads * frames)
     if slice_frames is None:
         out, tape = forward_batch(model, x, cond, t, record=True)
-        assert (len(tape.blocks[0][0]["attn_blocks"]) > 1) == (rows is not None)
+        assert (len(tape.blocks[0][0]["blocks"]) > 1) == (rows is not None)
         if config.num_heads == 8:
             assert 0 in banded_blocks(tape, 0)
         loss, dpred = cfm_loss(out, target, mask)

@@ -52,8 +52,10 @@ def read_wav(path) -> AudioSignal:
     return AudioSignal(data.astype(np.float64) / PCM16_SCALE, rate)
 
 
-def write_wav(path, signal: AudioSignal) -> None:
-    """Write a signal as mono 16-bit PCM. Samples are clipped to [-1, 1]."""
+def write_wav(path, signal: AudioSignal) -> int:
+    """Write a signal as mono 16-bit PCM. Samples are clipped to [-1, 1];
+    returns the number of samples that were outside it."""
     clipped = np.clip(signal.samples, -1.0, 1.0)
     pcm = np.round(clipped * PCM16_SCALE).astype(np.int16)
     wavfile.write(path, signal.sample_rate, pcm)
+    return int(np.count_nonzero(clipped != signal.samples))

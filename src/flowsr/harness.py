@@ -483,7 +483,7 @@ def _cmd_train(args) -> None:
 def _cmd_restore(args) -> None:
     """Shared body of `enhance` and `extract`. `extract` fixes the task to
     target_speaker_extract and adds the --reference prompt, which is None
-    for `enhance`."""
+    for `enhance`. Samples `write_wav` clips are counted on stderr."""
     _require_directory(args.out, "output")
     cfg = _run_config(args)
     model = load_model(args.model)
@@ -494,7 +494,10 @@ def _cmd_restore(args) -> None:
     restored = generate(model, task, degraded, np.random.default_rng(cfg.seed),
                         cfg.stft_params(), cfg.compression(), cfg.solver(),
                         reference=reference)
-    write_wav(args.out, restored)
+    clipped = write_wav(args.out, restored)
+    if clipped:
+        print(f"warning: {clipped} of {len(restored)} restored samples were "
+              f"outside [-1, 1] and were clipped in {args.out}", file=sys.stderr)
     print(f"restored {args.in_path} -> {args.out} "
           f"({restored.duration:.2f} s, task {task.value})")
 

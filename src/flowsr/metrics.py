@@ -69,10 +69,17 @@ def lsd(estimate: AudioSignal, reference: AudioSignal, stft_params: StftParams) 
     dominate. Symmetric in its audio arguments.
     """
     _check_comparable(estimate, reference)
-    mag_est = np.maximum(np.abs(stft(estimate, stft_params).bins), _LOG_FLOOR)
-    mag_ref = np.maximum(np.abs(stft(reference, stft_params).bins), _LOG_FLOOR)
-    diff = np.log10(mag_est) - np.log10(mag_ref)
-    return float(10.0 * np.sqrt(np.mean(diff**2)))
+    diff = _log_magnitude(estimate, stft_params)
+    diff -= _log_magnitude(reference, stft_params)
+    diff *= diff
+    return float(10.0 * np.sqrt(np.mean(diff)))
+
+
+def _log_magnitude(signal: AudioSignal, stft_params: StftParams) -> np.ndarray:
+    """log10 of the floored STFT magnitudes, computed in one new array."""
+    mag = np.abs(stft(signal, stft_params).bins)
+    np.maximum(mag, _LOG_FLOOR, out=mag)
+    return np.log10(mag, out=mag)
 
 
 @dataclasses.dataclass

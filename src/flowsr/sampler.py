@@ -7,6 +7,12 @@ step. The default step of 0.2 costs exactly five model evaluations per
 utterance. The condition is the `FeatureGrid` that `tasks.build_condition`
 returns; for target speaker extraction it spans the prompt and the mixture,
 and `tasks.trim_tse_output` cuts the prompt back off the synthesized audio.
+
+Restoration holds one state grid. The solver copies the noise draw once and
+updates that state in place, each field is dropped before the next
+evaluation, and the condition is dropped before synthesis, so at any stage
+at most the state, the condition and one stage's own work are alive. The
+peak is the field evaluation's.
 """
 
 import dataclasses
@@ -19,6 +25,10 @@ from .spectral import (CompressionParams, FeatureGrid, StftParams,
 from .tasks import (TaskKind, build_condition, trim_tse_output,
                     tse_prompt_samples)
 from .vectorfield import VectorFieldModel, forward_batch
+
+
+# Elements per chunk of the in-place Euler update (256 KiB of float64).
+_UPDATE_CHUNK_ELEMENTS = 1 << 15
 
 
 class FieldDivergenceError(RuntimeError):
@@ -46,10 +56,13 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
     """Integrate x' = field_fn(x, t) from t=0 to t=1 with uniform Euler steps.
 
     Args:
-        field_fn: callable (state array, scalar time) -> field array.
-        x0: initial state at t = 0. It is not copied and never mutated
-            (each step makes a new state), so a caller that does not keep
-            its own reference lets it be freed after the first step.
+        field_fn: callable (state array, scalar time) -> field array. The
+            state it is given is the solver's own and is updated in place
+            after the call, so a field that keeps it must copy it. The field
+            it returns is only read, never written.
+        x0: initial state at t = 0. It is copied once, as float64, and never
+            mutated or returned; a caller that does not keep its own
+            reference lets it be freed before the first evaluation.
         config: solver settings; the number of steps is 1 / step_size.
 
     Returns:
@@ -59,10 +72,13 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
     Raises:
         FieldDivergenceError: if any intermediate state or field value is
             non-finite, reporting the step index and the offending norm.
+
+    One state array is updated for the whole solve, and each field is freed
+    before the next evaluation, so a step holds one state and one field.
     """
     n = config.num_steps
-    x = np.asarray(x0, dtype=np.float64)
-    del x0  # x is rebound by every step; the start state need not outlive it
+    x = np.array(x0, dtype=np.float64)
+    del x0  # the copy is the state; the start state need not outlive it
     evals = 0
     for k in range(n):
         t_k = k / n
@@ -74,12 +90,33 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
             raise FieldDivergenceError(
                 f"non-finite field at step {k} (t={t_k:.3f}), "
                 f"max finite magnitude {np.max(np.abs(v[np.isfinite(v)]), initial=0.0):.3e}")
-        x = x + (1.0 / n) * v
+        _add_scaled(x, v, 1.0 / n)
+        del v  # the next evaluation must not find this field alive
         if not np.all(np.isfinite(x)):
             raise FieldDivergenceError(
                 f"non-finite state after step {k} (t={t_k:.3f}), "
                 f"max finite magnitude {np.max(np.abs(x[np.isfinite(x)]), initial=0.0):.3e}")
     return x, evals
+
+
+def _add_scaled(x: np.ndarray, v: np.ndarray, scale: float) -> None:
+    """x += scale * v in place, without a temporary the size of the grid.
+
+    Each chunk forms `scale * v` before the add, as `x + scale * v` does,
+    so the sum is bit-identical to it. Chunks run along v's slowest-varying
+    axis, so each reads one contiguous run of the field; `vectorfield`'s
+    field is frames-major (Fortran-ordered as [channels, frames]). A field
+    that shares memory with the state is copied first, so no chunk reads
+    what an earlier chunk wrote.
+    """
+    if np.may_share_memory(x, v):
+        v = v.copy()
+    if v.flags.f_contiguous and not v.flags.c_contiguous:
+        x, v = x.T, v.T
+    x, v = np.atleast_1d(x), np.atleast_1d(v)
+    rows = max(1, _UPDATE_CHUNK_ELEMENTS // max(1, v[:1].size))
+    for start in range(0, len(v), rows):
+        x[start:start + rows] += scale * v[start:start + rows]
 
 
 def sample_features(model: VectorFieldModel, cond: FeatureGrid,
@@ -113,6 +150,7 @@ def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
     cond = build_condition(task, degraded, stft_params, compression,
                            reference=reference)
     features = sample_features(model, cond, rng, solver=solver)
+    del cond  # synthesis does not read the condition
 
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
         total = tse_prompt_samples(degraded.sample_rate) + len(degraded)

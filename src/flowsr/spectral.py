@@ -2,9 +2,16 @@
 
 The flow-matching state space is a real-valued grid built from a one-sided
 complex spectrogram: magnitudes are power-law compressed, then real and
-imaginary parts are stacked along the channel axis. Everything here is a pure
-function; `istft(stft(x))` reconstructs `x` to machine precision via
-window-normalized overlap-add.
+imaginary parts are stacked along the channel axis. Every public function
+is pure: it reads its arguments and returns new arrays. `istft(stft(x))`
+reconstructs `x` to machine precision via window-normalized overlap-add.
+
+Inside, the transforms work in place on the arrays they made themselves:
+`stft` windows its own frames, `istft` windows the inverse transform's
+frames and frees them before normalising, and `audio_from_features`
+decompresses the buffer `unpack_features` made for it. The spectrograms
+made here are stored frames-major, so each frame is one contiguous run for
+the FFT.
 
 Nothing here scans for NaN or Inf. Data is checked where it enters: every
 waveform when its `AudioSignal` is built (`istft`'s output included), and
@@ -171,12 +178,18 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
 
     starts = np.arange(num_frames) * hop
     frames = padded[starts[:, None] + np.arange(win_size)[None, :]]
-    spec = np.fft.rfft(frames * window, n=win_size, axis=1).T
+    frames *= window
+    spec = np.fft.rfft(frames, n=win_size, axis=1).T
     return ComplexSpectrogram(spec, params)
 
 
 def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSignal:
     """Inverse STFT by window-normalized overlap-add.
+
+    The inverse transform's frames are windowed in place and freed once
+    they are overlap-added, before the normalisation by the window weight.
+    A frames-major spectrogram (see `unpack_features`) is transformed
+    without a copy.
 
     Args:
         spec: spectrogram to invert.
@@ -196,7 +209,8 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSigna
         raise ValueError(f"length {length} exceeds the {params.max_length(num_frames)} samples "
                          f"coverable by {num_frames} frames at hop {hop}")
     window = params.window()
-    frames = np.fft.irfft(spec.bins.T, n=win_size, axis=1) * window
+    frames = np.fft.irfft(spec.bins.T, n=win_size, axis=1)
+    frames *= window
 
     total = (num_frames - 1) * hop + win_size
     out = np.zeros(total)
@@ -206,6 +220,7 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSigna
         start = f * hop
         out[start:start + win_size] += frames[f]
         weight[start:start + win_size] += win_sq
+    del frames
     covered = weight > _OLA_EPS
     out[covered] /= weight[covered]
 
@@ -228,11 +243,23 @@ def compress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrog
 
 def decompress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrogram:
     """Exact inverse of `compress`: |w| -> (|w| / scale)**(1 / exponent)."""
-    mag = np.abs(spec.bins)
-    factor = np.zeros_like(mag)
-    nz = mag > 0
-    factor[nz] = (mag[nz] / cp.scale) ** (1.0 / cp.exponent) / mag[nz]
-    return ComplexSpectrogram(spec.bins * factor, spec.params)
+    bins = spec.bins.copy(order="K")
+    _decompress_in_place(bins, cp)
+    return ComplexSpectrogram(bins, spec.params)
+
+
+def _decompress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
+    """`decompress` on a complex array the caller owns, overwriting it.
+
+    Each coefficient is multiplied by (|w| / scale)**(1 / exponent) / |w|,
+    and zero stays zero."""
+    mag = np.abs(bins)
+    factor = mag / cp.scale
+    factor **= 1.0 / cp.exponent
+    with np.errstate(invalid="ignore"):
+        factor /= mag  # 0 / 0 where a bin is zero, set back to 0 below
+    factor[mag == 0] = 0.0
+    bins *= factor
 
 
 def pack_features(spec: ComplexSpectrogram) -> FeatureGrid:
@@ -242,11 +269,18 @@ def pack_features(spec: ComplexSpectrogram) -> FeatureGrid:
 
 
 def unpack_features(grid: FeatureGrid, params: StftParams) -> ComplexSpectrogram:
-    """Exact inverse of `pack_features`; `params` must imply the grid's bin count."""
+    """Exact inverse of `pack_features`; `params` must imply the grid's bin count.
+
+    The bins are written into one new frames-major buffer, which the
+    returned spectrogram owns and `istft` transforms without a copy.
+    """
     half = grid.num_channels // 2
     if half != params.num_bins:
         raise ValueError(f"grid implies {half} bins but params imply {params.num_bins}")
-    return ComplexSpectrogram(grid.values[:half] + 1j * grid.values[half:], params)
+    frames_major = np.empty((grid.num_frames, half), dtype=np.complex128)
+    frames_major.real = grid.values[:half].T
+    frames_major.imag = grid.values[half:].T
+    return ComplexSpectrogram(frames_major.T, params)
 
 
 def features_from_audio(signal: AudioSignal, params: StftParams,
@@ -257,5 +291,14 @@ def features_from_audio(signal: AudioSignal, params: StftParams,
 
 def audio_from_features(grid: FeatureGrid, params: StftParams, cp: CompressionParams,
                         length: int, sample_rate: int) -> AudioSignal:
-    """Full synthesis pipeline: unpack -> decompress -> istft."""
-    return istft(decompress(unpack_features(grid, params), cp), length, sample_rate)
+    """Full synthesis pipeline: unpack -> decompress -> istft.
+
+    One complex buffer is made: `unpack_features` writes it frames-major,
+    it is decompressed in place, and `istft` reads it without a copy. So
+    beyond the grid, synthesis holds that buffer and the inverse
+    transform's frames (about 14.7 MiB at 1501 frames and the default
+    frontend).
+    """
+    spec = unpack_features(grid, params)
+    _decompress_in_place(spec.bins, cp)
+    return istft(spec, length, sample_rate)

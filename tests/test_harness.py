@@ -455,6 +455,36 @@ def test_cli_extract_runs_tse_model(tmp_path):
     assert len(read_wav(tmp_path / "target.wav")) == len(read_wav(tmp_path / "mix.wav"))
 
 
+def test_cli_enhance_reports_clipped_samples_on_stderr(tmp_path, capsys):
+    """A fresh model's field is zero, so the output is the decoded noise
+    draw: loud at a small compression scale, quiet at a large one. Only the
+    loud one warns, with the count of samples written as full scale; the
+    stdout summary is the same either way."""
+    sig = tone_wav(tmp_path / "noisy.wav")
+    for scale, loud in (("100", False), ("0.01", True)):
+        cfg_path = write_config(tmp_path, {**TINY, "compress_scale": scale})
+        cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
+        model = init_parameters(cfg.model_config(), np.random.default_rng(0))
+        model_path = tmp_path / "model.npz"
+        save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+        out_path = tmp_path / "restored.wav"
+        rc = cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
+                           "--out", str(out_path), "--model", str(model_path),
+                           "--config", str(cfg_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert (f"restored {tmp_path / 'noisy.wav'} -> {out_path} "
+                f"({sig.duration:.2f} s, task denoise)") in captured.out
+        full_scale = np.count_nonzero(np.abs(read_wav(out_path).samples) == 1.0)
+        if loud:
+            assert full_scale > 0
+            assert (f"warning: {full_scale} of {len(sig)} restored samples were "
+                    f"outside [-1, 1] and were clipped in {out_path}") in captured.err
+        else:
+            assert full_scale == 0
+            assert "clipped" not in captured.err
+
+
 def subcommand_options(parser):
     """{subcommand: {option string: required}} for every subcommand."""
     sub = next(a for a in parser._actions

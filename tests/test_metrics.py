@@ -10,7 +10,7 @@ from flowsr.audio import AudioSignal
 from flowsr.metrics import (MetricsReport, UtteranceScores, failure_rate,
                             format_summary, lsd, score_utterance, si_sdr,
                             si_sdr_improvement, write_report)
-from flowsr.spectral import StftParams
+from flowsr.spectral import StftParams, stft
 
 RATE = 16000
 
@@ -112,6 +112,18 @@ def test_lsd_zero_and_constant_offset():
     assert lsd(ref, ref, params) == 0.0
     doubled = signal(2.0 * ref.samples)
     assert lsd(doubled, ref, params) == pytest.approx(10.0 * np.log10(2.0), abs=1e-3)
+
+
+def test_lsd_matches_its_formula_bit_for_bit():
+    """Flooring, logs and squares done in place give the textbook value,
+    with silent stretches at the floor."""
+    params = StftParams()
+    est = noise(16000, seed=15)
+    ref = signal(np.concatenate([noise(8000, seed=16).samples, np.zeros(8000)]))
+    mag_est = np.maximum(np.abs(stft(est, params).bins), 1e-8)
+    mag_ref = np.maximum(np.abs(stft(ref, params).bins), 1e-8)
+    diff = np.log10(mag_est) - np.log10(mag_ref)
+    assert lsd(est, ref, params) == float(10.0 * np.sqrt(np.mean(diff ** 2)))
 
 
 def test_lsd_symmetry_and_validation():

@@ -1,6 +1,7 @@
 """STFT analysis/synthesis, compression, feature packing, and WAV I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def test_wav_round_trip(tmp_path):
     assert back.sample_rate == RATE
     assert len(back) == len(sig)
     assert np.max(np.abs(back.samples - sig.samples)) <= 1.0 / 32767.0
+
+
+def test_write_wav_counts_the_samples_it_clips(tmp_path):
+    samples = np.array([0.5, 1.0, -1.0, 1.5, -2.0, 0.0, 1.0 + 1e-12, -0.25])
+    path = tmp_path / "loud.wav"
+    assert write_wav(path, AudioSignal(samples, RATE)) == 3
+    back = read_wav(path)
+    assert np.max(np.abs(back.samples - np.clip(samples, -1.0, 1.0))) <= 0.5 / 32767.0
+    assert write_wav(path, AudioSignal(np.clip(samples, -1.0, 1.0), RATE)) == 0
 
 
 def test_wav_rejects_stereo(tmp_path):
@@ -272,3 +282,69 @@ def test_full_pipeline_round_trip():
     grid = features_from_audio(sig, p, cp)
     rec = audio_from_features(grid, p, cp, len(sig), RATE)
     assert si_sdr(rec, sig) > 50.0
+
+
+def test_synthesis_matches_the_textbook_pipeline_bit_for_bit():
+    """The frames-major buffer, decompressed and windowed in place, gives the
+    same audio as unpacking, decompressing and windowing into new arrays,
+    zero bins included."""
+    p, cp = StftParams(), CompressionParams(exponent=0.3, scale=0.5)
+    values = np.random.default_rng(15).standard_normal((2 * p.num_bins, 40))
+    values[[3, 3 + p.num_bins], 7] = 0.0
+    bins = values[:p.num_bins] + 1j * values[p.num_bins:]
+    mag = np.abs(bins)
+    factor = np.zeros_like(mag)
+    nz = mag > 0
+    factor[nz] = (mag[nz] / cp.scale) ** (1.0 / cp.exponent) / mag[nz]
+    window = p.window()
+    frames = np.fft.irfft((bins * factor).T, n=p.window_size, axis=1) * window
+    out = np.zeros((40 - 1) * p.hop_size + p.window_size)
+    weight = np.zeros_like(out)
+    for f in range(40):
+        out[f * p.hop_size:f * p.hop_size + p.window_size] += frames[f]
+        weight[f * p.hop_size:f * p.hop_size + p.window_size] += window ** 2
+    covered = weight > 1e-10
+    out[covered] /= weight[covered]
+    length = p.max_length(40)
+    half = p.window_size // 2
+    audio = audio_from_features(FeatureGrid(values), p, cp, length, RATE)
+    assert np.array_equal(audio.samples, out[half:half + length])
+    assert np.array_equal(decompress(ComplexSpectrogram(bins, p), cp).bins,
+                          bins * factor)
+
+
+def test_public_transforms_leave_their_inputs_unchanged():
+    """The in-place steps work only on arrays the transforms made: no input
+    is written and no result shares memory with one."""
+    p, cp = StftParams(), CompressionParams()
+    sig = white_noise(RATE // 2, seed=16)
+    spec = stft(sig, p)
+    grid = pack_features(compress(spec, cp))
+    inputs = [sig.samples, spec.bins, grid.values]
+    before = [a.copy() for a in inputs]
+    results = [compress(spec, cp).bins, decompress(spec, cp).bins,
+               unpack_features(grid, p).bins,
+               istft(spec, len(sig), RATE).samples,
+               audio_from_features(grid, p, cp, len(sig), RATE).samples]
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    for r in results:
+        assert not any(np.shares_memory(r, a) for a in inputs)
+
+
+def test_synthesis_holds_one_buffer_beside_its_input():
+    """On a 12 s grid ([512, 1501]) at the default frontend, synthesis holds
+    one complex buffer and the inverse transform's frames (about 5.9 MiB
+    each) and the overlap-add sums beside its input: a peak of at most
+    15.5 MiB beyond it. An unpacked, a decompressed and a windowed copy took
+    it to 18.1 MiB."""
+    p, cp = StftParams(), CompressionParams()
+    grid = FeatureGrid(np.random.default_rng(17).standard_normal((2 * p.num_bins, 1501)))
+    tracemalloc.start()
+    try:
+        audio = audio_from_features(grid, p, cp, 12 * RATE, RATE)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert len(audio) == 12 * RATE
+    assert peak <= 15.5

@@ -175,7 +175,8 @@ class ManifestRecord:
 
     `estimate_path` points at a restored output when the manifest is used for
     evaluation; absent, the degraded file itself is scored (the no-processing
-    baseline).
+    baseline). Evaluation refuses a record without `degraded_path`: the
+    improvement is measured from it.
     """
 
     id: str
@@ -511,14 +512,14 @@ def _cmd_evaluate(args) -> None:
     stft_params = cfg.stft_params()
     scores = []
     for rec in records:
+        if rec.degraded_path is None:
+            raise ValueError(f"record {rec.id}: nothing to score (no degraded_path, "
+                             "so no baseline for the improvement)")
         reference = _read_wav_at(rec.clean_path, cfg.sample_rate)
-        est_path = rec.estimate_path or rec.degraded_path
-        if est_path is None:
-            raise ValueError(f"record {rec.id}: nothing to score "
-                             "(no estimate_path or degraded_path)")
-        estimate = _read_wav_at(est_path, cfg.sample_rate)
+        estimate = _read_wav_at(rec.estimate_path or rec.degraded_path,
+                                cfg.sample_rate)
         baseline = (_read_wav_at(rec.degraded_path, cfg.sample_rate)
-                    if rec.estimate_path and rec.degraded_path else estimate)
+                    if rec.estimate_path else estimate)
         scores.append(score_utterance(rec.id, estimate, baseline, reference,
                                       stft_params))
     report = MetricsReport.from_scores(scores)

@@ -6,12 +6,14 @@ imaginary parts are stacked along the channel axis. Every public function
 is pure: it reads its arguments and returns new arrays. `istft(stft(x))`
 reconstructs `x` to machine precision via window-normalized overlap-add.
 
-Inside, the transforms work in place on the arrays they made themselves:
-`stft` windows its own frames, `istft` windows the inverse transform's
-frames and frees them before normalising, and `audio_from_features`
-decompresses the buffer `unpack_features` made for it. The spectrograms
-made here are stored frames-major, so each frame is one contiguous run for
-the FFT.
+Inside, the transforms work in place on the arrays they made themselves,
+and analysis mirrors synthesis: `stft` windows its own frames and
+`features_from_audio` compresses `stft`'s spectrum in place before packing
+it; `istft` windows the inverse transform's frames, overlap-adds them one
+hop offset at a time and frees them before normalising, and
+`audio_from_features` decompresses the buffer `unpack_features` made for
+it. The spectrograms made here are stored frames-major, so each frame is
+one contiguous run for the FFT.
 
 Nothing here scans for NaN or Inf. Data is checked where it enters: every
 waveform when its `AudioSignal` is built (`istft`'s output included), and
@@ -183,11 +185,32 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, params)
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum `frames` [num_frames, window] at hop spacing into one signal.
+
+    The result, of ``(num_frames + offsets - 1) * hop`` samples with
+    ``offsets = ceil(window / hop)``, is viewed as rows of one hop; hop
+    offset j of every frame is added to the rows j frame starts later, in
+    one slice add per offset. The offsets are taken from last to first, so
+    every sample adds its frames in ascending frame order, as a loop over
+    frames would, and the sum is bit-identical to that loop.
+    """
+    num_frames, win_size = frames.shape
+    offsets = -(-win_size // hop)
+    out = np.zeros((num_frames + offsets - 1) * hop)
+    rows = out.reshape(-1, hop)
+    for j in reversed(range(offsets)):
+        chunk = frames[:, j * hop:(j + 1) * hop]
+        rows[j:j + num_frames, :chunk.shape[1]] += chunk
+    return out
+
+
 def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSignal:
     """Inverse STFT by window-normalized overlap-add.
 
-    The inverse transform's frames are windowed in place and freed once
-    they are overlap-added, before the normalisation by the window weight.
+    The inverse transform's frames are windowed in place, overlap-added one
+    hop offset at a time (`_overlap_add`) and freed before the
+    normalisation by the window weight, which is summed the same way.
     A frames-major spectrogram (see `unpack_features`) is transformed
     without a copy.
 
@@ -211,16 +234,9 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSigna
     window = params.window()
     frames = np.fft.irfft(spec.bins.T, n=win_size, axis=1)
     frames *= window
-
-    total = (num_frames - 1) * hop + win_size
-    out = np.zeros(total)
-    weight = np.zeros(total)
-    win_sq = window**2
-    for f in range(num_frames):
-        start = f * hop
-        out[start:start + win_size] += frames[f]
-        weight[start:start + win_size] += win_sq
+    out = _overlap_add(frames, hop)
     del frames
+    weight = _overlap_add(np.broadcast_to(window**2, (num_frames, win_size)), hop)
     covered = weight > _OLA_EPS
     out[covered] /= weight[covered]
 
@@ -234,11 +250,22 @@ def compress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrog
     Phase is preserved by multiplying each coefficient by a positive real
     factor; zero maps to zero.
     """
-    mag = np.abs(spec.bins)
-    factor = np.zeros_like(mag)
-    nz = mag > 0
-    factor[nz] = cp.scale * mag[nz] ** (cp.exponent - 1.0)
-    return ComplexSpectrogram(spec.bins * factor, spec.params)
+    bins = spec.bins.copy(order="K")
+    _compress_in_place(bins, cp)
+    return ComplexSpectrogram(bins, spec.params)
+
+
+def _compress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
+    """`compress` on a complex array the caller owns, overwriting it.
+
+    Each coefficient is multiplied by scale * |z|**(exponent - 1), and zero
+    stays zero."""
+    mag = np.abs(bins)
+    with np.errstate(divide="ignore"):
+        mag **= cp.exponent - 1.0  # 0 ** negative is inf, set back to 0 below
+    mag *= cp.scale
+    mag[bins == 0] = 0.0
+    bins *= mag
 
 
 def decompress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrogram:
@@ -285,8 +312,14 @@ def unpack_features(grid: FeatureGrid, params: StftParams) -> ComplexSpectrogram
 
 def features_from_audio(signal: AudioSignal, params: StftParams,
                         cp: CompressionParams) -> FeatureGrid:
-    """Full analysis pipeline: stft -> compress -> pack."""
-    return pack_features(compress(stft(signal, params), cp))
+    """Full analysis pipeline: stft -> compress -> pack.
+
+    `stft`'s own spectrum is compressed in place and then packed, so beyond
+    the grid, analysis holds the spectrum and its magnitudes.
+    """
+    spec = stft(signal, params)
+    _compress_in_place(spec.bins, cp)
+    return pack_features(spec)
 
 
 def audio_from_features(grid: FeatureGrid, params: StftParams, cp: CompressionParams,

@@ -10,15 +10,20 @@ and save/resume continues bit-exactly.
 
 A training step is `pretrain_gradients` or `finetune_gradients`, which
 return (loss, grads) for a batch, followed by `apply_gradients`, which
-performs one clipped Adam update in place. The gradients come from recorded
-forward passes, the objective `flowpath.cfm_loss` and backward passes over
-slices of the stacked batch of about MICRO_BATCH_FRAMES frames each, summed
-in slice order. Only one slice's tape is alive at a time, and `backward`
-releases it layer by layer, so a step's memory does not grow with the batch;
-the sum equals one pass over the whole batch up to rounding. A slice's tape
-is linear in its frames (attention tapes row sums, not probabilities), so a
-single long crop fits too: one 16 s crop at the default model peaks at
-about 115 MiB.
+performs one clipped Adam update in place. The two share one step body,
+`_gradients`, and their items differ only in their condition and loss
+frames: pretraining conditions on a span-masked, possibly dropped clean
+grid and may score the masked frames only; finetuning builds both the
+condition and the target with the task's `build_condition` and scores all
+frames. The gradients come from recorded forward passes, the objective
+`flowpath.cfm_loss` and backward passes over slices of the stacked batch of
+about MICRO_BATCH_FRAMES frames each, summed in slice order. Only one
+slice's tape is alive at a time, and `backward` releases it layer by layer,
+so a step's memory does not grow with the batch; the sum equals one pass
+over the whole batch up to rounding. A slice's tape is linear in its frames
+(attention tapes row sums, not probabilities), so a single long crop fits
+too: one 16 s crop at the default model peaks at about 115 MiB, and one
+pretraining step on four 4 s crops at about 82.5 MiB.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
@@ -39,7 +44,7 @@ from .flowpath import FlowPathConfig, cfm_loss, sample_training_tuple
 from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
                        features_from_audio)
-from .tasks import TaskKind, build_condition, prepend_tse_prompt
+from .tasks import TaskKind, build_condition
 from .vectorfield import (ModelConfig, VectorFieldModel, backward,
                           forward_batch, segment_shapes)
 
@@ -304,63 +309,81 @@ def _forward_backward(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray
     return loss, grads
 
 
+def _gradients(state: TrainState, items) -> tuple[float, dict]:
+    """The one training-step body: `cfm_loss` gradients over `items`.
+
+    `items` yields each item's (x1, condition, frame mask or None); the
+    item's (t, x0) is drawn as soon as it is built, so the rng order is the
+    item builder's draws, then (t, x0), item by item. The batch is stacked
+    and run through `_forward_backward`, with the frame masks as the loss
+    support when the items give them.
+    """
+    x_t, cond, t, target, flags = [], [], [], [], []
+    for x1, condition, mask in items:
+        tup = sample_training_tuple(x1, FlowPathConfig(), state.rng)
+        x_t.append(tup.x_t)
+        cond.append(condition)
+        t.append(tup.t)
+        target.append(tup.target)
+        if mask is not None:
+            flags.append(mask)
+    if not t:
+        raise ValueError("empty batch")
+    return _forward_backward(state.model, _stack(x_t), _stack(cond), np.array(t),
+                             _stack(target), _stack(flags) if flags else None)
+
+
 def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
     """Masked-condition objective on a batch of clean FeatureGrids.
 
-    Per item: sample a span mask, zero the masked frames to form the
-    condition, drop the condition entirely with the configured probability,
-    then draw (t, x0) and regress the field at the interpolated state.
+    Each item's condition is its grid with a sampled span mask's frames
+    zeroed, dropped entirely with the configured probability; the loss
+    frames are the masked ones under `LossSupport.MASKED_ONLY`, all frames
+    otherwise. The step itself is `_gradients`, shared with finetuning.
     """
-    if not batch:
-        raise ValueError("empty batch")
     cfg = state.config
-    x_t, cond, t, target, flags = [], [], [], [], []
-    for grid in batch:
-        mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
-                           state.rng)
-        condition = maybe_drop_condition(apply_mask(grid, mask),
-                                         cfg.dropout_prob, state.rng)
-        tup = sample_training_tuple(grid.values, FlowPathConfig(), state.rng)
-        x_t.append(tup.x_t)
-        cond.append(condition.values)
-        t.append(tup.t)
-        target.append(tup.target)
-        flags.append(mask)
-    return _forward_backward(
-        state.model, _stack(x_t), _stack(cond), np.array(t), _stack(target),
-        _stack(flags) if cfg.loss_support is LossSupport.MASKED_ONLY else None)
+
+    def items():
+        for grid in batch:
+            mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
+                               state.rng)
+            condition = maybe_drop_condition(apply_mask(grid, mask),
+                                             cfg.dropout_prob, state.rng)
+            yield (grid.values, condition.values,
+                   mask if cfg.loss_support is LossSupport.MASKED_ONLY else None)
+
+    return _gradients(state, items())
 
 
 def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
                        compression: CompressionParams) -> tuple[float, dict]:
     """Task-condition objective on a batch of TrainPairs, analysed with the
-    caller's frontend (`stft_params`, `compression`); no condition dropout."""
-    if not batch:
-        raise ValueError("empty batch")
+    caller's frontend (`stft_params`, `compression`).
+
+    Each item's condition is `build_condition` of its degraded side and its
+    target the same rule applied to its clean side (so a speaker-extraction
+    target carries the reference prompt too); there is no condition dropout
+    and the loss covers all frames. The step itself is `_gradients`, shared
+    with pretraining.
+    """
     cfg = state.config
     if cfg.task is None:
         raise ValueError("finetuning requires a task in the config")
-    x_t, cond, t, target = [], [], [], []
-    for pair in batch:
-        if pair.degraded is None:
-            raise ValueError("finetuning requires degraded/clean pairs")
-        condition = build_condition(cfg.task, pair.degraded, stft_params,
-                                    compression, reference=pair.reference)
-        if cfg.task is TaskKind.TARGET_SPEAKER_EXTRACT:
-            target_audio = prepend_tse_prompt(pair.clean, pair.reference)
-        else:
-            target_audio = pair.clean
-        x1 = features_from_audio(target_audio, stft_params, compression)
-        if x1.values.shape != condition.values.shape:
-            raise ValueError(f"target features {x1.values.shape} != condition "
-                             f"features {condition.values.shape}")
-        tup = sample_training_tuple(x1.values, FlowPathConfig(), state.rng)
-        x_t.append(tup.x_t)
-        cond.append(condition.values)
-        t.append(tup.t)
-        target.append(tup.target)
-    return _forward_backward(state.model, _stack(x_t), _stack(cond), np.array(t),
-                             _stack(target))
+
+    def items():
+        for pair in batch:
+            if pair.degraded is None:
+                raise ValueError("finetuning requires degraded/clean pairs")
+            condition = build_condition(cfg.task, pair.degraded, stft_params,
+                                        compression, reference=pair.reference)
+            x1 = build_condition(cfg.task, pair.clean, stft_params, compression,
+                                 reference=pair.reference)
+            if x1.values.shape != condition.values.shape:
+                raise ValueError(f"target features {x1.values.shape} != condition "
+                                 f"features {condition.values.shape}")
+            yield x1.values, condition.values, None
+
+    return _gradients(state, items())
 
 
 def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:

@@ -324,6 +324,21 @@ def test_cli_evaluate_refuses_wav_at_another_rate(tmp_path, capsys):
     assert "narrow.wav" in err and "8000" in err and "16000" in err
 
 
+def test_cli_evaluate_refuses_a_record_without_a_baseline(tmp_path, capsys):
+    """An estimate with no degraded file has no baseline: scoring it against
+    itself would print an improvement of 0.00 and exit 0."""
+    tone_wav(tmp_path / "clean.wav")
+    tone_wav(tmp_path / "estimate.wav", seed=1)
+    rec = ManifestRecord(id="lone", clean_path="clean.wav", task=TaskKind.DENOISE,
+                         estimate_path="estimate.wav")
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, [rec])
+    assert cli_dispatch(["evaluate", "--manifest", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert "record lone: nothing to score (no degraded_path" in captured.err
+    assert "failure rate" not in captured.out
+
+
 def test_cli_enhance_with_saved_model(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY)
     cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))

@@ -6,6 +6,10 @@ set BLAS threads through `threadpoolctl`, or import perfbench, whose
 tracer (`bench`, `tracing`, `workloads`) wraps the library from outside.
 Callers choose threads and environment; a library that sets them would
 change every caller's process.
+
+One rule has one owner: only `tasks.py` calls `prepend_tse_prompt`. Every
+other module builds a speaker-extraction condition or target through
+`tasks.build_condition`, so the prompt rule is written once.
 """
 
 import ast
@@ -40,11 +44,35 @@ def violations(source):
     return found
 
 
+def prompt_calls(source):
+    """Lines of Python `source` that call `prepend_tse_prompt`, by bare name
+    or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "prepend_tse_prompt"]
+
+
 def test_library_modules_follow_the_rules():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
     broken = {path.name: violations(path.read_text()) for path in modules}
     assert {name: found for name, found in broken.items() if found} == {}
+
+
+def test_only_tasks_prepends_the_extraction_prompt():
+    calls = {path.name: prompt_calls(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert calls.pop("tasks.py")
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "target = prepend_tse_prompt(clean, reference)",
+    "target = tasks.prepend_tse_prompt(clean, reference)",
+])
+def test_prompt_calls_are_detected(source):
+    assert prompt_calls(source)
 
 
 @pytest.mark.parametrize("source", [

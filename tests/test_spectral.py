@@ -189,6 +189,28 @@ def test_istft_preserves_sample_rate():
     assert rec.sample_rate == 8000
 
 
+@pytest.mark.parametrize("window_size, hop_size", [(510, 128), (126, 63), (400, 160)])
+def test_istft_matches_a_per_frame_overlap_add_bit_for_bit(window_size, hop_size):
+    """Overlap-adding one hop offset at a time adds each sample's frames in
+    the order a loop over frames does, so output and weight sums are equal."""
+    p = StftParams(window_size=window_size, hop_size=hop_size)
+    sig = white_noise(3001, seed=18)
+    spec = stft(sig, p)
+    window = p.window()
+    frames = np.fft.irfft(spec.bins.T, n=p.window_size, axis=1) * window
+    out = np.zeros((spec.num_frames - 1) * p.hop_size + p.window_size)
+    weight = np.zeros_like(out)
+    for f in range(spec.num_frames):
+        out[f * p.hop_size:f * p.hop_size + p.window_size] += frames[f]
+        weight[f * p.hop_size:f * p.hop_size + p.window_size] += window ** 2
+    covered = weight > 1e-10
+    out[covered] /= weight[covered]
+    half = p.window_size // 2
+    for length in (len(sig), p.max_length(spec.num_frames)):
+        assert np.array_equal(istft(spec, length, RATE).samples,
+                              out[half:half + length])
+
+
 # ---------------------------------------------------------------------------
 # compression
 
@@ -348,3 +370,30 @@ def test_synthesis_holds_one_buffer_beside_its_input():
         tracemalloc.stop()
     assert len(audio) == 12 * RATE
     assert peak <= 15.5
+
+
+def test_analysis_compresses_the_spectrum_in_place():
+    """On 12 s of audio at the default frontend ([512, 1501]), analysis holds
+    `stft`'s spectrum and its magnitudes beside the grid it packs: a peak of
+    at most 14.5 MiB (compressing into new arrays took it to 18.1 MiB). The
+    grid equals the textbook factor scale * |z|**(exponent - 1), zero bins
+    included."""
+    p, cp = StftParams(), CompressionParams()
+    samples = np.random.default_rng(19).uniform(-0.5, 0.5, 12 * RATE)
+    samples[1000:3000] = 0.0
+    sig = AudioSignal(samples, RATE)
+    tracemalloc.start()
+    try:
+        grid = features_from_audio(sig, p, cp)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.5
+    bins = stft(sig, p).bins
+    mag = np.abs(bins)
+    factor = np.zeros_like(mag)
+    nz = mag > 0
+    assert not nz.all()
+    factor[nz] = cp.scale * mag[nz] ** (cp.exponent - 1.0)
+    textbook = pack_features(ComplexSpectrogram(bins * factor, p))
+    assert np.array_equal(grid.values, textbook.values)

@@ -12,8 +12,10 @@ functions operate elementwise on arrays of any shape.
 
 `cfm_loss` is the training objective: on a [batch, channels, frames] batch
 it is the mean over items of each item's squared error against the target,
-averaged over all of the item's elements or over its masked frames only. It
-returns the loss with its gradient, the seed of `vectorfield.backward`.
+averaged over the item's loss frames. It has one formula: pretraining may
+pass its span masks as the loss frames, and without a mask every frame is
+one. It returns the loss with its gradient, the seed of
+`vectorfield.backward`.
 """
 
 import dataclasses
@@ -109,11 +111,12 @@ def cfm_loss(predicted: np.ndarray, target: np.ndarray,
     """Flow-matching loss of a batch and its gradient.
 
     `predicted` and `target` are [batch, channels, frames] fields. The loss
-    is the mean over items of each item's mean squared error. With
-    `frame_mask` ([batch, frames] booleans) an item's error is averaged over
-    its masked frames only, for the variant that restricts the objective to
-    reconstructed regions; an item with no masked frame adds 0 but still
-    counts in the mean over items.
+    is the mean over items of each item's squared error averaged over its
+    loss frames: the True frames of `frame_mask` ([batch, frames] booleans),
+    which restricts the objective to reconstructed regions, or every frame
+    when no mask is given (an all-True mask, through the same arithmetic).
+    An item with no loss frame adds 0 but still counts in the mean over
+    items.
 
     Returns (loss, dpred), where dpred is the gradient of the loss with
     respect to `predicted`, shaped like it.
@@ -124,15 +127,12 @@ def cfm_loss(predicted: np.ndarray, target: np.ndarray,
         raise ValueError(f"expected [batch, channels, frames] fields of one shape, "
                          f"got predicted {predicted.shape} vs target {target.shape}")
     batch, channels, frames = predicted.shape
-    diff = predicted - target
-    if frame_mask is None:
-        per_item = channels * frames
-        return (float((diff * diff).sum()) / per_item / batch,
-                2.0 * diff / per_item / batch)
-    frame_mask = np.asarray(frame_mask, dtype=bool)
+    frame_mask = (np.ones((batch, frames), dtype=bool) if frame_mask is None
+                  else np.asarray(frame_mask, dtype=bool))
     if frame_mask.shape != (batch, frames):
         raise ValueError(f"frame_mask shape {frame_mask.shape} does not match "
                          f"{(batch, frames)}")
+    diff = predicted - target
     fm = frame_mask.astype(np.float64)
     denom = np.maximum(fm.sum(axis=1) * channels, 1.0)  # masked elements per item
     weighted = diff * fm[:, None, :]

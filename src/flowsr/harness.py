@@ -12,9 +12,16 @@ Training commands write a `training.save_checkpoint` file at exactly their
 `--out` path; `--resume` reads all of one, while `finetune --init`, `enhance`
 and `extract` read only its model (`training.load_model`). `--resume` and
 `--init` refuse a checkpoint whose model config differs from the run's,
-naming each differing field. Every command refuses an output path
-(`--out`, `--log`, `--report`) whose directory does not exist before it
-reads any input.
+naming each differing field, and `enhance`/`extract` one whose feature
+width is not the run's (`_refuse_another_model`). Every command refuses an
+output path (`--out`, `--log`, `--report`) whose directory does not exist
+before it reads any input, and the training commands check their training
+config and checkpoint before they read the corpus. The loss log is
+appended to exactly when training resumes past step 0
+(`training.run_training`).
+
+The toy corpus writer (`synth_toy_corpus`) has no task branch: `_synth_clip`
+decides which clips have a reference, and reference/ is made with the first.
 """
 
 import argparse
@@ -348,16 +355,14 @@ def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
                      out_dir, sample_rate: int = 16000) -> Path:
     """Generate a deterministic corpus of degraded/clean pairs for `task`.
 
-    Writes clean/, degraded/ (and reference/ for extraction) WAV trees under
-    out_dir plus a manifest.jsonl of relative paths; returns the manifest path.
+    Writes clean/ and degraded/ WAV trees under out_dir, plus reference/
+    for the clips `_synth_clip` gives a reference (speaker extraction), and
+    a manifest.jsonl of relative paths; returns the manifest path.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     out_dir = Path(out_dir)
-    subdirs = ["clean", "degraded"]
-    if task is TaskKind.TARGET_SPEAKER_EXTRACT:
-        subdirs.append("reference")
-    for sub in subdirs:
+    for sub in ("clean", "degraded"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     records = []
@@ -369,6 +374,7 @@ def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
         reference_path = None
         if reference is not None:
             reference_path = f"reference/{clip_id}.wav"
+            (out_dir / "reference").mkdir(exist_ok=True)
             write_wav(out_dir / reference_path, reference)
         write_wav(out_dir / "clean" / f"{clip_id}.wav", clean)
         write_wav(out_dir / "degraded" / f"{clip_id}.wav", degraded)
@@ -412,6 +418,23 @@ def _read_wav_at(path, rate: int) -> AudioSignal:
     return signal
 
 
+def _refuse_another_model(config: ModelConfig, source, cfg: RunConfig,
+                          fields=None) -> None:
+    """Refuse a checkpoint's model `config` that differs from the run's in
+    `fields` (every field by default), naming each with both values. The
+    run's feature width is set by its window_size, which is named with it.
+    """
+    wanted = dataclasses.asdict(cfg.model_config())
+    if fields is not None:
+        wanted = {key: wanted[key] for key in fields}
+    mismatch = config_mismatch(dataclasses.asdict(config), wanted)
+    if mismatch:
+        if config.feature_channels != wanted["feature_channels"]:
+            mismatch += f" (set by the run's window_size {cfg.window_size})"
+        raise ValueError(f"model config in {source} does not match the "
+                         f"run config: {mismatch}")
+
+
 def _load_dataset(manifest_path, rate: int, need_degraded: bool) -> WaveformDataset:
     records = load_manifest(manifest_path)
     if not records:
@@ -453,8 +476,6 @@ def _cmd_train(args) -> None:
         mode = TrainMode.FINETUNE
     else:
         mode = TrainMode.SCRATCH
-    dataset = _load_dataset(args.manifest, cfg.sample_rate,
-                            need_degraded=task is not None)
     train_cfg = cfg.train_config(mode, task=task)
     resumed = args.resume and Path(args.out).exists()
     source = args.out if resumed else args.init
@@ -465,16 +486,13 @@ def _cmd_train(args) -> None:
             cfg.model_config(), np.random.default_rng(cfg.seed))
         state = init_train_state(model, train_cfg)
     if source:
-        mismatch = config_mismatch(dataclasses.asdict(state.model.config),
-                                   dataclasses.asdict(cfg.model_config()))
-        if mismatch:
-            raise ValueError(f"model config in {source} does not match the "
-                             f"run config: {mismatch}")
+        _refuse_another_model(state.model.config, source, cfg)
+    dataset = _load_dataset(args.manifest, cfg.sample_rate,
+                            need_degraded=task is not None)
     if resumed:
         print(f"resuming from step {state.step}")
     state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
-                         log_path=args.log, log_append=resumed,
-                         checkpoint_path=args.out,
+                         log_path=args.log, checkpoint_path=args.out,
                          checkpoint_every=args.checkpoint_every)
     what = mode.value if task is None else f"{mode.value} {task.value}"
     print(f"{what} to step {state.step}; mean loss {state.mean_loss:.6f}; "
@@ -484,10 +502,13 @@ def _cmd_train(args) -> None:
 def _cmd_restore(args) -> None:
     """Shared body of `enhance` and `extract`. `extract` fixes the task to
     target_speaker_extract and adds the --reference prompt, which is None
-    for `enhance`. Samples `write_wav` clips are counted on stderr."""
+    for `enhance`. A model whose feature width is not the run frontend's is
+    refused before any WAV is read. Samples `write_wav` clips are counted
+    on stderr."""
     _require_directory(args.out, "output")
     cfg = _run_config(args)
     model = load_model(args.model)
+    _refuse_another_model(model.config, args.model, cfg, fields=("feature_channels",))
     task = TaskKind(args.task)
     degraded = _read_wav_at(args.in_path, cfg.sample_rate)
     reference = (None if args.reference is None

@@ -7,13 +7,17 @@ is pure: it reads its arguments and returns new arrays. `istft(stft(x))`
 reconstructs `x` to machine precision via window-normalized overlap-add.
 
 Inside, the transforms work in place on the arrays they made themselves,
-and analysis mirrors synthesis: `stft` windows its own frames and
-`features_from_audio` compresses `stft`'s spectrum in place before packing
-it; `istft` windows the inverse transform's frames, overlap-adds them one
-hop offset at a time and frees them before normalising, and
-`audio_from_features` decompresses the buffer `unpack_features` made for
-it. The spectrograms made here are stored frames-major, so each frame is
-one contiguous run for the FFT.
+and analysis mirrors synthesis: `stft` windows a strided view of the padded
+signal's frames in one product and `features_from_audio` compresses
+`stft`'s spectrum in place before packing it; `istft` windows the inverse
+transform's frames, overlap-adds them one hop offset at a time and frees
+them before normalising, and `audio_from_features` decompresses the buffer
+`unpack_features` made for it. The spectrograms made here are stored
+frames-major, so each frame is one contiguous run for the FFT.
+
+One overlap-add, `_overlap_add`, sums both `istft`'s frames and the window
+weight it divides by; `StftParams` checks reconstruction on that same
+weight, so the condition it refuses is the division `istft` performs.
 
 Nothing here scans for NaN or Inf. Data is checked where it enters: every
 waveform when its `AudioSignal` is built (`istft`'s output included), and
@@ -28,6 +32,7 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from .audio import AudioSignal
@@ -43,7 +48,10 @@ class StftParams:
 
     The window/hop pair must admit perfect reconstruction: the squared
     analysis window, overlap-added at the hop, must be bounded away from
-    zero over one hop period of the steady-state region.
+    zero over one hop period of the steady-state region. That period is the
+    row ``offsets - 1`` (``offsets = ceil(window / hop)``, the first row
+    every offset reaches) of `_overlap_add` over ``offsets`` frames of
+    ``window**2``: the weight `istft` divides by, summed the same way.
     """
 
     window_size: int = 510
@@ -54,15 +62,9 @@ class StftParams:
             raise ValueError("window_size and hop_size must be positive")
         if self.hop_size > self.window_size:
             raise ValueError(f"hop_size {self.hop_size} exceeds window_size {self.window_size}")
-        w = self.window()
-        # steady-state OLA weight, checked over one hop period
-        n_overlap = self.window_size // self.hop_size + 1
-        weight = np.zeros(self.hop_size)
-        for k in range(-n_overlap, n_overlap + 1):
-            start = k * self.hop_size
-            idx = np.arange(self.hop_size) - start
-            valid = (idx >= 0) & (idx < self.window_size)
-            weight[valid] += w[idx[valid]] ** 2
+        offsets = -(-self.window_size // self.hop_size)
+        weight = _overlap_add(np.broadcast_to(self.window() ** 2, (offsets, self.window_size)),
+                              self.hop_size).reshape(-1, self.hop_size)[offsets - 1]
         if weight.min() < 1e-6:
             raise ValueError(
                 f"Hann window {self.window_size} at hop {self.hop_size} does not satisfy "
@@ -158,6 +160,9 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
 
     The signal is padded by window_size // 2 on the left (reflectively when
     possible) and enough on the right that ``1 + ceil(n / hop)`` frames fit.
+    The frames are every hop-th row of a strided window view of the padded
+    signal; windowing them is the one product that copies them, into the
+    C-ordered array the FFT reads.
 
     Args:
         signal: nonempty mono signal.
@@ -176,11 +181,7 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
     # last frame starts at (num_frames - 1) * hop in the padded signal
     total = (num_frames - 1) * hop + win_size
     padded = _pad_centered(x, half, total - n - half)
-    window = params.window()
-
-    starts = np.arange(num_frames) * hop
-    frames = padded[starts[:, None] + np.arange(win_size)[None, :]]
-    frames *= window
+    frames = sliding_window_view(padded, win_size)[::hop] * params.window()
     spec = np.fft.rfft(frames, n=win_size, axis=1).T
     return ComplexSpectrogram(spec, params)
 

@@ -451,20 +451,21 @@ def make_batch(dataset: WaveformDataset, cfg: TrainConfig,
 
 def run_training(state: TrainState, dataset: WaveformDataset,
                  stft_params: StftParams, compression: CompressionParams,
-                 log_path=None, log_append: bool = False,
-                 checkpoint_path=None, checkpoint_every: int = 0) -> TrainState:
+                 log_path=None, checkpoint_path=None, checkpoint_every: int = 0) -> TrainState:
     """Drive training to total_steps, logging one record per step.
 
     Batches are analysed with the caller's frontend (`stft_params`,
     `compression`), which restoration must reuse. The loss log is
-    line-delimited JSON {"step", "lr", "loss"}; checkpoints are written every
+    line-delimited JSON {"step", "lr", "loss"}, continued where the state
+    is: a state past step 0 (resumed from a checkpoint) appends to it, and
+    a step-0 state truncates it. Checkpoints are written every
     `checkpoint_every` steps (0 = only at the end, negative refused) when
     checkpoint_path is set.
     """
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     cfg = state.config
-    log_file = open(log_path, "a" if log_append else "w") if log_path else None
+    log_file = open(log_path, "a" if state.step > 0 else "w") if log_path else None
     try:
         while state.step < cfg.total_steps:
             k = state.step

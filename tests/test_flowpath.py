@@ -148,6 +148,18 @@ def test_cfm_loss_masked_support():
         cfm_loss(pred, tgt, frame_mask=np.ones(6, dtype=bool))
 
 
+def test_cfm_loss_without_a_mask_is_the_all_true_mask_bit_for_bit():
+    """No mask means every frame is a loss frame, through one formula."""
+    rng = np.random.default_rng(20)
+    for shape in [(2, 5, 7), (5, 8, 9), (3, 34, 33), (4, 130, 128), (1, 2, 1)] * 5:
+        pred, target = rng.standard_normal(shape), rng.standard_normal(shape)
+        loss, dpred = cfm_loss(pred, target)
+        masked_loss, masked_dpred = cfm_loss(
+            pred, target, np.ones((shape[0], shape[2]), dtype=bool))
+        assert loss == masked_loss, shape
+        assert np.array_equal(dpred, masked_dpred), shape
+
+
 def test_cfm_loss_gradient_matches_central_differences():
     rng = np.random.default_rng(18)
     pred = rng.standard_normal((3, 4, 5))

@@ -583,6 +583,16 @@ def test_cli_training_refuses_a_missing_out_directory(tmp_path, capsys):
         assert not log.exists()
 
 
+def count_calls(monkeypatch, names):
+    """Record, in one list, each call to the named `harness` functions."""
+    calls = []
+    for name in names:
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    return calls
+
+
 def test_cli_refuses_a_missing_output_directory_before_any_work(tmp_path, capsys,
                                                                monkeypatch):
     """`enhance`/`extract --out`, `evaluate --report` and the training
@@ -598,11 +608,7 @@ def test_cli_refuses_a_missing_output_directory_before_any_work(tmp_path, capsys
     tone_wav(noisy)
     tone_wav(ref, seconds=3.2)
     capsys.readouterr()
-    calls = []
-    for name in ("read_wav", "generate", "score_utterance"):
-        real = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k:
-                            calls.append(_name) or _real(*a, **k))
+    calls = count_calls(monkeypatch, ["read_wav", "generate", "score_utterance"])
     nodir = tmp_path / "nodir"
     restore = ["--model", str(ckpt), "--config", str(cfg_path)]
     train = ["--manifest", manifest, "--out", str(tmp_path / "x.npz"),
@@ -637,6 +643,67 @@ def test_cli_resume_refuses_another_model_config(tmp_path, capsys):
     assert "resuming" not in captured.out
     assert "does not match the run config" in captured.err
     assert "model_dim: 16 in the checkpoint, 32 in the run config" in captured.err
+
+
+def test_cli_training_checks_config_and_checkpoint_before_reading_the_corpus(
+        tmp_path, capsys, monkeypatch):
+    """A bad training config, a `--resume` checkpoint of another training
+    config and a `finetune --init` checkpoint of another model config are
+    each refused before any WAV of the corpus is read."""
+    cfg_path = write_config(tmp_path, TINY)
+    manifest = tiny_corpus(tmp_path)
+    ckpt = tmp_path / "pre.npz"
+    assert cli_dispatch(["pretrain", "--manifest", manifest, "--out", str(ckpt),
+                         "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    reads = count_calls(monkeypatch, ["read_wav"])
+    warm = write_config(tmp_path, {**TINY, "warmup_steps": "3000"}, name="warm.cfg")
+    fast = write_config(tmp_path, {**TINY, "peak_lr": "0.001"}, name="fast.cfg")
+    wide = write_config(tmp_path, {**TINY, "model_dim": "32"}, name="wide.cfg")
+    fresh = str(tmp_path / "x.npz")
+    cases = [
+        (["pretrain", "--out", fresh, "--config", str(warm)],
+         "need 0 <= warmup_steps < total_steps, got 3000 / 3"),
+        (["pretrain", "--out", str(ckpt), "--resume", "--config", str(fast)],
+         "peak_lr: 5e-05 in the checkpoint, 0.001 in the run config"),
+        (["finetune", "--task", "denoise", "--init", str(ckpt), "--out", fresh,
+          "--config", str(wide)],
+         "model_dim: 16 in the checkpoint, 32 in the run config"),
+    ]
+    for argv, message in cases:
+        assert cli_dispatch([*argv, "--manifest", manifest]) == 1, argv
+        captured = capsys.readouterr()
+        assert message in captured.err, argv
+        assert "resuming" not in captured.out
+        assert reads == [], argv
+    assert not (tmp_path / "x.npz").exists()
+
+
+def test_cli_restore_refuses_a_model_of_another_feature_width(tmp_path, capsys,
+                                                              monkeypatch):
+    """A checkpoint made at another frontend's feature width is refused,
+    naming both widths and the run's window_size, before any WAV is read
+    or any audio is generated."""
+    cfg, _ = apply_overrides(RunConfig(), parse_config_file(write_config(tmp_path, TINY)))
+    ckpt = tmp_path / "model.npz"
+    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
+    save_checkpoint(init_train_state(model, TrainConfig()), ckpt)
+    default_frontend = write_config(
+        tmp_path, {k: v for k, v in TINY.items() if k not in ("window_size", "hop_size")},
+        name="default_frontend.cfg")
+    noisy, ref, out = tmp_path / "noisy.wav", tmp_path / "ref.wav", tmp_path / "out.wav"
+    tone_wav(noisy)
+    tone_wav(ref, seconds=3.2)
+    calls = count_calls(monkeypatch, ["read_wav", "generate"])
+    for argv in (["enhance", "--in", str(noisy)],
+                 ["extract", "--mixture", str(noisy), "--reference", str(ref)]):
+        assert cli_dispatch([*argv, "--out", str(out), "--model", str(ckpt),
+                             "--config", str(default_frontend)]) == 1, argv
+        err = capsys.readouterr().err
+        assert "feature_channels: 34 in the checkpoint, 512 in the run config" in err
+        assert "window_size 510" in err
+        assert calls == [], argv
+    assert not out.exists()
 
 
 def test_cli_evaluate_reads_each_wav_once(tmp_path, monkeypatch):

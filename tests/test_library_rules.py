@@ -7,9 +7,11 @@ tracer (`bench`, `tracing`, `workloads`) wraps the library from outside.
 Callers choose threads and environment; a library that sets them would
 change every caller's process.
 
-One rule has one owner: only `tasks.py` calls `prepend_tse_prompt`. Every
-other module builds a speaker-extraction condition or target through
-`tasks.build_condition`, so the prompt rule is written once.
+Some rules have one owner each. Only `tasks.py` calls `prepend_tse_prompt`:
+every other module builds a speaker-extraction condition or target through
+`tasks.build_condition`, so the prompt rule is written once. Only
+`spectral.py` uses numpy's or scipy's FFT, so the transforms, and the
+framing and overlap-add that make `istft` invert `stft`, are written once.
 """
 
 import ast
@@ -20,6 +22,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowsr"
 ENVIRONMENT = {"environ", "getenv", "putenv", "unsetenv"}
 FORBIDDEN_MODULES = {"threadpoolctl", "perfbench", "bench", "tracing", "workloads"}
+FFT_MODULES = {"numpy.fft", "scipy.fft", "scipy.fftpack"}
 
 
 def violations(source):
@@ -53,6 +56,30 @@ def prompt_calls(source):
             == "prepend_tse_prompt"]
 
 
+def fft_uses(source):
+    """Lines of Python `source` that import an FFT module of numpy or scipy,
+    or reach one as an attribute of numpy or scipy under any name."""
+    tree = ast.parse(source)
+    packages = {"np": "numpy", "numpy": "numpy", "scipy": "scipy"}
+    packages.update((alias.asname, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.asname and alias.name in ("numpy", "scipy"))
+    is_fft = lambda module: any(module == m or module.startswith(m + ".")
+                                for m in FFT_MODULES)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if is_fft(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [node.lineno for alias in node.names
+                      if is_fft(node.module) or is_fft(f"{node.module}.{alias.name}")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in packages
+              and is_fft(f"{packages[node.value.id]}.{node.attr}")):
+            found.append(node.lineno)
+    return found
+
+
 def test_library_modules_follow_the_rules():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
@@ -65,6 +92,39 @@ def test_only_tasks_prepends_the_extraction_prompt():
              for path in sorted(SRC.glob("*.py"))}
     assert calls.pop("tasks.py")
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_only_spectral_uses_the_fft():
+    uses = {path.name: fft_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert uses.pop("spectral.py")
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "spec = np.fft.rfft(frames)",
+    "spec = numpy.fft.rfft(frames)",
+    "import numpy as xp\nspec = xp.fft.rfft(frames)",
+    "import scipy as sp\nspec = sp.fftpack.fft(frames)",
+    "spec = scipy.fft.rfft(frames)",
+    "import numpy.fft",
+    "import scipy.fft as sfft",
+    "from numpy import fft",
+    "from numpy.fft import irfft",
+    "from scipy import fft",
+    "from scipy.fft import rfft",
+    "from scipy.fftpack import fft",
+])
+def test_fft_uses_are_detected(source):
+    assert fft_uses(source)
+
+
+@pytest.mark.parametrize("source", [
+    "from numpy.lib.stride_tricks import sliding_window_view",
+    "from scipy.signal import get_window",
+    "import numpy as np\nmag = np.abs(spec.fft)",
+])
+def test_other_numpy_and_scipy_uses_pass(source):
+    assert not fft_uses(source)
 
 
 @pytest.mark.parametrize("source", [

@@ -1,12 +1,15 @@
 """STFT analysis/synthesis, compression, feature packing, and WAV I/O."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal import get_window
 
+from flowsr import spectral
 from flowsr.audio import AudioSignal, read_wav, write_wav
 from flowsr.metrics import si_sdr
 from flowsr.spectral import (ComplexSpectrogram, CompressionParams, FeatureGrid,
@@ -77,6 +80,45 @@ def test_params_window_hop_validation():
     # nearly non-overlapping hop breaks the overlap-add condition
     with pytest.raises(ValueError, match="overlap-add"):
         StftParams(window_size=510, hop_size=509)
+
+
+def loop_reconstruction_weight(window_size, hop_size):
+    """The steady-state overlap-add weight over one hop, summed frame by
+    frame over every window start that reaches it."""
+    w = get_window("hann", window_size, fftbins=True)
+    n_overlap = window_size // hop_size + 1
+    weight = np.zeros(hop_size)
+    for k in range(-n_overlap, n_overlap + 1):
+        idx = np.arange(hop_size) - k * hop_size
+        valid = (idx >= 0) & (idx < window_size)
+        weight[valid] += w[idx[valid]] ** 2
+    return weight
+
+
+def test_params_refuse_exactly_where_a_per_frame_weight_vanishes():
+    """`StftParams` checks istft's own overlap-add weight; over a window by
+    hop sweep it accepts and refuses as a frame-by-frame sum does, with the
+    same minimum in the message, and that steady-state row equals the sum."""
+    pairs = [(w, h) for w in range(1, 65) for h in range(1, w + 1)]
+    # near-disjoint frames, where the weight between them falls below 1e-6
+    pairs += [(w, w - d) for w in range(65, 600, 7) for d in (1, 2, 3, 5)]
+    pairs += [(510, 128), (512, 128), (400, 160), (126, 63), (597, 200)]
+    refused = 0
+    for window_size, hop_size in pairs:
+        weight = loop_reconstruction_weight(window_size, hop_size)
+        offsets = -(-window_size // hop_size)
+        window = get_window("hann", window_size, fftbins=True)
+        row = spectral._overlap_add(np.broadcast_to(window ** 2, (offsets, window_size)),
+                                    hop_size).reshape(-1, hop_size)[offsets - 1]
+        assert np.array_equal(row, weight), (window_size, hop_size)
+        if weight.min() < 1e-6:
+            refused += 1
+            with pytest.raises(ValueError, match=re.escape(
+                    f"overlap-add reconstruction condition (min weight {weight.min():.2e})")):
+                StftParams(window_size=window_size, hop_size=hop_size)
+        else:
+            StftParams(window_size=window_size, hop_size=hop_size)
+    assert 0 < refused < len(pairs)
 
 
 def test_frame_count_formula():
@@ -209,6 +251,25 @@ def test_istft_matches_a_per_frame_overlap_add_bit_for_bit(window_size, hop_size
     for length in (len(sig), p.max_length(spec.num_frames)):
         assert np.array_equal(istft(spec, length, RATE).samples,
                               out[half:half + length])
+
+
+@pytest.mark.parametrize("window_size, hop_size", [(510, 128), (126, 63), (400, 160)])
+def test_stft_matches_a_per_frame_transform_bit_for_bit(window_size, hop_size):
+    """Each column is the rfft of one explicitly sliced, windowed frame of
+    the centred, padded signal."""
+    p = StftParams(window_size=window_size, hop_size=hop_size)
+    window = p.window()
+    half = window_size // 2
+    for n in (100, 3001):
+        sig = white_noise(n, seed=19)
+        spec = stft(sig, p)
+        frames = spec.num_frames
+        right = (frames - 1) * hop_size + window_size - n - half
+        mode = "reflect" if n > max(half, right) else "constant"
+        padded = np.pad(sig.samples, (half, right), mode=mode)
+        for f in range(frames):
+            frame = padded[f * hop_size:f * hop_size + window_size] * window
+            assert np.array_equal(spec.bins[:, f], np.fft.rfft(frame)), (n, f)
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,39 @@ def test_run_training_refuses_a_negative_checkpoint_interval(tmp_path, every):
     assert not log.exists() and not ckpt.exists()
 
 
+def test_run_training_truncates_a_fresh_log_and_appends_a_resumed_one(tmp_path,
+                                                                     monkeypatch):
+    """A step-0 state truncates an existing log; a state resumed from a
+    step-2 checkpoint appends to its run's log, which then reads as the
+    uninterrupted run's, byte for byte."""
+    cfg = TrainConfig(warmup_steps=1, total_steps=4,
+                      batch_seconds=0.1, crop_seconds=0.1, seed=12)
+    fresh = lambda: init_train_state(
+        init_parameters(SMALL_MODEL, np.random.default_rng(13)), cfg)
+    whole, part, ckpt = tmp_path / "whole.jsonl", tmp_path / "part.jsonl", tmp_path / "s.npz"
+    for log in (whole, part):
+        log.write_text("junk from an old run\n")
+    run_training(fresh(), small_dataset(), SMALL_STFT, CompressionParams(), log_path=whole)
+    assert [json.loads(l)["step"] for l in whole.read_text().splitlines()] == [0, 1, 2, 3]
+
+    real_apply = training.apply_gradients
+
+    def interrupted_at_step_2(state, loss, grads):
+        if state.step == 2:
+            raise RuntimeError("interrupted")
+        return real_apply(state, loss, grads)
+
+    monkeypatch.setattr(training, "apply_gradients", interrupted_at_step_2)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_training(fresh(), small_dataset(), SMALL_STFT, CompressionParams(),
+                     log_path=part, checkpoint_path=ckpt, checkpoint_every=2)
+    monkeypatch.undo()
+    resumed = load_checkpoint(ckpt, expected=cfg)
+    assert resumed.step == 2
+    run_training(resumed, small_dataset(), SMALL_STFT, CompressionParams(), log_path=part)
+    assert part.read_text() == whole.read_text()
+
+
 def test_checkpoint_round_trip_and_resume(tmp_path):
     """Interrupting after 3 steps and resuming matches 6 uninterrupted steps
     bit-for-bit: parameters, moments, rng stream, and losses."""

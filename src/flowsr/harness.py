@@ -32,14 +32,13 @@ import types
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import firwin
 
 from .audio import AudioSignal, read_wav, write_wav
 from .metrics import MetricsReport, format_summary, score_utterance, write_report
 from .sampler import SolverConfig, generate
 from .spectral import CompressionParams, StftParams
-from .tasks import (TaskKind, bandwidth_reduce, codec_degrade, mix_at_snr,
-                    mix_two_speakers)
+from .tasks import (TaskKind, bandwidth_reduce, codec_degrade, lowpass_taps,
+                    mix_at_snr, mix_two_speakers)
 from .training import (LossSupport, TrainConfig, TrainMode, TrainPair,
                        WaveformDataset, config_mismatch, init_train_state,
                        load_checkpoint, load_model, run_training)
@@ -50,35 +49,37 @@ from .vectorfield import ModelConfig, init_parameters
 class RunConfig:
     """Flat view of every tunable knob, with working defaults.
 
-    Feature width is derived (two channels per STFT bin), never set
-    directly. Learning rates of None defer to the mode defaults at training
-    time. Step counts default to desk scale; raise them via a config file for
-    longer runs.
+    Each default is read from the config it builds (`StftParams`,
+    `CompressionParams`, `ModelConfig`, `SolverConfig`, `TrainConfig`), so it
+    is stated once. Feature width is derived (two channels per STFT bin),
+    never set directly. Learning rates of None defer to the mode defaults at
+    training time. Step counts default to desk scale; raise them via a config
+    file for longer runs.
     """
 
     sample_rate: int = 16000
-    window_size: int = 510
-    hop_size: int = 128
-    compress_exponent: float = 0.5
-    compress_scale: float = 0.33
-    num_layers: int = 4
-    model_dim: int = 128
-    num_heads: int = 4
-    time_embed_dim: int = 128
-    feedforward_dim: int = 256
-    step_size: float = 0.2
+    window_size: int = StftParams.window_size
+    hop_size: int = StftParams.hop_size
+    compress_exponent: float = CompressionParams.exponent
+    compress_scale: float = CompressionParams.scale
+    num_layers: int = ModelConfig.num_layers
+    model_dim: int = ModelConfig.model_dim
+    num_heads: int = ModelConfig.num_heads
+    time_embed_dim: int = ModelConfig.time_embed_dim
+    feedforward_dim: int = ModelConfig.feedforward_dim
+    step_size: float = SolverConfig.step_size
     peak_lr: float | None = None
     final_lr: float | None = None
     warmup_steps: int = 200
     total_steps: int = 2000
-    batch_seconds: float = 16.0
-    crop_seconds: float = 1.0
-    mask_ratio: float = 0.7
-    mask_min_span: int = 10
-    dropout_prob: float = 0.1
-    loss_support: str = "all_frames"
-    clip_norm: float = 1.0
-    seed: int = 0
+    batch_seconds: float = TrainConfig.batch_seconds
+    crop_seconds: float = TrainConfig.crop_seconds
+    mask_ratio: float = TrainConfig.mask_ratio
+    mask_min_span: int = TrainConfig.mask_min_span
+    dropout_prob: float = TrainConfig.dropout_prob
+    loss_support: str = TrainConfig.loss_support.value
+    clip_norm: float = TrainConfig.clip_norm
+    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         # constructing the component configs runs their validation
@@ -123,8 +124,10 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines; '#' starts a comment."""
+    """Read flat `key = value` lines; '#' starts a comment. A key set twice
+    is refused, naming both lines."""
     overrides = {}
+    lines = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -136,6 +139,10 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key '{key}' is already set "
+                                 f"on line {lines[key]}")
+            lines[key] = lineno
             overrides[key] = value
     return overrides
 
@@ -202,6 +209,8 @@ class ManifestRecord:
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {line.strip()!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(d) - known
         if extra:
@@ -209,6 +218,9 @@ class ManifestRecord:
         for required in ("id", "clean_path", "task"):
             if not d.get(required):
                 raise ValueError(f"missing field '{required}'")
+        for name in ("id", "clean_path", "degraded_path", "reference_path", "estimate_path"):
+            if d.get(name) is not None and not isinstance(d[name], str):
+                raise ValueError(f"field '{name}' must be a string, got {d[name]!r}")
         d["task"] = TaskKind(d["task"])
         return cls(**d)
 
@@ -295,7 +307,8 @@ def _draw_profile(rng: np.random.Generator) -> _SpeakerProfile:
 
 def _bandlimited_noise(n: int, cutoff_hz: float, rate: int,
                        rng: np.random.Generator) -> np.ndarray:
-    taps = firwin(65, cutoff_hz / (rate / 2))
+    hamming = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, 65))
+    taps = lowpass_taps(cutoff_hz / (rate / 2), hamming)
     white = rng.standard_normal(n + 64)
     return np.convolve(white, taps, mode="valid")[:n]
 
@@ -352,7 +365,7 @@ def _synth_clip(task: TaskKind, duration: float, rate: int,
 
 
 def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
-                     out_dir, sample_rate: int = 16000) -> Path:
+                     out_dir, sample_rate: int = RunConfig.sample_rate) -> Path:
     """Generate a deterministic corpus of degraded/clean pairs for `task`.
 
     Writes clean/ and degraded/ WAV trees under out_dir, plus reference/

@@ -19,6 +19,10 @@ One overlap-add, `_overlap_add`, sums both `istft`'s frames and the window
 weight it divides by; `StftParams` checks reconstruction on that same
 weight, so the condition it refuses is the division `istft` performs.
 
+The periodic Hann window is ``0.5 + 0.5 cos(linspace(-pi, pi, n + 1))``
+without its last point, and ``[1.0]`` at size 1: `scipy.signal.get_window`'s
+own arithmetic, so the window is bit-identical to scipy's.
+
 Nothing here scans for NaN or Inf. Data is checked where it enters: every
 waveform when its `AudioSignal` is built (`istft`'s output included), and
 every grid the model reads in `vectorfield.forward_batch`.
@@ -33,7 +37,6 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 from .audio import AudioSignal
 
@@ -71,7 +74,11 @@ class StftParams:
                 f"the overlap-add reconstruction condition (min weight {weight.min():.2e})")
 
     def window(self) -> np.ndarray:
-        return get_window("hann", self.window_size, fftbins=True).astype(np.float64)
+        """The periodic Hann window (see the module docstring)."""
+        n = self.window_size
+        if n == 1:
+            return np.ones(1)
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
     @property
     def num_bins(self) -> int:

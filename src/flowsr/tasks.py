@@ -10,12 +10,21 @@ that knows the prompt length; `tse_prompt_samples` converts it to samples.
 
 The codec degradation is a mu-law quantizer standing in for a neural audio
 codec: it produces comparable coding artifacts without an external model.
+
+One windowed-sinc lowpass, `lowpass_taps`, serves bandwidth reduction and
+the toy corpus's band-limited noise (`harness`). For a window of ``n``
+points and a cutoff ``c`` relative to Nyquist, the taps are
+``c * sinc(c * m) * window`` at ``m = k - (n - 1) / 2``, divided by their
+sum for unit gain at DC. That is `scipy.signal.firwin`'s arithmetic, and each
+caller writes its window as scipy does (a 513-point Kaiser window, beta 8.6,
+here; a 65-point Hamming window in `harness`), so the taps are bit-identical
+to firwin's.
 """
 
 import enum
 
 import numpy as np
-from scipy.signal import firwin
+from scipy.special import i0
 
 from .audio import AudioSignal
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
@@ -107,9 +116,14 @@ _RESAMPLE_TAPS = 513  # odd length keeps the filter linear-phase with integer de
 _KAISER_BETA = 8.6    # ~90 dB stopband
 
 
-def _lowpass_taps(cutoff_norm: float) -> np.ndarray:
-    # windowed-sinc lowpass; cutoff_norm relative to Nyquist
-    return firwin(_RESAMPLE_TAPS, cutoff_norm, window=("kaiser", _KAISER_BETA))
+def lowpass_taps(cutoff: float, window: np.ndarray) -> np.ndarray:
+    """Windowed-sinc lowpass of ``len(window)`` taps with unit gain at DC;
+    `cutoff` is relative to Nyquist (see the module docstring)."""
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(f"lowpass cutoff {cutoff} must lie strictly between 0 and Nyquist")
+    m = np.arange(len(window)) - 0.5 * (len(window) - 1)
+    h = cutoff * np.sinc(cutoff * m) * window
+    return h / h.sum()
 
 
 def _filter_centered(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -132,8 +146,9 @@ def bandwidth_reduce(signal: AudioSignal, factor: int) -> AudioSignal:
     if factor == 1:
         return AudioSignal(signal.samples.copy(), signal.sample_rate)
     n = len(signal)
-    cutoff = 0.9 / factor  # relative to the original Nyquist
-    taps = _lowpass_taps(cutoff)
+    k, a = np.arange(_RESAMPLE_TAPS), (_RESAMPLE_TAPS - 1) / 2
+    kaiser = i0(_KAISER_BETA * np.sqrt(1 - ((k - a) / a) ** 2)) / i0(_KAISER_BETA)
+    taps = lowpass_taps(0.9 / factor, kaiser)  # cutoff relative to the original Nyquist
     low = _filter_centered(signal.samples, taps)
     decimated = low[::factor]
     upsampled = np.zeros(len(decimated) * factor)

@@ -3,19 +3,23 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from scipy.signal import firwin
 
 from flowsr import harness, training
 from flowsr.audio import AudioSignal, read_wav, write_wav
 from flowsr.harness import (ManifestRecord, RunConfig, apply_overrides,
                             build_parser, cli_dispatch, load_manifest,
                             parse_config_file, synth_toy_corpus, write_manifest)
-from flowsr.tasks import TaskKind
+from flowsr.sampler import SolverConfig
+from flowsr.spectral import CompressionParams, StftParams
+from flowsr.tasks import TaskKind, lowpass_taps
 from flowsr.training import (TrainConfig, TrainMode, init_train_state,
                              save_checkpoint)
-from flowsr.vectorfield import init_parameters
+from flowsr.vectorfield import ModelConfig, init_parameters
 
 # Small-footprint overrides for CLI tests that actually train or sample.
 TINY = {
@@ -60,6 +64,20 @@ def test_run_config_defaults():
     # feature width is derived from the analysis window, never set directly
     assert cfg.model_config().feature_channels == 2 * (510 // 2 + 1) == 512
     assert cfg.stft_params().num_bins == 256
+
+
+def test_run_config_builds_each_component_default():
+    """RunConfig's own defaults are the sample rate, the desk-scale step
+    counts and the deferred learning rates; the others are its configs'."""
+    cfg = RunConfig()
+    assert cfg.stft_params() == StftParams()
+    assert cfg.compression() == CompressionParams()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.solver() == SolverConfig()
+    train = cfg.train_config(TrainMode.PRETRAIN)
+    assert (train.warmup_steps, train.total_steps) == (200, 2000)
+    assert dataclasses.replace(train, warmup_steps=TrainConfig.warmup_steps,
+                               total_steps=TrainConfig.total_steps) == TrainConfig()
 
 
 def test_run_config_validation_cascades():
@@ -107,6 +125,11 @@ def test_parse_config_file(tmp_path):
     empty.write_text("window_size =\n")
     with pytest.raises(ValueError, match="empty key or value"):
         parse_config_file(empty)
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("hop_size = 63\nwindow_size = 126\n\nhop_size = 42\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:4: key 'hop_size' is already "
+                                         r"set on line 1"):
+        parse_config_file(twice)
 
 
 def test_apply_overrides_types_and_echo():
@@ -191,6 +214,26 @@ def test_load_manifest_strict_vs_skip(tmp_path, capsys):
     assert "warning: skipped record" in err and ":2:" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("5", "expected a JSON object"),
+    ("null", "expected a JSON object"),
+    ("[1]", "expected a JSON object"),
+    ('{"id": "u2", "clean_path": 7, "task": "denoise"}', "'clean_path' must be a string"),
+    ('{"id": 2, "clean_path": "u1.wav", "task": "denoise"}', "'id' must be a string"),
+    ('{"id": "u2", "clean_path": "u1.wav", "task": "denoise", "estimate_path": [1]}',
+     "'estimate_path' must be a string"),
+])
+def test_load_manifest_refuses_a_line_of_another_shape(tmp_path, capsys, line, message):
+    tone_wav(tmp_path / "u1.wav")
+    good = ManifestRecord(id="u1", clean_path="u1.wav", task=TaskKind.DENOISE)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(good.to_json() + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=r"manifest\.jsonl:2: .*" + re.escape(message)):
+        load_manifest(manifest)
+    assert [r.id for r in load_manifest(manifest, strict=False)] == ["u1"]
+    assert "manifest.jsonl:2:" in capsys.readouterr().err
+
+
 def test_load_manifest_requires_reference_for_extraction(tmp_path):
     tone_wav(tmp_path / "mix.wav")
     tone_wav(tmp_path / "clean.wav")
@@ -244,6 +287,21 @@ def test_synth_corpus_extraction_has_references(tmp_path):
         assert rec.reference_path is not None
         assert read_wav(rec.reference_path).duration >= 2.99
         assert -5.0 <= rec.params["ratio_db"] <= 5.0
+
+
+def test_noise_taps_are_firwins_bit_for_bit(monkeypatch):
+    """The corpus's band-limited noise, at the 4 kHz voice floor and over a
+    sweep of the 2-6 kHz denoising cutoffs, filters with `firwin(65, c)`."""
+    taps = []
+    monkeypatch.setattr(harness, "lowpass_taps",
+                        lambda cutoff, window: taps.append(lowpass_taps(cutoff, window))
+                        or taps[-1])
+    cutoffs = [4000.0, *np.random.default_rng(11).uniform(2000.0, 6000.0, 500)]
+    for cutoff in cutoffs:
+        harness._bandlimited_noise(8, cutoff, 16000, np.random.default_rng(0))
+    assert len(taps) == len(cutoffs)
+    for cutoff, got in zip(cutoffs, taps):
+        assert np.array_equal(got, firwin(65, cutoff / 8000.0)), cutoff
 
 
 def test_synth_corpus_rejects_bad_count(tmp_path):

@@ -12,9 +12,18 @@ every other module builds a speaker-extraction condition or target through
 `tasks.build_condition`, so the prompt rule is written once. Only
 `spectral.py` uses numpy's or scipy's FFT, so the transforms, and the
 framing and overlap-add that make `istft` invert `stft`, are written once.
+
+No module uses `scipy.signal`: numpy writes the Hann window (`spectral`) and
+the windowed-sinc lowpass (`tasks.lowpass_taps`) in scipy's own arithmetic,
+and importing `scipy.signal` cost about a second of every command's start.
+A fresh `import flowsr, flowsr.harness` must leave it out of `sys.modules`,
+which also catches an import through another package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +32,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "flowsr"
 ENVIRONMENT = {"environ", "getenv", "putenv", "unsetenv"}
 FORBIDDEN_MODULES = {"threadpoolctl", "perfbench", "bench", "tracing", "workloads"}
 FFT_MODULES = {"numpy.fft", "scipy.fft", "scipy.fftpack"}
+SIGNAL_MODULES = {"scipy.signal"}
 
 
 def violations(source):
@@ -56,26 +66,26 @@ def prompt_calls(source):
             == "prepend_tse_prompt"]
 
 
-def fft_uses(source):
-    """Lines of Python `source` that import an FFT module of numpy or scipy,
-    or reach one as an attribute of numpy or scipy under any name."""
+def module_uses(source, modules):
+    """Lines of Python `source` that import one of `modules` of numpy or
+    scipy, or reach one as an attribute of numpy or scipy under any name."""
     tree = ast.parse(source)
     packages = {"np": "numpy", "numpy": "numpy", "scipy": "scipy"}
     packages.update((alias.asname, alias.name) for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names
                     if alias.asname and alias.name in ("numpy", "scipy"))
-    is_fft = lambda module: any(module == m or module.startswith(m + ".")
-                                for m in FFT_MODULES)
+    is_used = lambda module: any(module == m or module.startswith(m + ".")
+                                for m in modules)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [node.lineno for alias in node.names if is_fft(alias.name)]
+            found += [node.lineno for alias in node.names if is_used(alias.name)]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found += [node.lineno for alias in node.names
-                      if is_fft(node.module) or is_fft(f"{node.module}.{alias.name}")]
+                      if is_used(node.module) or is_used(f"{node.module}.{alias.name}")]
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in packages
-              and is_fft(f"{packages[node.value.id]}.{node.attr}")):
+              and is_used(f"{packages[node.value.id]}.{node.attr}")):
             found.append(node.lineno)
     return found
 
@@ -95,9 +105,24 @@ def test_only_tasks_prepends_the_extraction_prompt():
 
 
 def test_only_spectral_uses_the_fft():
-    uses = {path.name: fft_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = {path.name: module_uses(path.read_text(), FFT_MODULES)
+            for path in sorted(SRC.glob("*.py"))}
     assert uses.pop("spectral.py")
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_no_module_uses_scipy_signal():
+    uses = {path.name: module_uses(path.read_text(), SIGNAL_MODULES)
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_importing_the_library_leaves_scipy_signal_out():
+    code = "import sys, flowsr, flowsr.harness; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("source", [
@@ -115,7 +140,18 @@ def test_only_spectral_uses_the_fft():
     "from scipy.fftpack import fft",
 ])
 def test_fft_uses_are_detected(source):
-    assert fft_uses(source)
+    assert module_uses(source, FFT_MODULES)
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.signal",
+    "import scipy.signal as ss",
+    "from scipy.signal import firwin",
+    "from scipy import signal",
+    "import scipy\ntaps = scipy.signal.firwin(65, 0.5)",
+])
+def test_scipy_signal_uses_are_detected(source):
+    assert module_uses(source, SIGNAL_MODULES)
 
 
 @pytest.mark.parametrize("source", [
@@ -124,7 +160,7 @@ def test_fft_uses_are_detected(source):
     "import numpy as np\nmag = np.abs(spec.fft)",
 ])
 def test_other_numpy_and_scipy_uses_pass(source):
-    assert not fft_uses(source)
+    assert not module_uses(source, FFT_MODULES)
 
 
 @pytest.mark.parametrize("source", [

@@ -82,6 +82,13 @@ def test_params_window_hop_validation():
         StftParams(window_size=510, hop_size=509)
 
 
+def test_window_is_scipys_periodic_hann_bit_for_bit():
+    for window_size in range(1, 1200):
+        window = StftParams(window_size, max(1, window_size // 4)).window()
+        assert np.array_equal(window, get_window("hann", window_size, fftbins=True)), \
+            window_size
+
+
 def loop_reconstruction_weight(window_size, hop_size):
     """The steady-state overlap-add weight over one hop, summed frame by
     frame over every window start that reaches it."""

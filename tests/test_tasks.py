@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.signal import firwin
 
+from flowsr import tasks
 from flowsr.audio import AudioSignal
 from flowsr.metrics import si_sdr
 from flowsr.spectral import CompressionParams, StftParams, features_from_audio
 from flowsr.tasks import (TSE_PROMPT_SECONDS, TaskKind, bandwidth_reduce,
-                          build_condition, codec_degrade, mix_at_snr,
-                          mix_two_speakers, prepend_tse_prompt,
+                          build_condition, codec_degrade, lowpass_taps,
+                          mix_at_snr, mix_two_speakers, prepend_tse_prompt,
                           trim_tse_output, tse_prompt_samples)
 
 RATE = 16000
@@ -177,6 +179,24 @@ def test_bandwidth_reduce_idempotent_band_energy():
     for lo, hi in ((0.0, 1000.0), (1000.0, 2000.0), (2000.0, 3000.0)):
         ratio = band_energy(twice.samples, lo, hi) / band_energy(once.samples, lo, hi)
         assert abs(10.0 * np.log10(ratio)) < 1.0
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_bandwidth_reduce_taps_are_firwins_bit_for_bit(monkeypatch, factor):
+    taps = []
+    monkeypatch.setattr(tasks, "lowpass_taps",
+                        lambda cutoff, window: taps.append(lowpass_taps(cutoff, window))
+                        or taps[-1])
+    bandwidth_reduce(tone_burst(1000, seed=32), factor)
+    assert len(taps) == 1
+    assert np.array_equal(taps[0], firwin(513, 0.9 / factor, window=("kaiser", 8.6)))
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1.0, 1.5])
+def test_lowpass_taps_refuse_a_cutoff_outside_the_band(cutoff):
+    # the corpus's 4-6 kHz noise cutoffs reach Nyquist at an 8-12 kHz rate
+    with pytest.raises(ValueError, match="cutoff"):
+        lowpass_taps(cutoff, np.ones(65))
 
 
 def test_bandwidth_reduce_rejects_bad_factor():

@@ -286,6 +286,8 @@ def write_manifest(path, records) -> None:
 
 _CLEAN_PEAK = 0.25       # headroom so mixtures stay inside [-1, 1]
 _NOISE_FLOOR_DB = -30.0  # clip-internal noise floor relative to voice RMS
+_NOISE_FLOOR_CUTOFF_HZ = 4000.0  # lowpass of every voice's noise floor
+_DENOISE_CUTOFF_HZ = (2000.0, 6000.0)  # lowpass range of the denoise task's noise
 
 
 @dataclasses.dataclass
@@ -327,7 +329,7 @@ def _render_voice(profile: _SpeakerProfile, duration: float, rate: int,
     am = 1.0 + profile.am_depth * np.sin(
         2.0 * np.pi * profile.am_rate * t + rng.uniform(0, 2 * np.pi))
     voice *= am / (1.0 + profile.am_depth)
-    floor = _bandlimited_noise(n, 4000.0, rate, rng)
+    floor = _bandlimited_noise(n, _NOISE_FLOOR_CUTOFF_HZ, rate, rng)
     voice_rms = np.sqrt(np.mean(voice**2))
     floor_rms = np.sqrt(np.mean(floor**2))
     voice += floor * (voice_rms / floor_rms) * 10.0 ** (_NOISE_FLOOR_DB / 20.0)
@@ -347,7 +349,7 @@ def _synth_clip(task: TaskKind, duration: float, rate: int,
     clean = _render_voice(profile, duration, rate, rng)
     if task is TaskKind.DENOISE:
         snr_db = float(rng.uniform(0.0, 10.0))
-        cutoff = float(rng.uniform(2000.0, 6000.0))
+        cutoff = float(rng.uniform(*_DENOISE_CUTOFF_HZ))
         noise = AudioSignal(_bandlimited_noise(len(clean), cutoff, rate, rng), rate)
         return clean, mix_at_snr(clean, noise, snr_db, rng), None, {"snr_db": snr_db}
     if task is TaskKind.BANDWIDTH_EXTEND:
@@ -370,10 +372,19 @@ def synth_toy_corpus(task: TaskKind, count: int, rng: np.random.Generator,
 
     Writes clean/ and degraded/ WAV trees under out_dir, plus reference/
     for the clips `_synth_clip` gives a reference (speaker extraction), and
-    a manifest.jsonl of relative paths; returns the manifest path.
+    a manifest.jsonl of relative paths; returns the manifest path. A count
+    below 1, or a sample rate whose Nyquist frequency does not lie above
+    every fixed lowpass cutoff of the task's clips, is refused before
+    anything is written.
     """
     if count <= 0:
         raise ValueError("count must be positive")
+    highest = max(_NOISE_FLOOR_CUTOFF_HZ,
+                  _DENOISE_CUTOFF_HZ[1] if task is TaskKind.DENOISE else 0.0)
+    if sample_rate <= 2 * highest:
+        raise ValueError(f"sample rate {sample_rate} Hz is too low for the "
+                         f"{task.value} toy corpus: its {highest:g} Hz lowpass "
+                         f"cutoff needs a rate above {2 * highest:g} Hz")
     out_dir = Path(out_dir)
     for sub in ("clean", "degraded"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)

@@ -16,14 +16,20 @@ frames: pretraining conditions on a span-masked, possibly dropped clean
 grid and may score the masked frames only; finetuning builds both the
 condition and the target with the task's `build_condition` and scores all
 frames. The gradients come from recorded forward passes, the objective
-`flowpath.cfm_loss` and backward passes over slices of the stacked batch of
-about MICRO_BATCH_FRAMES frames each, summed in slice order. Only one
-slice's tape is alive at a time, and `backward` releases it layer by layer,
-so a step's memory does not grow with the batch; the sum equals one pass
-over the whole batch up to rounding. A slice's tape is linear in its frames
-(attention tapes row sums, not probabilities), so a single long crop fits
-too: one 16 s crop at the default model peaks at about 115 MiB, and one
-pretraining step on four 4 s crops at about 82.5 MiB.
+`flowpath.cfm_loss` and backward passes over slices of about
+MICRO_BATCH_FRAMES frames each, summed in slice order; the sum equals one
+pass over the whole batch up to rounding.
+
+A slice's items are built only when its turn comes, and its inputs, tape
+and `dpred` are freed before the next slice is built; `backward` releases
+the tape layer by layer. So a step holds one slice's inputs, one tape and
+one gradient dict, and its memory does not grow with the batch: at the
+acceptance gate's config a step on 16 crops of 0.5 s peaks at about 30.2
+MiB under tracemalloc, and on 64 crops at the same; a default-model
+pretraining step on 16 crops of 1 s peaks at about 30.2 MiB. A slice's tape
+is linear in its frames (attention tapes row sums, not probabilities), so
+a single long crop fits too: one 16 s crop at the default model peaks at
+about 115 MiB, and one pretraining step on four 4 s crops at about 55 MiB.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
@@ -54,8 +60,8 @@ ADAM_EPS = 1e-8
 CACHE_LIMIT_BYTES = 6 * 1024 ** 3  # waveform cache budget
 CHECKPOINT_TAG = "flowsr-train-v1"
 # Frames recorded per slice of a training batch: each slice holds
-# max(1, MICRO_BATCH_FRAMES // frames) items (4 crops of 128 frames).
-MICRO_BATCH_FRAMES = 512
+# max(1, MICRO_BATCH_FRAMES // frames) items (2 crops of 128 frames).
+MICRO_BATCH_FRAMES = 256
 
 
 class TrainMode(enum.Enum):
@@ -220,33 +226,38 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.final_lr + (cfg.peak_lr - cfg.final_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def clip_global_norm(grads: dict, max_norm: float | None):
-    """Scale all gradients so the joint L2 norm is at most max_norm.
+def clip_global_norm(grads: dict, max_norm: float | None) -> tuple[float, float]:
+    """The factor that scales all gradients to a joint L2 norm of at most
+    max_norm, and that norm.
 
-    A non-finite norm is returned with the gradients unscaled, for the
-    caller to refuse (`apply_gradients` does): scaling by max_norm / inf
-    would only turn every entry into 0 or NaN.
+    The factor is 1.0 when max_norm is None or the norm is within it. A
+    non-finite norm is returned with factor 1.0, for the caller to refuse
+    (`apply_gradients` does): scaling by max_norm / inf would only turn
+    every entry into 0 or NaN.
     """
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm is not None and max_norm < norm < math.inf:
-        scale = max_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads, norm
+        return max_norm / norm, norm
+    return 1.0, norm
 
 
 def adam_update(params: dict, grads: dict, m: dict, v: dict,
-                lr: float, t: int) -> None:
-    """One bias-corrected Adam step, in place. t counts updates from 1.
+                lr: float, t: int, scale: float = 1.0) -> None:
+    """One bias-corrected Adam step on the gradients times `scale` (the clip
+    factor of `clip_global_norm`), in place. t counts updates from 1.
 
     `params`, `m` and `v` are updated in place, in the operation order of
     the textbook formula, so the result is bit-identical to it; `grads` is
-    only read.
+    only read. Each segment is scaled into a temporary of its own size, so
+    no scaled copy of all the gradients is built.
     """
     if t < 1:
         raise ValueError("Adam step index starts at 1")
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for k, g in grads.items():
+        if scale != 1.0:
+            g = g * scale
         mk, vk = m[k], v[k]
         mk *= ADAM_BETA1
         mk += (1.0 - ADAM_BETA1) * g
@@ -261,45 +272,49 @@ def adam_update(params: dict, grads: dict, m: dict, v: dict,
         params[k] -= step
 
 
-def _stack(items: list) -> np.ndarray:
-    """Stack per-item arrays of one shape into a batch array.
+def _forward_backward(model: VectorFieldModel, count: int, item) -> tuple[float, dict]:
+    """`cfm_loss` of `count` items and its parameter gradients, one slice at
+    a time.
 
-    Empties `items`, so each per-item array is freed once it is stacked.
+    `item(i)` builds item i's (x_t, condition, t, target, frame mask or
+    None), and is called only as the slice in progress fills: a slice holds
+    max(1, MICRO_BATCH_FRAMES // frames) items, sized from the first item's
+    frames, and an item whose feature shape is not the first item's is
+    refused as it is built. Each slice is stacked, recorded, scored and
+    differentiated, and its inputs, prediction, tape and `dpred` are freed
+    before the next slice's first item is built. So a step holds one
+    slice's inputs, one tape (which `backward` releases layer by layer) and
+    one gradient dict, whatever the batch. The loss is a mean over items, so
+    a slice's loss and `dpred` are weighted by its share n_slice / count of
+    the batch, and the first slice's gradient dict accumulates the others in
+    slice order. A batch that fits in one slice is one pass, unweighted.
     """
-    shapes = sorted({a.shape for a in items})
-    if len(shapes) > 1:
-        raise ValueError(f"batch items differ in feature shape: {shapes}")
-    stacked = np.stack(items)
-    items.clear()
-    return stacked
-
-
-def _forward_backward(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
-                      t: np.ndarray, target: np.ndarray,
-                      frame_mask: np.ndarray | None = None) -> tuple[float, dict]:
-    """`cfm_loss` of one batch and its parameter gradients, in slices.
-
-    Each slice of max(1, MICRO_BATCH_FRAMES // frames) items is recorded,
-    scored and differentiated on its own, and its prediction, tape and
-    `dpred` are freed before the next slice is recorded. The loss is a mean
-    over items, so a slice's loss and `dpred` are weighted by its share of
-    the batch, and the first slice's gradient dict accumulates the others
-    in slice order. A batch that fits in one slice is one pass, unweighted.
-    """
-    batch, _, frames = x_t.shape
-    size = max(1, MICRO_BATCH_FRAMES // frames)
-    loss, grads = 0.0, None
-    for start in range(0, batch, size):
-        sel = slice(start, start + size)
-        weight = len(t[sel]) / batch
-        pred, tape = forward_batch(model, x_t[sel], cond[sel], t[sel], record=True)
-        part, dpred = cfm_loss(pred, target[sel],
-                               None if frame_mask is None else frame_mask[sel])
-        del pred
+    if count < 1:
+        raise ValueError("empty batch")
+    loss, grads, part = 0.0, None, []
+    for i in range(count):
+        part.append(item(i))
+        if i == 0:
+            shape = part[0][0].shape
+            size = max(1, MICRO_BATCH_FRAMES // shape[-1])
+        elif part[-1][0].shape != shape:
+            raise ValueError(f"batch items differ in feature shape: "
+                             f"{shape}, {part[-1][0].shape}")
+        if len(part) < size and i < count - 1:
+            continue
+        x_t, cond, t, target, masks = zip(*part)
+        part = []
+        weight = len(t) / count
+        pred, tape = forward_batch(model, np.stack(x_t), np.stack(cond), np.array(t),
+                                   record=True)
+        del x_t, cond
+        part_loss, dpred = cfm_loss(pred, np.stack(target),
+                                    None if masks[0] is None else np.stack(masks))
+        del pred, target, masks
         dpred *= weight
         part_grads = backward(model, tape, dpred)
         del tape, dpred
-        loss += weight * part
+        loss += weight * part_loss
         if grads is None:
             grads = part_grads
         else:
@@ -309,28 +324,22 @@ def _forward_backward(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray
     return loss, grads
 
 
-def _gradients(state: TrainState, items) -> tuple[float, dict]:
-    """The one training-step body: `cfm_loss` gradients over `items`.
+def _gradients(state: TrainState, batch: list, build) -> tuple[float, dict]:
+    """The one training-step body: `cfm_loss` gradients over `batch`.
 
-    `items` yields each item's (x1, condition, frame mask or None); the
-    item's (t, x0) is drawn as soon as it is built, so the rng order is the
-    item builder's draws, then (t, x0), item by item. The batch is stacked
-    and run through `_forward_backward`, with the frame masks as the loss
-    support when the items give them.
+    `build(element)` gives a batch element's (x1, condition, frame mask or
+    None); the item's (t, x0) is drawn as soon as it is built, so the rng
+    order is the builder's draws, then (t, x0), item by item
+    (`forward_batch` draws nothing). `_forward_backward` builds the items
+    one slice at a time, with the frame masks as the loss support when the
+    builder gives them.
     """
-    x_t, cond, t, target, flags = [], [], [], [], []
-    for x1, condition, mask in items:
+    def item(i):
+        x1, condition, mask = build(batch[i])
         tup = sample_training_tuple(x1, FlowPathConfig(), state.rng)
-        x_t.append(tup.x_t)
-        cond.append(condition)
-        t.append(tup.t)
-        target.append(tup.target)
-        if mask is not None:
-            flags.append(mask)
-    if not t:
-        raise ValueError("empty batch")
-    return _forward_backward(state.model, _stack(x_t), _stack(cond), np.array(t),
-                             _stack(target), _stack(flags) if flags else None)
+        return tup.x_t, condition, tup.t, tup.target, mask
+
+    return _forward_backward(state.model, len(batch), item)
 
 
 def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
@@ -343,16 +352,15 @@ def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
     """
     cfg = state.config
 
-    def items():
-        for grid in batch:
-            mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
-                               state.rng)
-            condition = maybe_drop_condition(apply_mask(grid, mask),
-                                             cfg.dropout_prob, state.rng)
-            yield (grid.values, condition.values,
-                   mask if cfg.loss_support is LossSupport.MASKED_ONLY else None)
+    def build(grid):
+        mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
+                           state.rng)
+        condition = maybe_drop_condition(apply_mask(grid, mask),
+                                         cfg.dropout_prob, state.rng)
+        return (grid.values, condition.values,
+                mask if cfg.loss_support is LossSupport.MASKED_ONLY else None)
 
-    return _gradients(state, items())
+    return _gradients(state, batch, build)
 
 
 def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
@@ -370,20 +378,19 @@ def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
     if cfg.task is None:
         raise ValueError("finetuning requires a task in the config")
 
-    def items():
-        for pair in batch:
-            if pair.degraded is None:
-                raise ValueError("finetuning requires degraded/clean pairs")
-            condition = build_condition(cfg.task, pair.degraded, stft_params,
-                                        compression, reference=pair.reference)
-            x1 = build_condition(cfg.task, pair.clean, stft_params, compression,
-                                 reference=pair.reference)
-            if x1.values.shape != condition.values.shape:
-                raise ValueError(f"target features {x1.values.shape} != condition "
-                                 f"features {condition.values.shape}")
-            yield x1.values, condition.values, None
+    def build(pair):
+        if pair.degraded is None:
+            raise ValueError("finetuning requires degraded/clean pairs")
+        condition = build_condition(cfg.task, pair.degraded, stft_params,
+                                    compression, reference=pair.reference)
+        x1 = build_condition(cfg.task, pair.clean, stft_params, compression,
+                             reference=pair.reference)
+        if x1.values.shape != condition.values.shape:
+            raise ValueError(f"target features {x1.values.shape} != condition "
+                             f"features {condition.values.shape}")
+        return x1.values, condition.values, None
 
-    return _gradients(state, items())
+    return _gradients(state, batch, build)
 
 
 def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:
@@ -397,12 +404,12 @@ def apply_gradients(state: TrainState, loss: float, grads: dict) -> float:
         raise RuntimeError(f"non-finite loss {loss!r} at step {state.step}; "
                            "aborting before the parameters are poisoned")
     lr = lr_schedule(state.step, state.config)
-    grads, norm = clip_global_norm(grads, state.config.clip_norm)
+    scale, norm = clip_global_norm(grads, state.config.clip_norm)
     if not math.isfinite(norm):
         raise RuntimeError(f"non-finite gradient norm {norm!r} at step {state.step}; "
                            "aborting before the parameters are poisoned")
     adam_update(state.model.params, grads, state.adam_m, state.adam_v,
-                lr, state.step + 1)
+                lr, state.step + 1, scale)
     state.step += 1
     state.loss_count += 1
     state.loss_sum += loss

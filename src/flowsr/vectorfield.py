@@ -36,7 +36,7 @@ replays each block's probabilities from them, bit for bit, one block at a
 time. So a recorded pass and its backward hold memory linear in frames: one
 16 s crop (2001 frames) at the defaults peaks at about 115 MiB, where taping
 every probability block took about 500 MiB. Training also records slices of
-about `training.MICRO_BATCH_FRAMES` frames (four 128-frame crops), not the
+about `training.MICRO_BATCH_FRAMES` frames (two 128-frame crops), not the
 whole batch.
 
 The attention and feed-forward branches of a block are each one function

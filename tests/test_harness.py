@@ -309,6 +309,22 @@ def test_synth_corpus_rejects_bad_count(tmp_path):
         synth_toy_corpus(TaskKind.DENOISE, 0, np.random.default_rng(0), tmp_path)
 
 
+def test_synth_corpus_checks_its_rate_against_the_task_cutoffs(tmp_path):
+    """The 4 kHz noise floor of every task's voices needs a rate above
+    8000 Hz: codec restoration at 8000 Hz is refused before anything is
+    written. Bandwidth extension, with no noise cutoff of its own, runs at
+    10000 Hz, where denoising is refused (see the CLI test)."""
+    out_dir = tmp_path / "codec"
+    with pytest.raises(ValueError, match="sample rate 8000 Hz .* needs a rate "
+                       "above 8000 Hz"):
+        synth_toy_corpus(TaskKind.CODEC_RESTORE, 2, np.random.default_rng(0), out_dir,
+                         sample_rate=8000)
+    assert not out_dir.exists()
+    manifest = synth_toy_corpus(TaskKind.BANDWIDTH_EXTEND, 1, np.random.default_rng(0),
+                                tmp_path / "bwe", sample_rate=10000)
+    assert read_wav(load_manifest(manifest)[0].clean_path).sample_rate == 10000
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -331,6 +347,20 @@ def test_cli_enhance_rejects_extraction_task(tmp_path, capsys):
                        "--model", "m.npz", "--task", "target_speaker_extract"])
     assert rc == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [8000, 10000])
+def test_cli_synth_data_refuses_a_low_rate_before_writing(tmp_path, capsys, rate):
+    """`synth-data --task denoise` at a `sample_rate` of 8000 or 10000 Hz
+    exits 1 naming the rate and the 12000 Hz minimum, and creates no
+    directory or file."""
+    config = write_config(tmp_path, {"sample_rate": str(rate)})
+    out_dir = tmp_path / "corpus"
+    assert cli_dispatch(["synth-data", "--task", "denoise", "--count", "3",
+                         "--out-dir", str(out_dir), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"sample rate {rate} Hz" in err and "above 12000 Hz" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_cli_synth_then_evaluate_baseline(tmp_path, capsys):

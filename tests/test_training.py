@@ -111,16 +111,19 @@ def test_adam_converges_on_quadratic():
 
 
 def test_clip_global_norm():
+    """The factor scales the gradients to the clip norm, and is 1.0 within
+    the norm and without clipping."""
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
-    clipped, norm = clip_global_norm(grads, 1.0)
+    scale, norm = clip_global_norm(grads, 1.0)
     assert norm == pytest.approx(5.0)
+    clipped = {k: g * scale for k, g in grads.items()}
     total = np.sqrt(sum(float(np.sum(g**2)) for g in clipped.values()))
     assert total == pytest.approx(1.0)
     same, norm2 = clip_global_norm(grads, 10.0)
     assert norm2 == pytest.approx(5.0)
-    assert np.array_equal(same["a"], grads["a"])
+    assert same == 1.0 and np.array_equal(grads["a"] * same, grads["a"])
     untouched, _ = clip_global_norm(grads, None)
-    assert np.array_equal(untouched["b"], grads["b"])
+    assert untouched == 1.0 and np.array_equal(grads["b"] * untouched, grads["b"])
 
 
 def test_adam_update_is_the_textbook_formula_bit_for_bit():
@@ -153,16 +156,29 @@ def test_adam_update_is_the_textbook_formula_bit_for_bit():
 
 @pytest.mark.parametrize("clip_norm", [1.0, None])
 def test_apply_gradients_leaves_grads_unchanged(clip_norm):
+    """`apply_gradients` passes the clip factor to `adam_update`, which
+    scales each segment on its own: on a clipped step (norm above 1) and an
+    unclipped one, the parameters and moments equal scaling every gradient
+    first and then taking the Adam step, bit for bit, and the caller's
+    gradients are unchanged."""
     state = tiny_state(seed=11, clip_norm=clip_norm, warmup_steps=0)
     rng = np.random.default_rng(73)
     grads = {k: rng.standard_normal(p.shape) for k, p in state.model.params.items()}
     seen = {k: g.copy() for k, g in grads.items()}
     _, norm = clip_global_norm(grads, clip_norm)
     assert norm > 1.0  # so the clipped case really clips
+    clipped = {k: g * (clip_norm / norm) for k, g in seen.items()} if clip_norm else seen
     before = {k: p.copy() for k, p in state.model.params.items()}
+    ref_p, ref_m, ref_v = ({k: a.copy() for k, a in d.items()}
+                           for d in (state.model.params, state.adam_m, state.adam_v))
+    adam_update(ref_p, clipped, ref_m, ref_v, lr_schedule(0, state.config), 1)
     apply_gradients(state, 1.0, grads)
     assert all(np.array_equal(grads[k], seen[k]) for k in grads)
     assert any(not np.array_equal(state.model.params[k], before[k]) for k in before)
+    for k in grads:
+        assert np.array_equal(state.model.params[k], ref_p[k]), k
+        assert np.array_equal(state.adam_m[k], ref_m[k]), k
+        assert np.array_equal(state.adam_v[k], ref_v[k]), k
 
 
 def replay_pretrain_loss(cfg, grids, seed, support):
@@ -292,9 +308,9 @@ def test_finetune_micro_batches_match_one_pass(monkeypatch):
 
 
 def test_training_step_memory_does_not_grow_with_the_batch():
-    """A step records one slice at a time, so quadrupling the batch from 8
-    to 32 crops of 128 frames adds only the stacked inputs (a whole-batch
-    tape would grow about fourfold)."""
+    """A step builds and records one slice at a time, so quadrupling the
+    batch from 8 to 32 crops of 128 frames adds next to nothing (a
+    whole-batch tape would grow about fourfold)."""
     config = ModelConfig(num_layers=2, model_dim=32, num_heads=2,
                          feature_channels=8, time_embed_dim=16, feedforward_dim=64)
 
@@ -313,12 +329,46 @@ def test_training_step_memory_does_not_grow_with_the_batch():
     assert peak_mib(32) < 1.25 * peak_mib(8)
 
 
+def test_gate_config_step_peak_holds_one_slice():
+    """A `finetune_gradients` step at the acceptance gate's config (window
+    126, hop 63, feed-forward 512; 128-frame crops, two per slice) on random
+    0.5 s pairs peaks at or under 34 MiB under tracemalloc (about 30.2 MiB;
+    54.5 MiB when the whole batch was stacked before slicing), and 64 crops
+    peak within 5 % of 16: items are built slice by slice, so nothing but
+    the step's count grows with the batch."""
+    config = ModelConfig(feature_channels=128, feedforward_dim=512)
+    stft_params, compression = StftParams(126, 63), CompressionParams(scale=8.0)
+    cfg = TrainConfig.for_mode(TrainMode.SCRATCH, task=TaskKind.DENOISE)
+
+    def peak_mib(items):
+        state = init_train_state(init_parameters(config, np.random.default_rng(0)), cfg)
+        rng = np.random.default_rng(items)
+        pairs = []
+        for _ in range(items):
+            clean = AudioSignal(rng.uniform(-0.5, 0.5, 8000), 16000)
+            pairs.append(TrainPair(clean=clean, degraded=AudioSignal(
+                clean.samples + 0.1 * rng.standard_normal(8000), 16000)))
+        assert features_from_audio(pairs[0].clean, stft_params,
+                                   compression).values.shape == (128, 128)
+        tracemalloc.start()
+        try:
+            finetune_gradients(state, pairs, stft_params, compression)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    sixteen = peak_mib(16)
+    assert sixteen <= 34.0
+    assert peak_mib(64) <= 1.05 * sixteen
+
+
 def test_paper_length_pretraining_step_within_a_bounded_peak():
     """One `masked_only` pretraining step of the default model on 4 crops of
     4 s at the default frontend (501 frames each), its zero-initialized
     segments filled: the loss and gradients are finite, and the tracemalloc
-    peak stays at or under 90 MiB (about 82.5 MiB; 119.4 MiB when attention
-    taped its probabilities)."""
+    peak stays at or under 90 MiB (about 55.1 MiB; 82.5 MiB when the whole
+    batch was stacked before slicing, 119.4 MiB when attention taped its
+    probabilities)."""
     config = ModelConfig()
     model = init_parameters(config, np.random.default_rng(44))
     rng = np.random.default_rng(45)
@@ -750,6 +800,69 @@ def test_mixed_shape_batch_is_refused():
     assert shapes[0] != shapes[1]
     with pytest.raises(ValueError, match=re.escape(f"{shapes[0]}, {shapes[1]}")):
         finetune_gradients(state, pairs, SMALL_STFT, CompressionParams())
+
+
+def _assert_refused_without_state_change(state, gradients, match):
+    """`gradients()` raises ValueError matching `match`, and the parameters,
+    moments, step and loss counters are as they were."""
+    arrays = (state.model.params, state.adam_m, state.adam_v)
+    before = [{k: a.copy() for k, a in d.items()} for d in arrays]
+    counters = (state.step, state.loss_count, state.loss_sum)
+    with pytest.raises(ValueError, match=match):
+        gradients()
+    assert (state.step, state.loss_count, state.loss_sum) == counters
+    for d, saved in zip(arrays, before):
+        assert all(np.array_equal(d[k], saved[k]) for k in saved)
+
+
+def test_mixed_shape_batch_in_a_later_slice_is_refused_without_state_change(
+        monkeypatch):
+    """With one item per slice, an item of another shape is refused after the
+    first slice was recorded, naming the first item's shape and its own,
+    and the train state is unchanged (past one applied step, so the moments
+    are not zero)."""
+    monkeypatch.setattr(training, "MICRO_BATCH_FRAMES", 1)
+    state = randomized_state(TINY, TrainConfig(warmup_steps=0), seed=22)
+    rng = np.random.default_rng(23)
+    apply_gradients(state, 1.0, {k: rng.standard_normal(p.shape)
+                                 for k, p in state.model.params.items()})
+    grids = [FeatureGrid(rng.standard_normal((8, n))) for n in (20, 20, 24)]
+    recorded = []
+    record = training.forward_batch
+    monkeypatch.setattr(training, "forward_batch",
+                        lambda *a, **k: recorded.append(1) or record(*a, **k))
+    _assert_refused_without_state_change(
+        state, lambda: pretrain_gradients(state, grids),
+        r"batch items differ in feature shape: \(8, 20\), \(8, 24\)")
+    assert len(recorded) == 2
+
+
+def test_empty_batch_is_refused_without_state_change():
+    state = randomized_state(TINY, TrainConfig(), seed=24)
+    _assert_refused_without_state_change(
+        state, lambda: pretrain_gradients(state, []), "empty batch")
+    cfg = TrainConfig.for_mode(TrainMode.FINETUNE, task=TaskKind.DENOISE)
+    state = randomized_state(SMALL_MODEL, cfg, seed=25)
+    _assert_refused_without_state_change(
+        state, lambda: finetune_gradients(state, [], SMALL_STFT, CompressionParams()),
+        "empty batch")
+
+
+def test_slicing_leaves_the_rng_where_one_pass_does(monkeypatch):
+    """Building items slice by slice keeps the draw order: a pretraining step
+    in slices of one item and in one slice of the whole batch leaves the
+    same generator state."""
+    rng = np.random.default_rng(26)
+    grids = [FeatureGrid(rng.standard_normal((8, 20))) for _ in range(5)]
+    cfg = TrainConfig(dropout_prob=0.3, seed=27)
+    states = []
+    for frames_per_slice in (20, 5 * 20):
+        monkeypatch.setattr(training, "MICRO_BATCH_FRAMES", frames_per_slice)
+        state = randomized_state(TINY, cfg, 28)
+        pretrain_gradients(state, grids)
+        states.append(state.rng.bit_generator.state)
+    assert states[0] == states[1]
+    assert states[0] != np.random.default_rng(cfg.seed).bit_generator.state
 
 
 @pytest.mark.parametrize("fn", [generate, finetune_gradients, run_training,

@@ -867,7 +867,9 @@ def test_gradients_match_complex_step(monkeypatch, case):
         grads = backward(model, tape, dpred)
     else:
         monkeypatch.setattr(training, "MICRO_BATCH_FRAMES", slice_frames)
-        loss, grads = training._forward_backward(model, x, cond, t, target, mask)
+        loss, grads = training._forward_backward(
+            model, batch,
+            lambda i: (x[i], cond[i], t[i], target[i], None if mask is None else mask[i]))
 
     def complex_loss(params):
         return analytic_cfm_loss(dense_forward(VectorFieldModel(config, params),

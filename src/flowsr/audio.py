@@ -1,9 +1,10 @@
-"""Mono audio container and 16-bit PCM WAV file I/O."""
+"""Mono audio container and 16-bit PCM WAV file I/O (stdlib `wave`)."""
 
 import dataclasses
+import os
+import wave
 
 import numpy as np
-from scipy.io import wavfile
 
 PCM16_SCALE = 32767.0
 
@@ -41,21 +42,32 @@ def read_wav(path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file.
 
     Arbitrary sample rates are accepted and recorded on the returned
-    signal. Multi-channel files are rejected.
+    signal. Multi-channel files, other sample widths and formats that the
+    stdlib `wave` does not read as PCM (float, and WAVE_FORMAT_EXTENSIBLE
+    before Python 3.12) are rejected as ValueErrors.
     """
-    rate, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels "
-                         f"(shape {data.shape})")
-    if data.dtype != np.int16:
-        raise ValueError(f"{path}: expected 16-bit PCM, got dtype {data.dtype}")
-    return AudioSignal(data.astype(np.float64) / PCM16_SCALE, rate)
+    try:
+        with wave.open(os.fspath(path), "rb") as fh:
+            channels, width = fh.getnchannels(), fh.getsampwidth()
+            if channels != 1:
+                raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+            if width != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
+            rate, frames = fh.getframerate(), fh.readframes(fh.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: expected a 16-bit PCM WAV file "
+                         f"({str(exc) or 'it ends early'})") from None
+    return AudioSignal(np.frombuffer(frames, dtype="<i2") / PCM16_SCALE, rate)
 
 
 def write_wav(path, signal: AudioSignal) -> int:
     """Write a signal as mono 16-bit PCM. Samples are clipped to [-1, 1];
     returns the number of samples that were outside it."""
     clipped = np.clip(signal.samples, -1.0, 1.0)
-    pcm = np.round(clipped * PCM16_SCALE).astype(np.int16)
-    wavfile.write(path, signal.sample_rate, pcm)
+    pcm = np.round(clipped * PCM16_SCALE).astype("<i2")
+    with wave.open(os.fspath(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(signal.sample_rate)
+        fh.writeframes(pcm.tobytes())
     return int(np.count_nonzero(clipped != signal.samples))

@@ -1,18 +1,23 @@
 """Command-line driver: corpus synthesis, manifests, training commands,
-restoration commands, and evaluation.
+the restore command, and evaluation.
 
-Subcommands: synth-data, pretrain, finetune, enhance, extract, evaluate.
-`--seed` and `--config` are accepted by every subcommand; config files are
-flat `key = value` text addressing any RunConfig field, and every override
-is echoed to the run log. `pretrain` and `finetune` share one body and
-one set of training flags; `enhance` and `extract` share one restore body,
-`extract` fixing the task and adding the reference prompt.
+Subcommands: synth-data, pretrain, finetune, enhance, evaluate. `--seed`
+and `--config` are accepted by every subcommand; config files are flat
+`key = value` text addressing any RunConfig field, and every override is
+echoed to the run log. `pretrain` and `finetune` share one body and one set
+of training flags.
+
+The task is stated once, where it is recorded: `finetune` trains the task
+its manifest's records name (a manifest that mixes tasks is refused), and
+`enhance` restores for the task its checkpoint was trained on, with the
+`--reference` prompt exactly when that task is target_speaker_extract; a
+pretraining checkpoint has no task and is refused.
 
 Training commands write a `training.save_checkpoint` file at exactly their
-`--out` path; `--resume` reads all of one, while `finetune --init`, `enhance`
-and `extract` read only its model (`training.load_model`). `--resume` and
-`--init` refuse a checkpoint whose model config differs from the run's,
-naming each differing field, and `enhance`/`extract` one whose feature
+`--out` path; `--resume` reads all of one, while `finetune --init` and
+`enhance` read only its model and configs (`training.load_model`).
+`--resume` and `--init` refuse a checkpoint whose model config differs from
+the run's, naming each differing field, and `enhance` one whose feature
 width is not the run's (`_refuse_another_model`). Every command refuses an
 output path (`--out`, `--log`, `--report`) whose directory does not exist
 before it reads any input, and the training commands check their training
@@ -459,22 +464,17 @@ def _refuse_another_model(config: ModelConfig, source, cfg: RunConfig,
                          f"run config: {mismatch}")
 
 
-def _load_dataset(manifest_path, rate: int, need_degraded: bool) -> WaveformDataset:
-    records = load_manifest(manifest_path)
-    if not records:
-        raise ValueError(f"manifest {manifest_path} is empty")
+def _load_dataset(records: list, rate: int, need_degraded: bool) -> WaveformDataset:
+    """The records' clean sides, with their degraded sides and references
+    when `need_degraded` (finetuning)."""
+    read = lambda path: None if path is None else _read_wav_at(path, rate)
     pairs = []
     for rec in records:
-        degraded = None
-        reference = None
-        if need_degraded:
-            if rec.degraded_path is None:
-                raise ValueError(f"record {rec.id}: no degraded_path for finetuning")
-            degraded = _read_wav_at(rec.degraded_path, rate)
-            if rec.reference_path is not None:
-                reference = _read_wav_at(rec.reference_path, rate)
-        pairs.append(TrainPair(clean=_read_wav_at(rec.clean_path, rate),
-                               degraded=degraded, reference=reference))
+        if need_degraded and rec.degraded_path is None:
+            raise ValueError(f"record {rec.id}: no degraded_path for finetuning")
+        pairs.append(TrainPair(clean=read(rec.clean_path),
+                               degraded=read(rec.degraded_path) if need_degraded else None,
+                               reference=read(rec.reference_path) if need_degraded else None))
     return WaveformDataset(pairs)
 
 
@@ -488,31 +488,36 @@ def _cmd_synth_data(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    """Shared body of `pretrain` (no task) and `finetune` (a task, warm-started
-    from the checkpoint given with --init, else trained from scratch)."""
+    """Shared body of `pretrain` (no task) and `finetune`, which trains the
+    one task its manifest's records name, warm-started from the checkpoint
+    given with --init, else from scratch. A manifest that mixes tasks is
+    refused for finetuning, naming them, before any WAV is read."""
     _require_directory(args.out, "checkpoint")
     _require_directory(args.log, "log")
     cfg = _run_config(args)
-    task = TaskKind(args.task) if args.task else None
-    if task is None:
-        mode = TrainMode.PRETRAIN
-    elif args.init:
-        mode = TrainMode.FINETUNE
-    else:
-        mode = TrainMode.SCRATCH
+    records = load_manifest(args.manifest)
+    if not records:
+        raise ValueError(f"manifest {args.manifest} is empty")
+    task, mode = None, TrainMode.PRETRAIN
+    if args.command == "finetune":
+        tasks = sorted({rec.task.value for rec in records})
+        if len(tasks) > 1:
+            raise ValueError(f"manifest {args.manifest} mixes the tasks "
+                             f"{', '.join(tasks)}; finetuning trains one")
+        task = records[0].task
+        mode = TrainMode.FINETUNE if args.init else TrainMode.SCRATCH
     train_cfg = cfg.train_config(mode, task=task)
     resumed = args.resume and Path(args.out).exists()
     source = args.out if resumed else args.init
     if resumed:
         state = load_checkpoint(source, expected=train_cfg)
     else:
-        model = load_model(source) if source else init_parameters(
+        model = load_model(source)[0] if source else init_parameters(
             cfg.model_config(), np.random.default_rng(cfg.seed))
         state = init_train_state(model, train_cfg)
     if source:
         _refuse_another_model(state.model.config, source, cfg)
-    dataset = _load_dataset(args.manifest, cfg.sample_rate,
-                            need_degraded=task is not None)
+    dataset = _load_dataset(records, cfg.sample_rate, need_degraded=task is not None)
     if resumed:
         print(f"resuming from step {state.step}")
     state = run_training(state, dataset, cfg.stft_params(), cfg.compression(),
@@ -524,16 +529,25 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_restore(args) -> None:
-    """Shared body of `enhance` and `extract`. `extract` fixes the task to
-    target_speaker_extract and adds the --reference prompt, which is None
-    for `enhance`. A model whose feature width is not the run frontend's is
-    refused before any WAV is read. Samples `write_wav` clips are counted
-    on stderr."""
+    """`enhance`: restore one recording for the task the checkpoint was
+    trained on, read from its training config. Before any WAV is read, it
+    refuses a model whose feature width is not the run frontend's, a
+    pretraining checkpoint (which has no task), and --reference given to a
+    checkpoint of another task than target_speaker_extract or missing for
+    one of it. Samples `write_wav` clips are counted on stderr."""
     _require_directory(args.out, "output")
     cfg = _run_config(args)
-    model = load_model(args.model)
+    model, trained = load_model(args.model)
     _refuse_another_model(model.config, args.model, cfg, fields=("feature_channels",))
-    task = TaskKind(args.task)
+    task = trained.task
+    if task is None:
+        raise ValueError(f"{args.model} is a {trained.mode.value} checkpoint, "
+                         "which has no task to restore; finetune it first")
+    extract = task is TaskKind.TARGET_SPEAKER_EXTRACT
+    if extract != (args.reference is not None):
+        raise ValueError(f"{args.model} is a {task.value} checkpoint: --reference is "
+                         f"{'required' if extract else 'refused'}, since only "
+                         "target_speaker_extract restores with a reference prompt")
     degraded = _read_wav_at(args.in_path, cfg.sample_rate)
     reference = (None if args.reference is None
                  else _read_wav_at(args.reference, cfg.sample_rate))
@@ -604,32 +618,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", parents=[train],
                        help="masked-condition pretraining on clean audio")
-    p.set_defaults(func=_cmd_train, task=None, init=None)
+    p.set_defaults(func=_cmd_train, init=None)
 
     p = sub.add_parser("finetune", parents=[train],
-                       help="task-condition training (from scratch without --init)")
-    p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
+                       help="training on the manifest's task "
+                            "(from scratch without --init)")
     p.add_argument("--init", default=None, help="warm-start checkpoint")
     p.set_defaults(func=_cmd_train)
 
-    restore = argparse.ArgumentParser(add_help=False, parents=[common])
-    restore.add_argument("--out", required=True)
-    restore.add_argument("--model", required=True)
-
-    p = sub.add_parser("enhance", parents=[restore],
-                       help="restore one degraded recording")
+    p = sub.add_parser("enhance", parents=[common],
+                       help="restore one recording for the checkpoint's task")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--task", default=TaskKind.DENOISE.value,
-                   choices=[t.value for t in TaskKind
-                            if t is not TaskKind.TARGET_SPEAKER_EXTRACT])
-    p.set_defaults(func=_cmd_restore, reference=None)
-
-    p = sub.add_parser("extract", parents=[restore],
-                       help="extract the speaker matching a reference prompt")
-    p.add_argument("--mixture", dest="in_path", metavar="MIXTURE", required=True)
-    p.add_argument("--reference", required=True)
-    p.set_defaults(func=_cmd_restore,
-                   task=TaskKind.TARGET_SPEAKER_EXTRACT.value)
+    p.add_argument("--out", required=True)
+    p.add_argument("--model", required=True)
+    p.add_argument("--reference", default=None,
+                   help="target speaker's prompt (target_speaker_extract only)")
+    p.set_defaults(func=_cmd_restore)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="score manifest estimates against clean references")

@@ -33,8 +33,9 @@ about 115 MiB, and one pretraining step on four 4 s crops at about 55 MiB.
 
 `save_checkpoint` / `load_checkpoint` define the package's one checkpoint
 format, "flowsr-train-v1": the full TrainState. Resuming reads all of it;
-warm starts and the restoration commands read only its parameters
-(`load_model`), checked the same way.
+warm starts and restoration read only its parameters and configs
+(`load_model`), checked the same way, and restoration takes its task from
+the training config.
 """
 
 import dataclasses
@@ -82,7 +83,9 @@ class TrainConfig:
     Loss support selects whether the pretraining objective averages over all
     frames or only masked ones; finetuning always uses all frames (there is
     no mask). Scratch mode trains with task conditions from a random
-    initialization and otherwise behaves like finetuning.
+    initialization and otherwise behaves like finetuning. Pretraining has no
+    task and the other modes one each, so a checkpoint's task says whether
+    and what it restores.
     """
 
     mode: TrainMode = TrainMode.PRETRAIN
@@ -122,8 +125,9 @@ class TrainConfig:
             raise ValueError("dropout_prob must lie in [0, 1]")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive (or None to disable)")
-        if self.mode in (TrainMode.FINETUNE, TrainMode.SCRATCH) and self.task is None:
-            raise ValueError(f"{self.mode.value} mode requires a task")
+        if (self.task is None) != (self.mode is TrainMode.PRETRAIN):
+            raise ValueError(f"pretrain mode takes no task, got {self.task.value}"
+                             if self.task else f"{self.mode.value} mode requires a task")
 
     @property
     def batch_items(self) -> int:
@@ -131,12 +135,12 @@ class TrainConfig:
 
     @classmethod
     def for_mode(cls, mode: TrainMode, task: TaskKind | None = None, **kwargs):
-        """Mode-appropriate learning-rate defaults."""
+        """Mode-appropriate learning-rate defaults; pretraining takes the
+        dataclass's own."""
         rates = {
-            TrainMode.PRETRAIN: dict(peak_lr=5e-5, final_lr=1e-5),
             TrainMode.FINETUNE: dict(peak_lr=2e-5, final_lr=1e-8),
             TrainMode.SCRATCH: dict(peak_lr=1e-4, final_lr=1e-8),
-        }[mode]
+        }.get(mode, {})
         rates.update(kwargs)
         return cls(mode=mode, task=task, **rates)
 
@@ -556,11 +560,17 @@ def save_checkpoint(state: TrainState, path) -> None:
         raise
 
 
-def _checkpoint_model_config(data, path) -> ModelConfig:
-    """The model config of an opened checkpoint, after its format tag."""
+def _checkpoint_configs(data, path) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of an opened checkpoint, after its
+    format tag. A training config that `TrainConfig` refuses (such as a
+    pretraining task, which older code wrote) is refused naming the file."""
     if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_TAG:
         raise ValueError(f"{path}: not a recognized training checkpoint")
-    return ModelConfig(**json.loads(str(data["__model_config__"])))
+    try:
+        train_config = _train_config_from_dict(json.loads(str(data["__train_config__"])))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ModelConfig(**json.loads(str(data["__model_config__"]))), train_config
 
 
 def _checkpoint_segments(data, path, prefix: str, config: ModelConfig) -> dict:
@@ -580,22 +590,21 @@ def _checkpoint_segments(data, path, prefix: str, config: ModelConfig) -> dict:
     return arrays
 
 
-def load_model(path) -> VectorFieldModel:
-    """The model of a checkpoint, reading only its `param.*` arrays (the
-    Adam moments are two thirds of the file), checked as `load_checkpoint`
-    checks them."""
+def load_model(path) -> tuple[VectorFieldModel, TrainConfig]:
+    """The model of a checkpoint and the training config it was trained
+    under (whose mode and task say what it restores), reading only its
+    `param.*` arrays (the Adam moments are two thirds of the file), checked
+    as `load_checkpoint` checks them."""
     with np.load(path, allow_pickle=False) as data:
-        config = _checkpoint_model_config(data, path)
-        return VectorFieldModel(config=config,
-                                params=_checkpoint_segments(data, path, "param.", config))
+        config, train_config = _checkpoint_configs(data, path)
+        return VectorFieldModel(config=config, params=_checkpoint_segments(
+            data, path, "param.", config)), train_config
 
 
 def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
     """Restore a TrainState; optionally insist it matches an expected config."""
     with np.load(path, allow_pickle=False) as data:
-        model_config = _checkpoint_model_config(data, path)
-        train_config = _train_config_from_dict(
-            json.loads(str(data["__train_config__"])))
+        model_config, train_config = _checkpoint_configs(data, path)
         if expected is not None:
             mismatch = config_mismatch(_train_config_dict(train_config),
                                        _train_config_dict(expected))

@@ -48,6 +48,18 @@ def tone_wav(path, seconds=0.4, freq=440.0, rate=16000, seed=0):
     return sig
 
 
+def tiny_checkpoint(tmp_path, task=TaskKind.DENOISE, overrides=TINY, seed=0):
+    """A fresh model saved as a checkpoint trained for `task` (None: a
+    pretraining checkpoint), and the config file it was made under."""
+    cfg_path = write_config(tmp_path, overrides)
+    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
+    model = init_parameters(cfg.model_config(), np.random.default_rng(seed))
+    mode = TrainMode.PRETRAIN if task is None else TrainMode.SCRATCH
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(init_train_state(model, TrainConfig.for_mode(mode, task=task)), ckpt)
+    return cfg_path, ckpt
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -342,13 +354,6 @@ def test_cli_reports_runtime_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_enhance_rejects_extraction_task(tmp_path, capsys):
-    rc = cli_dispatch(["enhance", "--in", "x.wav", "--out", "y.wav",
-                       "--model", "m.npz", "--task", "target_speaker_extract"])
-    assert rc == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("rate", [8000, 10000])
 def test_cli_synth_data_refuses_a_low_rate_before_writing(tmp_path, capsys, rate):
     """`synth-data --task denoise` at a `sample_rate` of 8000 or 10000 Hz
@@ -428,11 +433,7 @@ def test_cli_evaluate_refuses_a_record_without_a_baseline(tmp_path, capsys):
 
 
 def test_cli_enhance_with_saved_model(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, TINY)
-    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
-    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
-    model_path = tmp_path / "model.npz"
-    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+    cfg_path, model_path = tiny_checkpoint(tmp_path)
     sig = tone_wav(tmp_path / "noisy.wav")
     rc = cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
                        "--out", str(tmp_path / "restored.wav"),
@@ -454,11 +455,7 @@ def test_cli_enhance_with_saved_model(tmp_path, capsys):
 
 
 def test_cli_refuses_wav_at_another_rate(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, TINY)
-    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
-    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
-    model_path = tmp_path / "model.npz"
-    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+    cfg_path, model_path = tiny_checkpoint(tmp_path)
     tone_wav(tmp_path / "narrow.wav", rate=8000)
     rc = cli_dispatch(["enhance", "--in", str(tmp_path / "narrow.wav"),
                        "--out", str(tmp_path / "never.wav"),
@@ -501,16 +498,15 @@ def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
     assert "pretrain to step 3" in out
 
     tuned = tmp_path / "tuned.npz"
-    rc = cli_dispatch(["finetune", "--task", "bandwidth_extend",
-                       "--manifest", manifest, "--out", str(tuned),
+    rc = cli_dispatch(["finetune", "--manifest", manifest, "--out", str(tuned),
                        "--init", str(ckpt), "--config", str(cfg_path)])
     assert rc == 0
     assert "finetune bandwidth_extend to step 3" in capsys.readouterr().out
 
     # a warm start must match the run's model config
     wide = write_config(tmp_path, {**TINY, "model_dim": "32"}, name="wide.cfg")
-    rc = cli_dispatch(["finetune", "--task", "bandwidth_extend",
-                       "--manifest", manifest, "--out", str(tmp_path / "x.npz"),
+    rc = cli_dispatch(["finetune", "--manifest", manifest,
+                       "--out", str(tmp_path / "x.npz"),
                        "--init", str(ckpt), "--config", str(wide)])
     assert rc == 1
     assert "does not match the run config" in capsys.readouterr().err
@@ -518,9 +514,9 @@ def test_cli_pretrain_finetune_enhance_pipeline(tmp_path, capsys):
     degraded = load_manifest(manifest)[0].degraded_path
     restored = tmp_path / "restored.wav"
     rc = cli_dispatch(["enhance", "--in", degraded, "--out", str(restored),
-                       "--model", str(tuned), "--task", "bandwidth_extend",
-                       "--config", str(cfg_path)])
+                       "--model", str(tuned), "--config", str(cfg_path)])
     assert rc == 0
+    assert "task bandwidth_extend" in capsys.readouterr().out
     assert len(read_wav(restored)) == len(read_wav(degraded))
 
 
@@ -542,14 +538,13 @@ def test_cli_resume_without_checkpoint_starts_a_fresh_log(tmp_path, capsys):
 
 
 def test_cli_extract_runs_tse_model(tmp_path):
-    cfg_path = write_config(tmp_path, TINY)
-    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
-    model = init_parameters(cfg.model_config(), np.random.default_rng(1))
-    model_path = tmp_path / "model.npz"
-    save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+    """A target_speaker_extract checkpoint restores through `enhance` with
+    the reference prompt."""
+    cfg_path, model_path = tiny_checkpoint(
+        tmp_path, TaskKind.TARGET_SPEAKER_EXTRACT, seed=1)
     tone_wav(tmp_path / "mix.wav", seconds=0.5, freq=300.0)
     tone_wav(tmp_path / "ref.wav", seconds=3.2, freq=300.0, seed=1)
-    rc = cli_dispatch(["extract", "--mixture", str(tmp_path / "mix.wav"),
+    rc = cli_dispatch(["enhance", "--in", str(tmp_path / "mix.wav"),
                        "--reference", str(tmp_path / "ref.wav"),
                        "--out", str(tmp_path / "target.wav"),
                        "--model", str(model_path), "--config", str(cfg_path)])
@@ -565,11 +560,8 @@ def test_cli_enhance_reports_clipped_samples_on_stderr(tmp_path, capsys):
     stdout summary is the same either way."""
     sig = tone_wav(tmp_path / "noisy.wav")
     for scale, loud in (("100", False), ("0.01", True)):
-        cfg_path = write_config(tmp_path, {**TINY, "compress_scale": scale})
-        cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
-        model = init_parameters(cfg.model_config(), np.random.default_rng(0))
-        model_path = tmp_path / "model.npz"
-        save_checkpoint(init_train_state(model, TrainConfig()), model_path)
+        cfg_path, model_path = tiny_checkpoint(
+            tmp_path, overrides={**TINY, "compress_scale": scale})
         out_path = tmp_path / "restored.wav"
         rc = cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
                            "--out", str(out_path), "--model", str(model_path),
@@ -605,11 +597,9 @@ def test_cli_option_strings_and_required_flags():
         "synth-data": {**common, "--task": True, "--count": True,
                        "--out-dir": True},
         "pretrain": {**common, **train},
-        "finetune": {**common, **train, "--task": True, "--init": False},
+        "finetune": {**common, **train, "--init": False},
         "enhance": {**common, "--in": True, "--out": True, "--model": True,
-                    "--task": False},
-        "extract": {**common, "--mixture": True, "--reference": True,
-                    "--out": True, "--model": True},
+                    "--reference": False},
         "evaluate": {**common, "--manifest": True, "--report": False,
                      "--no-strict": False},
     }
@@ -626,11 +616,11 @@ def test_cli_resume_reads_the_checkpoint_at_its_exact_path(tmp_path, capsys,
                                                            monkeypatch):
     """`--out x.ckpt` is the file written, so a run interrupted after its
     step-2 checkpoint resumes there and appends to its log, and the same
-    path serves `enhance --model`."""
+    path serves `enhance --model`, which restores for the manifest's task."""
     cfg_path = write_config(tmp_path, TINY)
     manifest = tiny_corpus(tmp_path)
-    ckpt, log = tmp_path / "x.ckpt", tmp_path / "pre.jsonl"
-    train = ["pretrain", "--manifest", manifest, "--out", str(ckpt),
+    ckpt, log = tmp_path / "x.ckpt", tmp_path / "tuned.jsonl"
+    train = ["finetune", "--manifest", manifest, "--out", str(ckpt),
              "--log", str(log), "--checkpoint-every", "2", "--resume",
              "--config", str(cfg_path)]
     real_apply = training.apply_gradients
@@ -662,7 +652,7 @@ def test_cli_training_refuses_a_missing_out_directory(tmp_path, capsys):
     manifest = tiny_corpus(tmp_path)
     capsys.readouterr()
     log = tmp_path / "pre.jsonl"
-    for command in (["pretrain"], ["finetune", "--task", "denoise"]):
+    for command in (["pretrain"], ["finetune"]):
         rc = cli_dispatch([*command, "--manifest", manifest,
                            "--out", str(tmp_path / "nodir" / "pre.npz"),
                            "--log", str(log), "--config", str(cfg_path)])
@@ -683,18 +673,13 @@ def count_calls(monkeypatch, names):
 
 def test_cli_refuses_a_missing_output_directory_before_any_work(tmp_path, capsys,
                                                                monkeypatch):
-    """`enhance`/`extract --out`, `evaluate --report` and the training
-    `--log` name a missing directory before any WAV is read, any audio is
-    generated or any utterance is scored."""
-    cfg_path = write_config(tmp_path, TINY)
-    cfg, _ = apply_overrides(RunConfig(), parse_config_file(cfg_path))
-    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
-    ckpt = tmp_path / "model.npz"
-    save_checkpoint(init_train_state(model, TrainConfig()), ckpt)
+    """`enhance --out`, `evaluate --report` and the training `--log` name a
+    missing directory before any WAV is read, any audio is generated or any
+    utterance is scored."""
+    cfg_path, ckpt = tiny_checkpoint(tmp_path)
     manifest = tiny_corpus(tmp_path)
-    noisy, ref = tmp_path / "noisy.wav", tmp_path / "ref.wav"
+    noisy = tmp_path / "noisy.wav"
     tone_wav(noisy)
-    tone_wav(ref, seconds=3.2)
     capsys.readouterr()
     calls = count_calls(monkeypatch, ["read_wav", "generate", "score_utterance"])
     nodir = tmp_path / "nodir"
@@ -703,11 +688,9 @@ def test_cli_refuses_a_missing_output_directory_before_any_work(tmp_path, capsys
              "--log", str(nodir / "loss.jsonl"), "--config", str(cfg_path)]
     commands = [
         ["enhance", "--in", str(noisy), "--out", str(nodir / "e.wav"), *restore],
-        ["extract", "--mixture", str(noisy), "--reference", str(ref),
-         "--out", str(nodir / "x.wav"), *restore],
         ["evaluate", "--manifest", manifest, "--report", str(nodir / "r.jsonl")],
         ["pretrain", *train],
-        ["finetune", "--task", "denoise", *train],
+        ["finetune", *train],
     ]
     for argv in commands:
         assert cli_dispatch(argv) == 1, argv
@@ -754,7 +737,7 @@ def test_cli_training_checks_config_and_checkpoint_before_reading_the_corpus(
          "need 0 <= warmup_steps < total_steps, got 3000 / 3"),
         (["pretrain", "--out", str(ckpt), "--resume", "--config", str(fast)],
          "peak_lr: 5e-05 in the checkpoint, 0.001 in the run config"),
-        (["finetune", "--task", "denoise", "--init", str(ckpt), "--out", fresh,
+        (["finetune", "--init", str(ckpt), "--out", fresh,
           "--config", str(wide)],
          "model_dim: 16 in the checkpoint, 32 in the run config"),
     ]
@@ -771,11 +754,7 @@ def test_cli_restore_refuses_a_model_of_another_feature_width(tmp_path, capsys,
                                                               monkeypatch):
     """A checkpoint made at another frontend's feature width is refused,
     naming both widths and the run's window_size, before any WAV is read
-    or any audio is generated."""
-    cfg, _ = apply_overrides(RunConfig(), parse_config_file(write_config(tmp_path, TINY)))
-    ckpt = tmp_path / "model.npz"
-    model = init_parameters(cfg.model_config(), np.random.default_rng(0))
-    save_checkpoint(init_train_state(model, TrainConfig()), ckpt)
+    or any audio is generated, with and without the reference prompt."""
     default_frontend = write_config(
         tmp_path, {k: v for k, v in TINY.items() if k not in ("window_size", "hop_size")},
         name="default_frontend.cfg")
@@ -783,8 +762,10 @@ def test_cli_restore_refuses_a_model_of_another_feature_width(tmp_path, capsys,
     tone_wav(noisy)
     tone_wav(ref, seconds=3.2)
     calls = count_calls(monkeypatch, ["read_wav", "generate"])
-    for argv in (["enhance", "--in", str(noisy)],
-                 ["extract", "--mixture", str(noisy), "--reference", str(ref)]):
+    for task, prompt in ((TaskKind.DENOISE, []),
+                         (TaskKind.TARGET_SPEAKER_EXTRACT, ["--reference", str(ref)])):
+        _, ckpt = tiny_checkpoint(tmp_path, task)
+        argv = ["enhance", "--in", str(noisy), *prompt]
         assert cli_dispatch([*argv, "--out", str(out), "--model", str(ckpt),
                              "--config", str(default_frontend)]) == 1, argv
         err = capsys.readouterr().err
@@ -792,6 +773,51 @@ def test_cli_restore_refuses_a_model_of_another_feature_width(tmp_path, capsys,
         assert "window_size 510" in err
         assert calls == [], argv
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task, prompt, message", [
+    (None, False, "is a pretrain checkpoint, which has no task to restore"),
+    (TaskKind.TARGET_SPEAKER_EXTRACT, False,
+     "is a target_speaker_extract checkpoint: --reference is required"),
+    (TaskKind.DENOISE, True, "is a denoise checkpoint: --reference is refused, "
+     "since only target_speaker_extract restores with a reference prompt"),
+])
+def test_cli_enhance_refuses_a_checkpoint_without_its_task(tmp_path, capsys, monkeypatch,
+                                                         task, prompt, message):
+    """`enhance` restores for the task in the checkpoint's training config:
+    a pretraining checkpoint has none, and --reference goes with
+    target_speaker_extract and nothing else. Each mismatch is refused,
+    naming the checkpoint and its task, before any WAV is read."""
+    cfg_path, ckpt = tiny_checkpoint(tmp_path, task)
+    noisy, ref, out = tmp_path / "noisy.wav", tmp_path / "ref.wav", tmp_path / "out.wav"
+    tone_wav(noisy)
+    tone_wav(ref, seconds=3.2)
+    reads = count_calls(monkeypatch, ["read_wav"])
+    argv = ["enhance", "--in", str(noisy), "--out", str(out), "--model", str(ckpt),
+            "--config", str(cfg_path), *(["--reference", str(ref)] if prompt else [])]
+    assert cli_dispatch(argv) == 1
+    assert f"{ckpt} {message}" in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+def test_cli_finetune_refuses_a_manifest_that_mixes_tasks(tmp_path, capsys, monkeypatch):
+    """`finetune` trains the one task its manifest names; a manifest of two
+    tasks is refused, naming it and both tasks, before any WAV is read."""
+    cfg_path = write_config(tmp_path, TINY)
+    records = []
+    for task in (TaskKind.DENOISE, TaskKind.CODEC_RESTORE):
+        records += load_manifest(synth_toy_corpus(task, 1, np.random.default_rng(0),
+                                                  tmp_path / task.value))
+    mixed = tmp_path / "mixed.jsonl"
+    write_manifest(mixed, records)
+    reads = count_calls(monkeypatch, ["read_wav"])
+    assert cli_dispatch(["finetune", "--manifest", str(mixed), "--out",
+                         str(tmp_path / "x.npz"), "--config", str(cfg_path)]) == 1
+    assert (f"manifest {mixed} mixes the tasks codec_restore, denoise; "
+            "finetuning trains one") in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_cli_evaluate_reads_each_wav_once(tmp_path, monkeypatch):

@@ -16,8 +16,11 @@ framing and overlap-add that make `istft` invert `stft`, are written once.
 No module uses `scipy.signal`: numpy writes the Hann window (`spectral`) and
 the windowed-sinc lowpass (`tasks.lowpass_taps`) in scipy's own arithmetic,
 and importing `scipy.signal` cost about a second of every command's start.
-A fresh `import flowsr, flowsr.harness` must leave it out of `sys.modules`,
-which also catches an import through another package.
+No module uses `scipy.io` either: the stdlib `wave` reads and writes the
+16-bit mono WAVs (`audio`), and `scipy.io` imported `scipy.io.matlab` and
+`scipy.sparse` for them. A fresh `import flowsr, flowsr.harness` must leave
+both out of `sys.modules`, which also catches an import through another
+package.
 """
 
 import ast
@@ -33,6 +36,7 @@ ENVIRONMENT = {"environ", "getenv", "putenv", "unsetenv"}
 FORBIDDEN_MODULES = {"threadpoolctl", "perfbench", "bench", "tracing", "workloads"}
 FFT_MODULES = {"numpy.fft", "scipy.fft", "scipy.fftpack"}
 SIGNAL_MODULES = {"scipy.signal"}
+UNUSED_MODULES = ["scipy.signal", "scipy.io"]
 
 
 def violations(source):
@@ -111,14 +115,16 @@ def test_only_spectral_uses_the_fft():
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
-def test_no_module_uses_scipy_signal():
-    uses = {path.name: module_uses(path.read_text(), SIGNAL_MODULES)
+@pytest.mark.parametrize("module", UNUSED_MODULES)
+def test_no_module_uses(module):
+    uses = {path.name: module_uses(path.read_text(), {module})
             for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
-def test_importing_the_library_leaves_scipy_signal_out():
-    code = "import sys, flowsr, flowsr.harness; print('scipy.signal' in sys.modules)"
+@pytest.mark.parametrize("module", UNUSED_MODULES)
+def test_importing_the_library_leaves_out(module):
+    code = f"import sys, flowsr, flowsr.harness; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)

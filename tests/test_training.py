@@ -77,6 +77,27 @@ def test_config_validation():
     assert TrainConfig(batch_seconds=16.0, crop_seconds=1.0).batch_items == 16
 
 
+def test_pretraining_takes_no_task(tmp_path):
+    """A task on a pretraining config would be written to its checkpoint and
+    make it look restorable, so it is refused, naming the task; a checkpoint
+    that older code wrote with one is refused naming the file."""
+    for make in (lambda: TrainConfig(task=TaskKind.DENOISE),
+                 lambda: TrainConfig.for_mode(TrainMode.PRETRAIN, task=TaskKind.DENOISE)):
+        with pytest.raises(ValueError, match="pretrain mode takes no task, got denoise"):
+            make()
+    path = tmp_path / "old.npz"
+    save_checkpoint(tiny_state(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    config = json.loads(str(arrays["__train_config__"]))
+    arrays["__train_config__"] = np.array(json.dumps({**config, "task": "denoise"}))
+    np.savez(path, **arrays)
+    for load in (load_model, load_checkpoint):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: pretrain mode takes no task, got denoise")):
+            load(path)
+
+
 def test_mode_learning_rate_defaults():
     pre = TrainConfig.for_mode(TrainMode.PRETRAIN)
     assert (pre.peak_lr, pre.final_lr) == (5e-5, 1e-5)
@@ -746,9 +767,10 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):
 
 
 def test_load_model_reads_only_the_parameters(tmp_path, monkeypatch):
-    """`load_model` gives `load_checkpoint(path).model` bit for bit while
-    reading no array but the `param.*` ones, each once, and refuses a
-    missing or misshaped parameter by name as `load_checkpoint` does."""
+    """`load_model` gives `load_checkpoint(path).model` bit for bit, and the
+    training config, while reading no array but the `param.*` ones, each
+    once, and refuses a missing or misshaped parameter by name as
+    `load_checkpoint` does."""
     state = randomized_state(SMALL_MODEL, TrainConfig(warmup_steps=0), seed=20)
     rng = np.random.default_rng(21)
     apply_gradients(state, 1.0, {k: rng.standard_normal(p.shape)
@@ -760,8 +782,9 @@ def test_load_model_reads_only_the_parameters(tmp_path, monkeypatch):
     getitem = np.lib.npyio.NpzFile.__getitem__
     monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
                         lambda self, key: read.append(key) or getitem(self, key))
-    model = load_model(path)
+    model, train_config = load_model(path)
     monkeypatch.undo()
+    assert train_config == state.config
     assert model.config == full.config and list(model.params) == list(full.params)
     assert all(np.array_equal(model.params[k], full.params[k]) for k in full.params)
     arrays = sorted(key for key in read if not key.startswith("__"))

@@ -18,7 +18,6 @@ from flowsr.tasks import (TSE_PROMPT_SECONDS, TaskKind, build_condition,
                           tse_prompt_samples)
 from flowsr.vectorfield import init_parameters
 
-rng = np.random.default_rng(11)
 rate = 16000
 
 
@@ -32,7 +31,7 @@ def voice(f0, seconds, seed):
 
 target = voice(170.0, 2.0, seed=1)
 interferer = voice(262.0, 2.0, seed=2)
-mixture, target = mix_two_speakers(target, interferer, rng, ratio_db=0.0)
+mixture, target = mix_two_speakers(target, interferer, 0.0)
 reference = voice(170.0, 3.4, seed=3)  # same speaker, different recording
 
 prompt = tse_prompt_samples(rate)

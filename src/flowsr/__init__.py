@@ -15,9 +15,9 @@ Submodules:
 """
 
 from .audio import AudioSignal, read_wav, write_wav
-from .flowpath import (FlowPathConfig, FlowSingularityError, TrainingTuple,
-                       cfm_loss, conditional_vector_field, mu_t, psi_t,
-                       sample_training_tuple, sigma_t, target_vector_field)
+from .flowpath import (TrainingTuple, cfm_loss, conditional_vector_field, mu_t,
+                       psi_t, sample_training_tuple, sigma_t,
+                       target_vector_field)
 from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .metrics import (MetricsReport, UtteranceScores, failure_rate,
                       format_summary, lsd, score_utterance, si_sdr,

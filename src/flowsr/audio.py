@@ -44,7 +44,8 @@ def read_wav(path) -> AudioSignal:
     Arbitrary sample rates are accepted and recorded on the returned
     signal. Multi-channel files, other sample widths and formats that the
     stdlib `wave` does not read as PCM (float, and WAVE_FORMAT_EXTENSIBLE
-    before Python 3.12) are rejected as ValueErrors.
+    before Python 3.12) are rejected as ValueErrors, as is a file whose
+    data ends mid-sample.
     """
     try:
         with wave.open(os.fspath(path), "rb") as fh:
@@ -54,6 +55,8 @@ def read_wav(path) -> AudioSignal:
             if width != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
             rate, frames = fh.getframerate(), fh.readframes(fh.getnframes())
+            if len(frames) % width:
+                raise wave.Error("its data ends mid-sample")
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: expected a 16-bit PCM WAV file "
                          f"({str(exc) or 'it ends early'})") from None

@@ -1,14 +1,16 @@
 """Optimal-transport conditional probability path and the flow-matching loss.
 
 The path from the standard-normal prior to a data point ``x1`` interpolates
-with mean ``t * x1`` and standard deviation ``1 - (1 - sigma_min) * t``. Its
+with mean ``t * x1`` and standard deviation ``1 - (1 - SIGMA_MIN) * t``. Its
 conditional vector field has the closed form
 
-    v(x, t | x1) = (x1 - (1 - sigma_min) * x) / (1 - (1 - sigma_min) * t)
+    v(x, t | x1) = (x1 - (1 - SIGMA_MIN) * x) / (1 - (1 - SIGMA_MIN) * t)
 
 and, evaluated on the path ``psi_t(x0) = sigma_t * x0 + t * x1``, collapses to
-the constant regression target ``x1 - (1 - sigma_min) * x0``. The path
-functions operate elementwise on arrays of any shape.
+the constant regression target ``x1 - (1 - SIGMA_MIN) * x0``. The path
+functions operate elementwise on arrays of any shape. `SIGMA_MIN` is the
+path's one residual width: training and the gates use no other, and with
+t in [0, 1] the field's denominator is at least SIGMA_MIN.
 
 `cfm_loss` is the training objective: on a [batch, channels, frames] batch
 it is the mean over items of each item's squared error against the target,
@@ -22,22 +24,7 @@ import dataclasses
 
 import numpy as np
 
-# Denominators of the conditional field below this are refused outright; the
-# Euler sampler never evaluates t = 1, so this only guards misuse.
-DENOM_EPS = 1e-8
-
-
-class FlowSingularityError(ValueError):
-    """Conditional vector field evaluated too close to t = 1 with sigma_min ~ 0."""
-
-
-@dataclasses.dataclass
-class FlowPathConfig:
-    sigma_min: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_min < 1.0:
-            raise ValueError(f"sigma_min must lie in [0, 1), got {self.sigma_min}")
+SIGMA_MIN = 1e-4  # standard deviation of the path at t = 1
 
 
 @dataclasses.dataclass
@@ -55,10 +42,10 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must lie in [0, 1], got {t}")
 
 
-def sigma_t(t: float, cfg: FlowPathConfig) -> float:
-    """Path standard deviation 1 - (1 - sigma_min) * t."""
+def sigma_t(t: float) -> float:
+    """Path standard deviation 1 - (1 - SIGMA_MIN) * t."""
     _check_time(t)
-    return 1.0 - (1.0 - cfg.sigma_min) * t
+    return 1.0 - (1.0 - SIGMA_MIN) * t
 
 
 def mu_t(t: float, x1: np.ndarray) -> np.ndarray:
@@ -67,43 +54,36 @@ def mu_t(t: float, x1: np.ndarray) -> np.ndarray:
     return t * np.asarray(x1, dtype=np.float64)
 
 
-def psi_t(x0: np.ndarray, x1: np.ndarray, t: float, cfg: FlowPathConfig) -> np.ndarray:
+def psi_t(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
     """Point on the conditional path: sigma_t(t) * x0 + t * x1."""
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     if x0.shape != x1.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs x1 {x1.shape}")
-    return sigma_t(t, cfg) * x0 + mu_t(t, x1)
+    return sigma_t(t) * x0 + mu_t(t, x1)
 
 
-def target_vector_field(x0: np.ndarray, x1: np.ndarray, cfg: FlowPathConfig) -> np.ndarray:
-    """Regression target x1 - (1 - sigma_min) * x0; the time derivative of psi_t."""
+def target_vector_field(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Regression target x1 - (1 - SIGMA_MIN) * x0; the time derivative of psi_t."""
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     if x0.shape != x1.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs x1 {x1.shape}")
-    return x1 - (1.0 - cfg.sigma_min) * x0
+    return x1 - (1.0 - SIGMA_MIN) * x0
 
 
-def conditional_vector_field(x: np.ndarray, x1: np.ndarray, t: float,
-                             cfg: FlowPathConfig) -> np.ndarray:
-    """Closed-form conditional field (x1 - (1 - sigma_min) x) / (1 - (1 - sigma_min) t).
+def conditional_vector_field(x: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form conditional field (x1 - (1 - SIGMA_MIN) x) / (1 - (1 - SIGMA_MIN) t).
 
     On-path evaluation at x = psi_t(x0, x1, t) equals target_vector_field(x0, x1)
-    up to rounding. Raises FlowSingularityError when the denominator falls
-    below DENOM_EPS.
+    up to rounding.
     """
     _check_time(t)
     x = np.asarray(x, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     if x.shape != x1.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs x1 {x1.shape}")
-    denom = 1.0 - (1.0 - cfg.sigma_min) * t
-    if denom < DENOM_EPS:
-        raise FlowSingularityError(
-            f"denominator {denom:.3e} below {DENOM_EPS:.0e} at t={t} "
-            f"(sigma_min={cfg.sigma_min})")
-    return (x1 - (1.0 - cfg.sigma_min) * x) / denom
+    return (x1 - (1.0 - SIGMA_MIN) * x) / (1.0 - (1.0 - SIGMA_MIN) * t)
 
 
 def cfm_loss(predicted: np.ndarray, target: np.ndarray,
@@ -140,8 +120,7 @@ def cfm_loss(predicted: np.ndarray, target: np.ndarray,
     return loss, 2.0 * weighted / denom[:, None, None] / batch
 
 
-def sample_training_tuple(x1: np.ndarray, cfg: FlowPathConfig,
-                          rng: np.random.Generator) -> TrainingTuple:
+def sample_training_tuple(x1: np.ndarray, rng: np.random.Generator) -> TrainingTuple:
     """Draw (t, x0) and assemble one training tuple.
 
     Draw order is fixed (t first, then x0) so identical generator states give
@@ -154,6 +133,6 @@ def sample_training_tuple(x1: np.ndarray, cfg: FlowPathConfig,
     return TrainingTuple(
         t=t,
         x0=x0,
-        x_t=psi_t(x0, x1, t, cfg),
-        target=target_vector_field(x0, x1, cfg),
+        x_t=psi_t(x0, x1, t),
+        target=target_vector_field(x0, x1),
     )

@@ -25,8 +25,14 @@ config and checkpoint before they read the corpus. The loss log is
 appended to exactly when training resumes past step 0
 (`training.run_training`).
 
+Manifests are read whole (`load_manifest`): a bad record is refused with
+its file and line, and a manifest with no records by name. `evaluate`
+names the record, its estimate and its degraded file when it cannot score
+them.
+
 The toy corpus writer (`synth_toy_corpus`) has no task branch: `_synth_clip`
 decides which clips have a reference, and reference/ is made with the first.
+It draws every degradation parameter, so the `tasks` mixers draw nothing.
 """
 
 import argparse
@@ -58,7 +64,7 @@ class RunConfig:
     `CompressionParams`, `ModelConfig`, `SolverConfig`, `TrainConfig`), so it
     is stated once. Feature width is derived (two channels per STFT bin),
     never set directly. Learning rates of None defer to the mode defaults at
-    training time. Step counts default to desk scale; raise them via a config
+    training time, and a clip_norm of None disables gradient clipping. Step counts default to desk scale; raise them via a config
     file for longer runs.
     """
 
@@ -83,7 +89,7 @@ class RunConfig:
     mask_min_span: int = TrainConfig.mask_min_span
     dropout_prob: float = TrainConfig.dropout_prob
     loss_support: str = TrainConfig.loss_support.value
-    clip_norm: float = TrainConfig.clip_norm
+    clip_norm: float | None = TrainConfig.clip_norm
     seed: int = TrainConfig.seed
 
     def __post_init__(self):
@@ -120,7 +126,7 @@ class RunConfig:
             seed=self.seed, mask_ratio=self.mask_ratio,
             mask_min_span=self.mask_min_span, dropout_prob=self.dropout_prob,
             loss_support=LossSupport(self.loss_support),
-            clip_norm=None if self.clip_norm <= 0 else self.clip_norm)
+            clip_norm=self.clip_norm)
         if self.peak_lr is not None:
             kwargs["peak_lr"] = self.peak_lr
         if self.final_lr is not None:
@@ -237,17 +243,16 @@ def _resolve(base: Path, p: str | None) -> str | None:
     return str(path if path.is_absolute() else base / path)
 
 
-def load_manifest(path, strict: bool = True) -> list:
+def load_manifest(path) -> list:
     """Read line-delimited manifest records, validating each line.
 
     Relative paths resolve against the manifest's directory and referenced
-    files must exist. With strict=False, bad records are reported to stderr
-    with their line numbers and skipped instead of aborting.
+    files must exist. A bad record is refused with its line number, and a
+    manifest with no records is refused by name.
     """
     path = Path(path)
     base = path.parent
     records = []
-    errors = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -267,16 +272,10 @@ def load_manifest(path, strict: bool = True) -> list:
                     if p is not None and not Path(p).exists():
                         raise ValueError(f"referenced file does not exist: {p}")
             except ValueError as exc:
-                message = f"{path}:{lineno}: {exc}"
-                if strict:
-                    raise ValueError(message) from None
-                errors.append(message)
-                continue
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             records.append(rec)
-    for message in errors:
-        print(f"warning: skipped record - {message}", file=sys.stderr)
     if not records:
-        print(f"warning: manifest {path} yielded no records", file=sys.stderr)
+        raise ValueError(f"manifest {path} has no records")
     return records
 
 
@@ -356,7 +355,7 @@ def _synth_clip(task: TaskKind, duration: float, rate: int,
         snr_db = float(rng.uniform(0.0, 10.0))
         cutoff = float(rng.uniform(*_DENOISE_CUTOFF_HZ))
         noise = AudioSignal(_bandlimited_noise(len(clean), cutoff, rate, rng), rate)
-        return clean, mix_at_snr(clean, noise, snr_db, rng), None, {"snr_db": snr_db}
+        return clean, mix_at_snr(clean, noise, snr_db), None, {"snr_db": snr_db}
     if task is TaskKind.BANDWIDTH_EXTEND:
         factor = int(rng.choice([2, 4, 8]))
         return clean, bandwidth_reduce(clean, factor), None, {"factor": factor}
@@ -366,7 +365,7 @@ def _synth_clip(task: TaskKind, duration: float, rate: int,
     # target speaker extraction
     interferer = _render_voice(_draw_profile(rng), duration, rate, rng)
     ratio_db = float(rng.uniform(-5.0, 5.0))
-    mixture, target = mix_two_speakers(clean, interferer, rng, ratio_db=ratio_db)
+    mixture, target = mix_two_speakers(clean, interferer, ratio_db)
     reference = _render_voice(profile, 3.0 + float(rng.uniform(0.0, 0.5)), rate, rng)
     return target, mixture, reference, {"ratio_db": ratio_db}
 
@@ -496,8 +495,6 @@ def _cmd_train(args) -> None:
     _require_directory(args.log, "log")
     cfg = _run_config(args)
     records = load_manifest(args.manifest)
-    if not records:
-        raise ValueError(f"manifest {args.manifest} is empty")
     task, mode = None, TrainMode.PRETRAIN
     if args.command == "finetune":
         tasks = sorted({rec.task.value for rec in records})
@@ -565,9 +562,7 @@ def _cmd_restore(args) -> None:
 def _cmd_evaluate(args) -> None:
     _require_directory(args.report, "report")
     cfg = _run_config(args)
-    records = load_manifest(args.manifest, strict=args.strict)
-    if not records:
-        raise ValueError(f"manifest {args.manifest} has no usable records")
+    records = load_manifest(args.manifest)
     stft_params = cfg.stft_params()
     scores = []
     for rec in records:
@@ -575,12 +570,16 @@ def _cmd_evaluate(args) -> None:
             raise ValueError(f"record {rec.id}: nothing to score (no degraded_path, "
                              "so no baseline for the improvement)")
         reference = _read_wav_at(rec.clean_path, cfg.sample_rate)
-        estimate = _read_wav_at(rec.estimate_path or rec.degraded_path,
-                                cfg.sample_rate)
+        estimate_path = rec.estimate_path or rec.degraded_path
+        estimate = _read_wav_at(estimate_path, cfg.sample_rate)
         baseline = (_read_wav_at(rec.degraded_path, cfg.sample_rate)
                     if rec.estimate_path else estimate)
-        scores.append(score_utterance(rec.id, estimate, baseline, reference,
-                                      stft_params))
+        try:
+            scores.append(score_utterance(rec.id, estimate, baseline, reference,
+                                          stft_params))
+        except ValueError as exc:
+            raise ValueError(f"record {rec.id} (estimate {estimate_path}, degraded "
+                             f"{rec.degraded_path}): {exc}") from None
     report = MetricsReport.from_scores(scores)
     if args.report:
         write_report(report, args.report)
@@ -639,8 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score manifest estimates against clean references")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--no-strict", dest="strict", action="store_false",
-                   help="skip bad manifest records instead of aborting")
     p.set_defaults(func=_cmd_evaluate)
     return parser
 

@@ -11,6 +11,11 @@ that knows the prompt length; `tse_prompt_samples` converts it to samples.
 The codec degradation is a mu-law quantizer standing in for a neural audio
 codec: it produces comparable coding artifacts without an external model.
 
+The degradations draw nothing: their caller, the toy corpus (`harness`),
+draws every parameter. `mix_at_snr` adds noise of the clean signal's own
+length at a given SNR, `mix_two_speakers` mixes at a given ratio, and
+`bandwidth_reduce` takes a factor of 2, 4 or 8.
+
 One windowed-sinc lowpass, `lowpass_taps`, serves bandwidth reduction and
 the toy corpus's band-limited noise (`harness`). For a window of ``n``
 points and a cutoff ``c`` relative to Nyquist, the taps are
@@ -85,31 +90,22 @@ def trim_tse_output(generated: AudioSignal, mixture_len: int) -> AudioSignal:
     return AudioSignal(generated.samples[n:n + mixture_len], generated.sample_rate)
 
 
-def mix_at_snr(clean: AudioSignal, noise: AudioSignal, snr_db: float,
-               rng: np.random.Generator) -> AudioSignal:
-    """Add noise scaled to the requested SNR in dB.
-
-    Noise longer than the clean signal is cropped at a random offset; shorter
-    noise is looped. The gain g satisfies
+def mix_at_snr(clean: AudioSignal, noise: AudioSignal, snr_db: float) -> AudioSignal:
+    """Add noise of the clean signal's length, scaled to the requested SNR
+    in dB: the gain g satisfies
     10 log10(||clean||^2 / ||g * noise||^2) = snr_db.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError(f"sample-rate mismatch: {clean.sample_rate} vs {noise.sample_rate}")
-    n = len(clean)
-    if n == 0 or len(noise) == 0:
-        raise ValueError("clean and noise must be nonempty")
-    seg = noise.samples
-    if len(seg) < n:
-        seg = np.tile(seg, int(np.ceil(n / len(seg))))
-    if len(seg) > n:
-        offset = int(rng.integers(len(seg) - n + 1))
-        seg = seg[offset:offset + n]
+    if len(clean) == 0 or len(noise) != len(clean):
+        raise ValueError(f"clean and noise must be nonempty and of one length, "
+                         f"got {len(clean)} and {len(noise)} samples")
     clean_power = float(np.sum(clean.samples**2))
-    noise_power = float(np.sum(seg**2))
+    noise_power = float(np.sum(noise.samples**2))
     if clean_power <= 0.0 or noise_power <= 0.0:
         raise ValueError("clean and noise must have nonzero energy")
     gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
-    return AudioSignal(clean.samples + gain * seg, clean.sample_rate)
+    return AudioSignal(clean.samples + gain * noise.samples, clean.sample_rate)
 
 
 _RESAMPLE_TAPS = 513  # odd length keeps the filter linear-phase with integer delay
@@ -134,17 +130,15 @@ def _filter_centered(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def bandwidth_reduce(signal: AudioSignal, factor: int) -> AudioSignal:
-    """Decimate by `factor` and resample back, removing content above the
-    reduced Nyquist.
+    """Decimate by `factor` (2, 4 or 8) and resample back, removing content
+    above the reduced Nyquist.
 
     The anti-alias/reconstruction lowpass is a windowed-sinc with cutoff at
     0.9 of the reduced Nyquist, giving well over 40 dB of stopband rejection.
     Output has exactly the input length and sample rate.
     """
-    if factor not in (1, 2, 4, 8):
+    if factor not in (2, 4, 8):
         raise ValueError(f"unsupported down-scaling factor {factor}")
-    if factor == 1:
-        return AudioSignal(signal.samples.copy(), signal.sample_rate)
     n = len(signal)
     k, a = np.arange(_RESAMPLE_TAPS), (_RESAMPLE_TAPS - 1) / 2
     kaiser = i0(_KAISER_BETA * np.sqrt(1 - ((k - a) / a) ** 2)) / i0(_KAISER_BETA)
@@ -175,14 +169,13 @@ def codec_degrade(signal: AudioSignal, bits_per_sample: int) -> AudioSignal:
     return AudioSignal(expanded, signal.sample_rate)
 
 
-def mix_two_speakers(a: AudioSignal, b: AudioSignal, rng: np.random.Generator,
-                     ratio_db: float | None = None) -> tuple[AudioSignal, AudioSignal]:
+def mix_two_speakers(a: AudioSignal, b: AudioSignal,
+                     ratio_db: float) -> tuple[AudioSignal, AudioSignal]:
     """Two-speaker mixture in min mode; returns (mixture, target).
 
     Both signals are cropped to the shorter length and summed with the
-    interferer scaled so the target-to-interferer ratio is `ratio_db`,
-    drawn uniformly from [-5, +5] dB when not given. The target is the
-    cropped first signal.
+    interferer scaled so the target-to-interferer ratio is `ratio_db`. The
+    target is the cropped first signal.
     """
     if a.sample_rate != b.sample_rate:
         raise ValueError(f"sample-rate mismatch: {a.sample_rate} vs {b.sample_rate}")
@@ -195,8 +188,6 @@ def mix_two_speakers(a: AudioSignal, b: AudioSignal, rng: np.random.Generator,
     interferer_power = float(np.sum(interferer**2))
     if target_power <= 0.0 or interferer_power <= 0.0:
         raise ValueError("speaker signals must have nonzero energy")
-    if ratio_db is None:
-        ratio_db = float(rng.uniform(-5.0, 5.0))
     gain = np.sqrt(target_power / (interferer_power * 10.0 ** (ratio_db / 10.0)))
     mixture = AudioSignal(target + gain * interferer, a.sample_rate)
     return mixture, AudioSignal(target.copy(), a.sample_rate)

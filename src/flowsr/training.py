@@ -47,7 +47,7 @@ import os
 import numpy as np
 
 from .audio import AudioSignal
-from .flowpath import FlowPathConfig, cfm_loss, sample_training_tuple
+from .flowpath import cfm_loss, sample_training_tuple
 from .masking import apply_mask, maybe_drop_condition, sample_mask
 from .spectral import (CompressionParams, FeatureGrid, StftParams,
                        features_from_audio)
@@ -340,7 +340,7 @@ def _gradients(state: TrainState, batch: list, build) -> tuple[float, dict]:
     """
     def item(i):
         x1, condition, mask = build(batch[i])
-        tup = sample_training_tuple(x1, FlowPathConfig(), state.rng)
+        tup = sample_training_tuple(x1, state.rng)
         return tup.x_t, condition, tup.t, tup.target, mask
 
     return _forward_backward(state.model, len(batch), item)
@@ -560,17 +560,31 @@ def save_checkpoint(state: TrainState, path) -> None:
         raise
 
 
+def _checkpoint_header(data, path, key: str, build):
+    """`build` of the JSON value of an opened checkpoint's `key` entry. A
+    missing entry, and one that `build` refuses (an unknown or missing
+    field, or a config its dataclass refuses, such as a pretraining task,
+    which older code wrote), is refused as a ValueError naming the file and
+    the key."""
+    if key not in data:
+        raise ValueError(f"{path}: missing '{key}'")
+    try:
+        return build(json.loads(str(data[key])))
+    except KeyError as exc:
+        raise ValueError(f"{path}: '{key}' has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc} (in '{key}')") from None
+
+
 def _checkpoint_configs(data, path) -> tuple[ModelConfig, TrainConfig]:
     """The model and training configs of an opened checkpoint, after its
-    format tag. A training config that `TrainConfig` refuses (such as a
-    pretraining task, which older code wrote) is refused naming the file."""
+    format tag."""
     if "__format__" not in data or str(data["__format__"]) != CHECKPOINT_TAG:
         raise ValueError(f"{path}: not a recognized training checkpoint")
-    try:
-        train_config = _train_config_from_dict(json.loads(str(data["__train_config__"])))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return ModelConfig(**json.loads(str(data["__model_config__"]))), train_config
+    return (_checkpoint_header(data, path, "__model_config__",
+                               lambda fields: ModelConfig(**fields)),
+            _checkpoint_header(data, path, "__train_config__",
+                               _train_config_from_dict))
 
 
 def _checkpoint_segments(data, path, prefix: str, config: ModelConfig) -> dict:
@@ -614,11 +628,13 @@ def load_checkpoint(path, expected: TrainConfig | None = None) -> TrainState:
         params, m, v = (_checkpoint_segments(data, path, prefix, model_config)
                         for prefix in ("param.", "adam_m.", "adam_v."))
         rng = np.random.default_rng(0)
-        rng.bit_generator.state = json.loads(str(data["__rng__"]))
-        loss_count, loss_sum, last_loss = json.loads(str(data["__loss_stats__"]))
+        _checkpoint_header(data, path, "__rng__",
+                           lambda state: setattr(rng.bit_generator, "state", state))
+        loss_count, loss_sum, last_loss = _checkpoint_header(
+            data, path, "__loss_stats__", lambda stats: [
+                kind(value) for kind, value in zip((int, float, float), stats, strict=True)])
         return TrainState(
             model=VectorFieldModel(config=model_config, params=params),
-            config=train_config, step=int(data["__step__"]),
+            config=train_config, step=_checkpoint_header(data, path, "__step__", int),
             adam_m=m, adam_v=v, rng=rng,
-            loss_count=int(loss_count), loss_sum=float(loss_sum),
-            last_loss=float(last_loss))
+            loss_count=loss_count, loss_sum=loss_sum, last_loss=last_loss)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flowsr.audio import AudioSignal, read_wav
-from flowsr.flowpath import (FlowPathConfig, cfm_loss, conditional_vector_field,
+from flowsr.flowpath import (SIGMA_MIN, cfm_loss, conditional_vector_field,
                              psi_t, target_vector_field)
 from flowsr.harness import RunConfig, cli_dispatch, load_manifest, synth_toy_corpus
 from flowsr.masking import maybe_drop_condition, sample_mask
@@ -31,7 +31,6 @@ from flowsr.training import (TrainMode, TrainPair, WaveformDataset,
 from flowsr.vectorfield import (ModelConfig, backward, forward_batch,
                                 init_parameters)
 
-FLOW = FlowPathConfig(sigma_min=1e-4)
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
 
@@ -56,13 +55,13 @@ def test_01_flow_path_identities():
         x0 = rng.standard_normal(32)
         x1 = rng.standard_normal(32)
         t = float(rng.random())
-        expected = x1 - (1.0 - FLOW.sigma_min) * x0
-        field = conditional_vector_field(psi_t(x0, x1, t, FLOW), x1, t, FLOW)
+        expected = x1 - (1.0 - SIGMA_MIN) * x0
+        field = conditional_vector_field(psi_t(x0, x1, t), x1, t)
         rel = np.max(np.abs(field - expected)) / np.max(np.abs(expected))
         worst_field = max(worst_field, rel)
-        worst_start = max(worst_start, np.max(np.abs(psi_t(x0, x1, 0.0, FLOW) - x0)))
-        end = x1 + FLOW.sigma_min * x0
-        worst_end = max(worst_end, np.max(np.abs(psi_t(x0, x1, 1.0, FLOW) - end)))
+        worst_start = max(worst_start, np.max(np.abs(psi_t(x0, x1, 0.0) - x0)))
+        end = x1 + SIGMA_MIN * x0
+        worst_end = max(worst_end, np.max(np.abs(psi_t(x0, x1, 1.0) - end)))
     elapsed = time.time() - t0
     ok = worst_field < 1e-9 and worst_start < 1e-12 and worst_end < 1e-12 \
         and elapsed < 5.0
@@ -77,7 +76,7 @@ def test_02_euler_exactness_five_evaluations():
     rng = np.random.default_rng(102)
     x0 = rng.standard_normal((16, 12))
     x1 = rng.standard_normal((16, 12))
-    target = target_vector_field(x0, x1, FLOW)
+    target = target_vector_field(x0, x1)
     evals = []
 
     def field(x, t):
@@ -85,7 +84,7 @@ def test_02_euler_exactness_five_evaluations():
         return target
 
     out, count = euler_solve(field, x0, SolverConfig(step_size=0.2))
-    err = np.max(np.abs(out - (x1 + FLOW.sigma_min * x0)))
+    err = np.max(np.abs(out - (x1 + SIGMA_MIN * x0)))
     elapsed = time.time() - t0
     ok = err < 1e-10 and count == 5 and len(evals) == 5 and elapsed < 1.0
     verdict(ok, "euler exactness",

@@ -3,28 +3,17 @@
 import numpy as np
 import pytest
 
-from flowsr.flowpath import (FlowPathConfig, FlowSingularityError, cfm_loss,
-                             conditional_vector_field, mu_t, psi_t,
-                             sample_training_tuple, sigma_t,
+from flowsr.flowpath import (SIGMA_MIN, cfm_loss, conditional_vector_field,
+                             mu_t, psi_t, sample_training_tuple, sigma_t,
                              target_vector_field)
-
-CFG = FlowPathConfig(sigma_min=1e-4)
-
-
-def test_config_validation():
-    FlowPathConfig(sigma_min=0.0)
-    with pytest.raises(ValueError):
-        FlowPathConfig(sigma_min=1.0)
-    with pytest.raises(ValueError):
-        FlowPathConfig(sigma_min=-0.1)
 
 
 def test_sigma_t_values():
-    assert sigma_t(0.0, CFG) == 1.0
-    assert abs(sigma_t(1.0, CFG) - 1e-4) < 1e-15
-    assert abs(sigma_t(0.5, CFG) - 0.50005) < 1e-12
+    assert sigma_t(0.0) == 1.0
+    assert abs(sigma_t(1.0) - 1e-4) < 1e-15
+    assert abs(sigma_t(0.5) - 0.50005) < 1e-12
     with pytest.raises(ValueError):
-        sigma_t(1.5, CFG)
+        sigma_t(1.5)
 
 
 def test_mu_t_values():
@@ -38,30 +27,29 @@ def test_psi_endpoints():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((64, 30))
     x1 = rng.standard_normal((64, 30))
-    assert np.max(np.abs(psi_t(x0, x1, 0.0, CFG) - x0)) < 1e-12
-    end = psi_t(x0, x1, 1.0, CFG)
+    assert np.max(np.abs(psi_t(x0, x1, 0.0) - x0)) < 1e-12
+    end = psi_t(x0, x1, 1.0)
     assert np.max(np.abs(end - (x1 + 1e-4 * x0))) < 1e-12
 
 
 def test_psi_scalar_case():
-    out = psi_t(np.array(1.0), np.array(2.0), 0.5, FlowPathConfig(sigma_min=0.0))
-    assert abs(float(out) - 1.5) < 1e-15
+    out = psi_t(np.array(1.0), np.array(2.0), 0.5)
+    assert abs(float(out) - (1.5 + 0.5 * SIGMA_MIN)) < 1e-15
 
 
 def test_psi_shape_mismatch():
     with pytest.raises(ValueError):
-        psi_t(np.zeros(3), np.zeros(4), 0.5, CFG)
+        psi_t(np.zeros(3), np.zeros(4), 0.5)
 
 
 def test_target_field_values():
     x0 = np.array([1.0])
     x1 = np.array([2.0])
-    assert abs(target_vector_field(x0, x1, CFG)[0] - 1.0001) < 1e-12
-    zero_cfg = FlowPathConfig(sigma_min=0.0)
+    assert abs(target_vector_field(x0, x1)[0] - 1.0001) < 1e-12
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal(10), rng.standard_normal(10)
-    assert np.allclose(target_vector_field(a, b, zero_cfg), b - a, atol=1e-15)
-    assert np.array_equal(target_vector_field(np.zeros(5), b[:5], CFG), b[:5])
+    assert np.allclose(target_vector_field(a, b), b - (1 - SIGMA_MIN) * a, atol=1e-15)
+    assert np.array_equal(target_vector_field(np.zeros(5), b[:5]), b[:5])
 
 
 def test_target_field_is_path_derivative():
@@ -69,10 +57,10 @@ def test_target_field_is_path_derivative():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal(50)
     x1 = rng.standard_normal(50)
-    tgt = target_vector_field(x0, x1, CFG)
+    tgt = target_vector_field(x0, x1)
     t = 0.37
     for h in (1e-5, 1e-7):
-        fd = (psi_t(x0, x1, t + h, CFG) - psi_t(x0, x1, t, CFG)) / h
+        fd = (psi_t(x0, x1, t + h) - psi_t(x0, x1, t)) / h
         assert np.max(np.abs(fd - tgt)) < 1e-6  # affine in t, FD error is rounding only
 
 
@@ -84,8 +72,8 @@ def test_conditional_field_identity():
         x0 = rng.standard_normal(20)
         x1 = rng.standard_normal(20)
         t = float(rng.random())
-        lhs = conditional_vector_field(psi_t(x0, x1, t, CFG), x1, t, CFG)
-        rhs = target_vector_field(x0, x1, CFG)
+        lhs = conditional_vector_field(psi_t(x0, x1, t), x1, t)
+        rhs = target_vector_field(x0, x1)
         rel = np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
         worst = max(worst, rel)
     assert worst < 1e-9
@@ -95,14 +83,8 @@ def test_conditional_field_at_zero_time():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(8)
     x1 = rng.standard_normal(8)
-    out = conditional_vector_field(x, x1, 0.0, CFG)
+    out = conditional_vector_field(x, x1, 0.0)
     assert np.allclose(out, x1 - (1 - 1e-4) * x, atol=1e-15)
-
-
-def test_conditional_field_singularity():
-    cfg0 = FlowPathConfig(sigma_min=0.0)
-    with pytest.raises(FlowSingularityError):
-        conditional_vector_field(np.zeros(3), np.ones(3), 1.0, cfg0)
 
 
 def test_cfm_loss_values():
@@ -182,13 +164,13 @@ def test_cfm_loss_gradient_matches_central_differences():
 
 def test_sample_tuple_determinism_and_invariants():
     x1 = np.random.default_rng(7).standard_normal((16, 9))
-    a = sample_training_tuple(x1, CFG, np.random.default_rng(42))
-    b = sample_training_tuple(x1, CFG, np.random.default_rng(42))
+    a = sample_training_tuple(x1, np.random.default_rng(42))
+    b = sample_training_tuple(x1, np.random.default_rng(42))
     assert a.t == b.t
     assert np.array_equal(a.x0, b.x0)
     assert np.array_equal(a.x_t, b.x_t)
     # invariants of the tuple itself
-    assert np.allclose(a.x_t, sigma_t(a.t, CFG) * a.x0 + a.t * x1, atol=1e-14)
+    assert np.allclose(a.x_t, sigma_t(a.t) * a.x0 + a.t * x1, atol=1e-14)
     assert np.allclose(a.target, x1 - (1 - 1e-4) * a.x0, atol=1e-14)
 
 
@@ -199,7 +181,7 @@ def test_sample_tuple_statistics():
     ts = np.empty(10**5)
     x0s = np.empty((10**5, 4))
     for i in range(10**5):
-        tup = sample_training_tuple(x1, CFG, rng)
+        tup = sample_training_tuple(x1, rng)
         ts[i] = tup.t
         x0s[i] = tup.x0
     assert 0.49 <= ts.mean() <= 0.51

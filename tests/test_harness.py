@@ -109,11 +109,12 @@ def test_train_config_inherits_mode_defaults():
     assert pre.peak_lr == 5e-5
     tuned = RunConfig(peak_lr=3e-4).train_config(TrainMode.PRETRAIN)
     assert tuned.peak_lr == 3e-4
-    # clip_norm <= 0 in the flat config means "disable clipping"
-    assert RunConfig(clip_norm=0.0).train_config(TrainMode.PRETRAIN).clip_norm is None
-    # NaN is not <= 0: it reaches TrainConfig, which refuses it instead of never clipping
-    with pytest.raises(ValueError, match="clip_norm"):
-        RunConfig(clip_norm=float("nan")).train_config(TrainMode.PRETRAIN)
+    # None is the one encoding of "disable clipping"; TrainConfig refuses
+    # zero, a negative value and NaN instead of never clipping
+    assert RunConfig(clip_norm=None).train_config(TrainMode.PRETRAIN).clip_norm is None
+    for clip_norm in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="clip_norm"):
+            RunConfig(clip_norm=clip_norm).train_config(TrainMode.PRETRAIN)
     with pytest.raises(ValueError):
         cfg.train_config(TrainMode.FINETUNE)  # needs a task
     ft = cfg.train_config(TrainMode.FINETUNE, task=TaskKind.DENOISE)
@@ -147,10 +148,12 @@ def test_parse_config_file(tmp_path):
 def test_apply_overrides_types_and_echo():
     cfg = RunConfig()
     new, echoes = apply_overrides(cfg, {"window_size": "126", "hop_size": "63",
-                                        "peak_lr": "5e-4", "final_lr": "none"})
+                                        "peak_lr": "5e-4", "final_lr": "none",
+                                        "clip_norm": "none"})
     assert new.window_size == 126 and isinstance(new.window_size, int)
     assert new.peak_lr == 5e-4
     assert new.final_lr is None  # defer to the mode default
+    assert new.train_config(TrainMode.PRETRAIN).clip_norm is None  # no clipping
     assert cfg.window_size == 510  # original untouched
     assert "config: window_size = 126" in echoes
     assert "config: final_lr = None" in echoes
@@ -211,7 +214,8 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
         load_manifest(manifest)
 
 
-def test_load_manifest_strict_vs_skip(tmp_path, capsys):
+def test_load_manifest_strict_vs_skip(tmp_path):
+    """A bad record is refused with its line number; none is skipped."""
     tone_wav(tmp_path / "u1.wav")
     good = ManifestRecord(id="u1", clean_path="u1.wav", task=TaskKind.DENOISE)
     manifest = tmp_path / "manifest.jsonl"
@@ -220,10 +224,6 @@ def test_load_manifest_strict_vs_skip(tmp_path, capsys):
                         '"task": "denoise", "bogus": 1}\n')
     with pytest.raises(ValueError, match=r":2: unknown fields"):
         load_manifest(manifest)
-    records = load_manifest(manifest, strict=False)
-    assert [r.id for r in records] == ["u1"]
-    err = capsys.readouterr().err
-    assert "warning: skipped record" in err and ":2:" in err
 
 
 @pytest.mark.parametrize("line, message", [
@@ -235,15 +235,25 @@ def test_load_manifest_strict_vs_skip(tmp_path, capsys):
     ('{"id": "u2", "clean_path": "u1.wav", "task": "denoise", "estimate_path": [1]}',
      "'estimate_path' must be a string"),
 ])
-def test_load_manifest_refuses_a_line_of_another_shape(tmp_path, capsys, line, message):
+def test_load_manifest_refuses_a_line_of_another_shape(tmp_path, line, message):
     tone_wav(tmp_path / "u1.wav")
     good = ManifestRecord(id="u1", clean_path="u1.wav", task=TaskKind.DENOISE)
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text(good.to_json() + "\n" + line + "\n")
     with pytest.raises(ValueError, match=r"manifest\.jsonl:2: .*" + re.escape(message)):
         load_manifest(manifest)
-    assert [r.id for r in load_manifest(manifest, strict=False)] == ["u1"]
-    assert "manifest.jsonl:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "evaluate"])
+def test_cli_refuses_an_empty_manifest_once_by_name(tmp_path, capsys, command):
+    """A manifest with no records (blank lines only) is one error naming
+    the file, with no warning before it."""
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("\n\n")
+    out = ["--out", str(tmp_path / "x.npz")] if command == "pretrain" else []
+    assert cli_dispatch([command, "--manifest", str(manifest), *out]) == 1
+    assert capsys.readouterr().err == f"error: manifest {manifest} has no records\n"
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_load_manifest_requires_reference_for_extraction(tmp_path):
@@ -415,6 +425,20 @@ def test_cli_evaluate_refuses_wav_at_another_rate(tmp_path, capsys):
     assert cli_dispatch(["evaluate", "--manifest", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert "narrow.wav" in err and "8000" in err and "16000" in err
+
+
+def test_cli_evaluate_names_the_record_it_cannot_score(tmp_path, capsys):
+    clean = tone_wav(tmp_path / "clean.wav")
+    write_wav(tmp_path / "short.wav", AudioSignal(clean.samples[:-5], clean.sample_rate))
+    rec = ManifestRecord(id="u7", clean_path="clean.wav", task=TaskKind.DENOISE,
+                         degraded_path="clean.wav", estimate_path="short.wav")
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, [rec])
+    assert cli_dispatch(["evaluate", "--manifest", str(manifest)]) == 1
+    n = len(clean)
+    assert capsys.readouterr().err == (
+        f"error: record u7 (estimate {tmp_path / 'short.wav'}, degraded "
+        f"{tmp_path / 'clean.wav'}): length mismatch: {n - 5} vs {n} samples\n")
 
 
 def test_cli_evaluate_refuses_a_record_without_a_baseline(tmp_path, capsys):
@@ -600,8 +624,7 @@ def test_cli_option_strings_and_required_flags():
         "finetune": {**common, **train, "--init": False},
         "enhance": {**common, "--in": True, "--out": True, "--model": True,
                     "--reference": False},
-        "evaluate": {**common, "--manifest": True, "--report": False,
-                     "--no-strict": False},
+        "evaluate": {**common, "--manifest": True, "--report": False},
     }
 
 
@@ -799,6 +822,22 @@ def test_cli_enhance_refuses_a_checkpoint_without_its_task(tmp_path, capsys, mon
     assert f"{ckpt} {message}" in capsys.readouterr().err
     assert reads == []
     assert not out.exists()
+
+
+def test_cli_enhance_refuses_a_corrupt_checkpoint_header_by_path(tmp_path, capsys):
+    cfg_path, ckpt = tiny_checkpoint(tmp_path)
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    model_config = json.loads(str(arrays["__model_config__"]))
+    arrays["__model_config__"] = np.array(json.dumps({**model_config, "num_heads": 3}))
+    np.savez(ckpt, **arrays)
+    tone_wav(tmp_path / "noisy.wav")
+    assert cli_dispatch(["enhance", "--in", str(tmp_path / "noisy.wav"),
+                         "--out", str(tmp_path / "out.wav"), "--model", str(ckpt),
+                         "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and "num_heads 3" in err
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_cli_finetune_refuses_a_manifest_that_mixes_tasks(tmp_path, capsys, monkeypatch):

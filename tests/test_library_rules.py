@@ -12,6 +12,9 @@ every other module builds a speaker-extraction condition or target through
 `tasks.build_condition`, so the prompt rule is written once. Only
 `spectral.py` uses numpy's or scipy's FFT, so the transforms, and the
 framing and overlap-add that make `istft` invert `stft`, are written once.
+Only `training.py` reads or writes `.npz` archives (`numpy.load`,
+`numpy.savez`, `numpy.savez_compressed`), so the checkpoint format is one
+module's decision.
 
 No module uses `scipy.signal`: numpy writes the Hann window (`spectral`) and
 the windowed-sinc lowpass (`tasks.lowpass_taps`) in scipy's own arithmetic,
@@ -35,6 +38,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "flowsr"
 ENVIRONMENT = {"environ", "getenv", "putenv", "unsetenv"}
 FORBIDDEN_MODULES = {"threadpoolctl", "perfbench", "bench", "tracing", "workloads"}
 FFT_MODULES = {"numpy.fft", "scipy.fft", "scipy.fftpack"}
+ARCHIVE_FUNCTIONS = {"numpy.load", "numpy.savez", "numpy.savez_compressed"}
 SIGNAL_MODULES = {"scipy.signal"}
 UNUSED_MODULES = ["scipy.signal", "scipy.io"]
 
@@ -108,10 +112,13 @@ def test_only_tasks_prepends_the_extraction_prompt():
     assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
-def test_only_spectral_uses_the_fft():
-    uses = {path.name: module_uses(path.read_text(), FFT_MODULES)
+@pytest.mark.parametrize("owner, modules", [("spectral.py", FFT_MODULES),
+                                            ("training.py", ARCHIVE_FUNCTIONS)],
+                         ids=["spectral-fft", "training-npz"])
+def test_only_the_owner_uses(owner, modules):
+    uses = {path.name: module_uses(path.read_text(), modules)
             for path in sorted(SRC.glob("*.py"))}
-    assert uses.pop("spectral.py")
+    assert uses.pop(owner)
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
@@ -158,6 +165,16 @@ def test_fft_uses_are_detected(source):
 ])
 def test_scipy_signal_uses_are_detected(source):
     assert module_uses(source, SIGNAL_MODULES)
+
+
+@pytest.mark.parametrize("source", [
+    "with np.load(path) as data:\n    pass",
+    "import numpy as xp\nxp.savez(path, **arrays)",
+    "numpy.savez_compressed(path, a=a)",
+    "from numpy import load",
+])
+def test_archive_uses_are_detected(source):
+    assert module_uses(source, ARCHIVE_FUNCTIONS)
 
 
 @pytest.mark.parametrize("source", [

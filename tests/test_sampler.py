@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowsr.audio import AudioSignal
-from flowsr.flowpath import (FlowPathConfig, conditional_vector_field,
+from flowsr.flowpath import (SIGMA_MIN, conditional_vector_field,
                              target_vector_field)
 from flowsr.sampler import (FieldDivergenceError, SolverConfig, euler_solve,
                             generate, sample_features)
@@ -15,7 +15,6 @@ from flowsr.spectral import CompressionParams, FeatureGrid, StftParams
 from flowsr.tasks import TaskKind
 from flowsr.vectorfield import ModelConfig, init_parameters, segment_shapes
 
-CFG = FlowPathConfig(sigma_min=1e-4)
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
                    feature_channels=8, time_embed_dim=16, feedforward_dim=32)
@@ -117,10 +116,10 @@ def test_exact_on_constant_target_field():
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal((8, 20))
     x1 = rng.standard_normal((8, 20))
-    v = target_vector_field(x0, x1, CFG)
+    v = target_vector_field(x0, x1)
     out, evals = euler_solve(lambda x, t: v, x0, SolverConfig(0.2))
     assert evals == 5
-    assert np.max(np.abs(out - (x1 + CFG.sigma_min * x0))) < 1e-10
+    assert np.max(np.abs(out - (x1 + SIGMA_MIN * x0))) < 1e-10
 
 
 def test_exact_on_conditional_field():
@@ -129,10 +128,10 @@ def test_exact_on_conditional_field():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal(50)
     x1 = rng.standard_normal(50)
-    expected = x1 + CFG.sigma_min * x0
+    expected = x1 + SIGMA_MIN * x0
     for dt in (0.2, 0.1, 0.05):
         out, _ = euler_solve(
-            lambda x, t: conditional_vector_field(x, x1, t, CFG),
+            lambda x, t: conditional_vector_field(x, x1, t),
             x0, SolverConfig(dt))
         assert np.max(np.abs(out - expected)) < 1e-10
 

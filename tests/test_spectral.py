@@ -60,6 +60,17 @@ def test_wav_rejects_non_pcm16(tmp_path):
         read_wav(path)
 
 
+def test_wav_refuses_data_that_ends_mid_sample(tmp_path):
+    """A 16-bit WAV cut one byte short is refused naming the file, not by
+    numpy's buffer-size error."""
+    path = tmp_path / "cut.wav"
+    write_wav(path, AudioSignal(np.full(100, 0.25), RATE))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: expected a 16-bit PCM WAV file (its data ends mid-sample)")):
+        read_wav(path)
+
+
 def test_audio_signal_validation():
     with pytest.raises(ValueError):
         AudioSignal(np.array([0.0, np.nan]), RATE)

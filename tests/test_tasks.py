@@ -113,7 +113,7 @@ def test_trim_rejects_short_input():
 def test_mix_at_snr_zero_db_equal_energy():
     clean = tone_burst(16000, seed=11)
     noise = AudioSignal(np.random.default_rng(12).standard_normal(16000) * 0.1, RATE)
-    mixed = mix_at_snr(clean, noise, 0.0, np.random.default_rng(13))
+    mixed = mix_at_snr(clean, noise, 0.0)
     added = mixed.samples - clean.samples
     clean_e = np.sum(clean.samples ** 2)
     assert abs(np.sum(added ** 2) - clean_e) / clean_e < 1e-9
@@ -122,42 +122,36 @@ def test_mix_at_snr_zero_db_equal_energy():
 def test_mix_at_snr_high_snr_is_nearly_clean():
     clean = tone_burst(16000, seed=14)
     noise = AudioSignal(np.random.default_rng(15).standard_normal(16000) * 0.1, RATE)
-    mixed = mix_at_snr(clean, noise, 100.0, np.random.default_rng(16))
+    mixed = mix_at_snr(clean, noise, 100.0)
     assert si_sdr(mixed, clean) > 90.0
 
 
 def test_mix_at_snr_measured_matches_requested():
     clean = tone_burst(16000, seed=17)
-    noise = AudioSignal(np.random.default_rng(18).standard_normal(30000) * 0.1, RATE)
+    noise = AudioSignal(np.random.default_rng(18).standard_normal(16000) * 0.1, RATE)
     for snr in (-5.0, 0.0, 7.5, 20.0):
-        mixed = mix_at_snr(clean, noise, snr, np.random.default_rng(19))
+        mixed = mix_at_snr(clean, noise, snr)
         added = mixed.samples - clean.samples
         measured = 10.0 * np.log10(np.sum(clean.samples ** 2) / np.sum(added ** 2))
         assert abs(measured - snr) < 1e-6
 
 
-def test_mix_at_snr_crops_and_loops():
+@pytest.mark.parametrize("length", [0, 3000, 15999, 16001, 50000])
+def test_mix_at_snr_refuses_noise_of_another_length(length):
+    """Noise is neither cropped nor looped: it must match the clean length."""
     clean = tone_burst(16000, seed=20)
-    long_noise = AudioSignal(np.random.default_rng(21).standard_normal(50000) * 0.1, RATE)
-    short_noise = AudioSignal(np.random.default_rng(22).standard_normal(3000) * 0.1, RATE)
-    assert len(mix_at_snr(clean, long_noise, 5.0, np.random.default_rng(23))) == 16000
-    assert len(mix_at_snr(clean, short_noise, 5.0, np.random.default_rng(24))) == 16000
+    noise = AudioSignal(np.random.default_rng(21).standard_normal(length) * 0.1, RATE)
+    with pytest.raises(ValueError, match=f"got 16000 and {length} samples"):
+        mix_at_snr(clean, noise, 5.0)
 
 
 def test_mix_at_snr_rejects_silence():
     clean = tone_burst(8000, seed=25)
     silence = AudioSignal(np.zeros(8000), RATE)
     with pytest.raises(ValueError):
-        mix_at_snr(silence, clean, 0.0, np.random.default_rng(26))
+        mix_at_snr(silence, clean, 0.0)
     with pytest.raises(ValueError):
-        mix_at_snr(clean, silence, 0.0, np.random.default_rng(27))
-
-
-def test_bandwidth_reduce_identity_factor():
-    audio = tone_burst(16000, seed=28)
-    out = bandwidth_reduce(audio, 1)
-    assert np.max(np.abs(out.samples - audio.samples)) < 1e-9
-    assert out.samples is not audio.samples
+        mix_at_snr(clean, silence, 0.0)
 
 
 def test_bandwidth_reduce_stopband_and_length():
@@ -200,8 +194,9 @@ def test_lowpass_taps_refuse_a_cutoff_outside_the_band(cutoff):
 
 
 def test_bandwidth_reduce_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        bandwidth_reduce(tone_burst(8000, seed=31), 3)
+    for factor in (1, 3):
+        with pytest.raises(ValueError, match=f"factor {factor}"):
+            bandwidth_reduce(tone_burst(8000, seed=31), factor)
 
 
 def test_codec_bit_depth_quality():
@@ -227,7 +222,7 @@ def test_codec_zero_and_range():
 
 def test_mix_two_speakers_identical_at_zero_db():
     a = tone_burst(16000, seed=34)
-    mixture, target = mix_two_speakers(a, a, np.random.default_rng(35), ratio_db=0.0)
+    mixture, target = mix_two_speakers(a, a, 0.0)
     assert np.max(np.abs(mixture.samples - 2.0 * a.samples)) < 1e-12
     assert np.array_equal(target.samples, a.samples)
 
@@ -235,31 +230,15 @@ def test_mix_two_speakers_identical_at_zero_db():
 def test_mix_two_speakers_min_mode_and_interference():
     a = tone_burst(20000, seed=36)
     b = tone_burst(15000, seed=37)
-    mixture, target = mix_two_speakers(a, b, np.random.default_rng(38))
+    mixture, target = mix_two_speakers(a, b, 3.0)
     assert len(mixture) == 15000
     assert len(target) == 15000
     assert np.array_equal(target.samples, a.samples[:15000])
     assert si_sdr(mixture, target) < si_sdr(target, target)
 
 
-def test_mix_two_speakers_ratio_distribution():
-    a = tone_burst(8000, seed=39)
-    b = tone_burst(9000, seed=40)
-    rng = np.random.default_rng(41)
-    ratios = []
-    for _ in range(200):
-        mixture, target = mix_two_speakers(a, b, rng)
-        added = mixture.samples - target.samples
-        ratios.append(10.0 * np.log10(np.sum(target.samples ** 2)
-                                      / np.sum(added ** 2)))
-    ratios = np.array(ratios)
-    assert ratios.min() >= -5.0 - 1e-9
-    assert ratios.max() <= 5.0 + 1e-9
-    assert abs(ratios.mean()) < 1.0
-
-
 def test_mix_two_speakers_rejects_empty():
     a = tone_burst(8000, seed=42)
     empty = AudioSignal(np.zeros(0), RATE)
     with pytest.raises(ValueError):
-        mix_two_speakers(a, empty, np.random.default_rng(43))
+        mix_two_speakers(a, empty, 0.0)

@@ -12,7 +12,7 @@ import pytest
 
 from flowsr import training
 from flowsr.audio import AudioSignal
-from flowsr.flowpath import FlowPathConfig, sample_training_tuple
+from flowsr.flowpath import sample_training_tuple
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
 from flowsr.sampler import generate
 from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
@@ -206,13 +206,12 @@ def replay_pretrain_loss(cfg, grids, seed, support):
     """Recompute the expected zero-init loss by replaying the documented
     per-item draw order with an identically seeded generator."""
     rng = np.random.default_rng(seed)
-    flow = FlowPathConfig()
     losses = []
     for grid in grids:
         mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span, rng)
         cond = apply_mask(grid, mask)
         maybe_drop_condition(cond, cfg.dropout_prob, rng)
-        tup = sample_training_tuple(grid.values, flow, rng)
+        tup = sample_training_tuple(grid.values, rng)
         if support is LossSupport.MASKED_ONLY:
             fm = mask.astype(np.float64)
             denom = max(fm.sum() * grid.num_channels, 1.0)
@@ -426,11 +425,10 @@ def test_finetune_replay_consumes_no_dropout_draws():
         degraded = AudioSignal(clean.samples + 0.1 * rng.standard_normal(600), 16000)
         pairs.append(TrainPair(clean=clean, degraded=degraded))
     replay = np.random.default_rng(cfg.seed)
-    flow = FlowPathConfig()
     expected = []
     for p in pairs:
         x1 = features_from_audio(p.clean, SMALL_STFT, CompressionParams())
-        tup = sample_training_tuple(x1.values, flow, replay)
+        tup = sample_training_tuple(x1.values, replay)
         expected.append(float((tup.target**2).mean()))
     loss, _ = finetune_gradients(state, pairs, SMALL_STFT, CompressionParams())
     assert loss == pytest.approx(float(np.mean(expected)), abs=1e-12)
@@ -453,7 +451,7 @@ def test_finetune_tse_targets_include_prompt():
     target_audio = prepend_tse_prompt(clean, reference)
     x1 = features_from_audio(target_audio, SMALL_STFT, CompressionParams())
     assert x1.num_frames == SMALL_STFT.num_frames(prompt_samples + rate)
-    tup = sample_training_tuple(x1.values, FlowPathConfig(), replay)
+    tup = sample_training_tuple(x1.values, replay)
     expected = float((tup.target**2).mean())
     loss, _ = finetune_gradients(state, [pair], SMALL_STFT, CompressionParams())
     assert loss == pytest.approx(expected, abs=1e-12)
@@ -764,6 +762,63 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path):
     with pytest.raises(ValueError, match="missing array 'adam_v.output_proj.bias'"):
         load_checkpoint(missing)
     assert load_checkpoint(path).step == 0
+
+
+def header_edit(key, **fields):
+    """A corruption that sets `fields` in a checkpoint's JSON `key` entry
+    (a None value deletes the field)."""
+    def corrupt(arrays):
+        stored = {**json.loads(str(arrays[key])), **fields}
+        arrays[key] = np.array(json.dumps({k: v for k, v in stored.items()
+                                           if v is not None}))
+    return corrupt
+
+
+def header_drop(key):
+    return lambda arrays: arrays.pop(key)
+
+
+CONFIG_CORRUPTIONS = [
+    (header_edit("__model_config__", bogus=1),
+     "unexpected keyword argument 'bogus' (in '__model_config__')"),
+    (header_edit("__train_config__", bogus=1),
+     "unexpected keyword argument 'bogus' (in '__train_config__')"),
+    (header_edit("__model_config__", num_heads=3),
+     "model_dim 8 not divisible by num_heads 3 (in '__model_config__')"),
+    (header_edit("__train_config__", mode=None), "'__train_config__' has no field 'mode'"),
+    (header_drop("__model_config__"), "missing '__model_config__'"),
+    (header_drop("__train_config__"), "missing '__train_config__'"),
+]
+STATE_CORRUPTIONS = [
+    (header_drop("__rng__"), "missing '__rng__'"),
+    (header_drop("__step__"), "missing '__step__'"),
+    (header_drop("__loss_stats__"), "missing '__loss_stats__'"),
+    (lambda arrays: arrays.update(__rng__=np.array('{"bit_generator": "MT19937"}')),
+     "(in '__rng__')"),
+    (lambda arrays: arrays.update(__loss_stats__=np.array("[1, 2.0]")),
+     "(in '__loss_stats__')"),
+]
+
+
+@pytest.mark.parametrize("load, corrupt, message", [
+    (load, *case) for load in (load_model, load_checkpoint) for case in CONFIG_CORRUPTIONS
+] + [(load_checkpoint, *case) for case in STATE_CORRUPTIONS])
+def test_checkpoint_header_refusals_name_the_file_and_the_key(tmp_path, load, corrupt,
+                                                              message):
+    """Every refusal of a checkpoint's configs, and of the step, rng and loss
+    statistics `load_checkpoint` also reads, is a ValueError that starts
+    with the file's path and names the entry."""
+    path = tmp_path / "state.npz"
+    save_checkpoint(init_train_state(init_parameters(SMALL_MODEL, np.random.default_rng(0)),
+                                     TrainConfig()), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    corrupt(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError) as refused:
+        load(path)
+    assert str(refused.value).startswith(f"{path}: ")
+    assert message in str(refused.value)
 
 
 def test_load_model_reads_only_the_parameters(tmp_path, monkeypatch):

@@ -64,8 +64,9 @@ class RunConfig:
     `CompressionParams`, `ModelConfig`, `SolverConfig`, `TrainConfig`), so it
     is stated once. Feature width is derived (two channels per STFT bin),
     never set directly. Learning rates of None defer to the mode defaults at
-    training time, and a clip_norm of None disables gradient clipping. Step counts default to desk scale; raise them via a config
-    file for longer runs.
+    training time, and a clip_norm of None disables gradient clipping. Step
+    counts default to desk scale; raise them via a config file for longer
+    runs.
     """
 
     sample_rate: int = 16000

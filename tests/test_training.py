@@ -778,31 +778,35 @@ def header_drop(key):
     return lambda arrays: arrays.pop(key)
 
 
-CONFIG_CORRUPTIONS = [
-    (header_edit("__model_config__", bogus=1),
-     "unexpected keyword argument 'bogus' (in '__model_config__')"),
-    (header_edit("__train_config__", bogus=1),
-     "unexpected keyword argument 'bogus' (in '__train_config__')"),
-    (header_edit("__model_config__", num_heads=3),
-     "model_dim 8 not divisible by num_heads 3 (in '__model_config__')"),
-    (header_edit("__train_config__", mode=None), "'__train_config__' has no field 'mode'"),
-    (header_drop("__model_config__"), "missing '__model_config__'"),
-    (header_drop("__train_config__"), "missing '__train_config__'"),
-]
-STATE_CORRUPTIONS = [
-    (header_drop("__rng__"), "missing '__rng__'"),
-    (header_drop("__step__"), "missing '__step__'"),
-    (header_drop("__loss_stats__"), "missing '__loss_stats__'"),
-    (lambda arrays: arrays.update(__rng__=np.array('{"bit_generator": "MT19937"}')),
-     "(in '__rng__')"),
-    (lambda arrays: arrays.update(__loss_stats__=np.array("[1, 2.0]")),
-     "(in '__loss_stats__')"),
-]
+CONFIG_CORRUPTIONS = {
+    "model-unknown-key": (header_edit("__model_config__", bogus=1),
+                          "unexpected keyword argument 'bogus' (in '__model_config__')"),
+    "train-unknown-key": (header_edit("__train_config__", bogus=1),
+                          "unexpected keyword argument 'bogus' (in '__train_config__')"),
+    "heads": (header_edit("__model_config__", num_heads=3),
+              "model_dim 8 not divisible by num_heads 3 (in '__model_config__')"),
+    "train-no-mode": (header_edit("__train_config__", mode=None),
+                      "'__train_config__' has no field 'mode'"),
+    "no-model-config": (header_drop("__model_config__"), "missing '__model_config__'"),
+    "no-train-config": (header_drop("__train_config__"), "missing '__train_config__'"),
+}
+STATE_CORRUPTIONS = {
+    "no-rng": (header_drop("__rng__"), "missing '__rng__'"),
+    "no-step": (header_drop("__step__"), "missing '__step__'"),
+    "no-loss-stats": (header_drop("__loss_stats__"), "missing '__loss_stats__'"),
+    "rng-of-another-generator": (
+        lambda arrays: arrays.update(__rng__=np.array('{"bit_generator": "MT19937"}')),
+        "(in '__rng__')"),
+    "two-loss-stats": (lambda arrays: arrays.update(__loss_stats__=np.array("[1, 2.0]")),
+                       "(in '__loss_stats__')"),
+}
 
 
 @pytest.mark.parametrize("load, corrupt, message", [
-    (load, *case) for load in (load_model, load_checkpoint) for case in CONFIG_CORRUPTIONS
-] + [(load_checkpoint, *case) for case in STATE_CORRUPTIONS])
+    pytest.param(load, *case, id=f"{load.__name__}-{name}")
+    for load in (load_model, load_checkpoint) for name, case in CONFIG_CORRUPTIONS.items()
+] + [pytest.param(load_checkpoint, *case, id=f"load_checkpoint-{name}")
+     for name, case in STATE_CORRUPTIONS.items()])
 def test_checkpoint_header_refusals_name_the_file_and_the_key(tmp_path, load, corrupt,
                                                               message):
     """Every refusal of a checkpoint's configs, and of the step, rng and loss

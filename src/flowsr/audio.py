@@ -45,7 +45,8 @@ def read_wav(path) -> AudioSignal:
     signal. Multi-channel files, other sample widths and formats that the
     stdlib `wave` does not read as PCM (float, and WAVE_FORMAT_EXTENSIBLE
     before Python 3.12) are rejected as ValueErrors, as is a file whose
-    data ends mid-sample.
+    data ends mid-sample or holds fewer samples than its header declares
+    (a file cut short, or a streaming writer's placeholder size).
     """
     try:
         with wave.open(os.fspath(path), "rb") as fh:
@@ -54,9 +55,13 @@ def read_wav(path) -> AudioSignal:
                 raise ValueError(f"{path}: expected mono audio, got {channels} channels")
             if width != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
-            rate, frames = fh.getframerate(), fh.readframes(fh.getnframes())
+            declared = fh.getnframes()
+            rate, frames = fh.getframerate(), fh.readframes(declared)
             if len(frames) % width:
                 raise wave.Error("its data ends mid-sample")
+            if len(frames) < width * declared:
+                raise ValueError(f"{path}: its header declares {declared} samples, "
+                                 f"but its data holds {len(frames) // width}")
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: expected a 16-bit PCM WAV file "
                          f"({str(exc) or 'it ends early'})") from None

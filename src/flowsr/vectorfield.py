@@ -14,9 +14,10 @@ one [heads, 2 * frames - 1] array of offsets, built once per forward pass and
 shared by every layer and block, so it costs O(heads * frames) memory.
 
 Attention is exact and computed in blocks of query rows, so inference holds
-O(batch * heads * rows * frames) attention memory, with rows chosen to keep a
-block near ATTENTION_BLOCK_ELEMENTS scores, rather than a full [batch, heads,
-frames, frames] grid. Queries are scaled by 1/sqrt(head_dim), and each row's
+one block of scores at a time rather than a full [batch, heads, frames,
+frames] grid. Rows are sized so that all heads' blocks of one row block hold
+about ATTENTION_BLOCK_ELEMENTS scores, and no block holds more than one
+head's share of them. Queries are scaled by 1/sqrt(head_dim), and each row's
 softmax is shifted by the row's diagonal score rather than its maximum
 (ALiBi's bias is 0 on the diagonal), which one extra column of q and k folds
 into the score matmul. The softmax is normalised on the context:
@@ -28,23 +29,28 @@ e^(-m_h) per frame, so on long inputs each head scores, per block of rows,
 its own band of keys around the block, sized from a bound on the layer's
 scores (the steep heads a narrow band, the shallow ones up to every key).
 `_key_bands` lays this out once per layer as one list of (heads, rows, keys)
-slices, which the forward loop scores and the backward loop replays.
-Training crops and short utterances fit in one block: (all heads, all rows,
-all keys). A recorded forward pass runs the same block loop and tapes only
-the slices and every row's sum of weights, [batch, heads, frames]; backward
-replays each block's probabilities from them, bit for bit, one block at a
-time. So a recorded pass and its backward hold memory linear in frames: one
-16 s crop (2001 frames) at the defaults peaks at about 115 MiB, where taping
-every probability block took about 500 MiB. Training also records slices of
-about `training.MICRO_BATCH_FRAMES` frames (two 128-frame crops), not the
-whole batch.
+slices, which the forward loop scores and the backward loop replays. An
+input of one row block puts as many whole heads in a block as fit one head's
+share, each block on all rows and keys: training crops (two 128-frame crops)
+and utterances of up to 256 frames at batch 1 are the single block (all
+heads, all rows, all keys), 257 to 362 frames run two blocks of two heads,
+and 363 to 512 frames (about 4 s) one block per head. A recorded forward
+pass runs the same block loop and tapes only the slices and every row's sum
+of weights, [batch, heads, frames]; backward replays each block's
+probabilities from them, bit for bit, one block at a time. So a recorded
+pass and its backward hold memory linear in frames: one 16 s crop (2001
+frames) at the defaults peaks at about 115 MiB, where taping every
+probability block took about 500 MiB. Training also records slices of about
+`training.MICRO_BATCH_FRAMES` frames (two 128-frame crops), not the whole
+batch.
 
 The attention and feed-forward branches of a block are each one function
 whose temporaries are locals; both, and the final layer, modulate their
 input with `_modulate` (layer norm, then the time-dependent scale and
 shift). Without recording only the hidden state and the step in progress
 stay live (see `forward_batch`): one field evaluation at the defaults peaks
-at about 13 MiB at 1501 frames and 22 MiB at 2501 frames.
+at about 4.6 MiB at 501 frames (4 s), 10.6 MiB at 1501 frames and 17.6 MiB
+at 2501 frames.
 
 Forward and backward passes are written directly against numpy in float64,
 with element-wise chains written in place (`out=` and augmented assignment)
@@ -82,8 +88,10 @@ from scipy.special import erf
 
 LN_EPS = 1e-6
 TIME_SCALE = 1000.0  # sinusoidal input scaling; keeps frequencies well spread on [0, 1]
-# Score elements per attention block (8 MiB of float64). Training crops and
-# short utterances fit in one block, which is the dense computation unchanged.
+# Score elements of one row block over all heads (8 MiB of float64). A block
+# holds at most one head's share (2 MiB at 4 heads): training crops and
+# utterances of up to 256 frames fit in one block over every head, which is
+# the dense computation unchanged.
 ATTENTION_BLOCK_ELEMENTS = 2 ** 20
 
 
@@ -301,9 +309,13 @@ def _key_bands(q, k, rows):
 
     Query rows are cut into blocks of `rows`, and every head gets one entry
     per row block, head by head, on the keys within W frames of the block
-    (every key when W reaches that far). When rows >= frames the list is
-    the single block (all heads, all rows, all keys), which sees every key
-    whatever W is, so it costs no bound.
+    (every key when W reaches that far). When rows >= frames every block
+    holds all rows and all keys, so it sees every key whatever W is and
+    costs no bound; a block then takes as many whole heads as fit one
+    head's share of scores, rows // frames of them, and the heads are cut
+    into the fewest such blocks, of near-equal size. So no block holds more
+    than one head's share, and an input whose block over every head fits
+    it is the single block (all heads, all rows, all keys).
 
     The band keeps every key whose weight can reach 1e-16 of its row sum.
     Row i's weight on key j is exp(q_i . k_j - c_i - m_h |i - j|), q scaled,
@@ -319,7 +331,10 @@ def _key_bands(q, k, rows):
     """
     heads, frames = q.shape[1:3]
     if rows >= frames:
-        return [(slice(0, heads), slice(0, frames), slice(0, frames))]
+        groups = -(-heads // (rows // frames))
+        cuts = [g * heads // groups for g in range(groups + 1)]
+        return [(slice(lo, hi), slice(0, frames), slice(0, frames))
+                for lo, hi in zip(cuts, cuts[1:])]
     slopes = alibi_slopes(heads)
     starts = np.arange(0, frames, rows)
     stops = np.minimum(starts + rows, frames)
@@ -356,15 +371,17 @@ def _attention_forward(q, k, v, bias, record):
     sees every key whose weight can reach 1e-16 of its row sum: on an input
     of several row blocks every head scores its own band of keys around each
     block (ALiBi's steep heads a narrow one), so each row's softmax is
-    complete without an online rescaling. Rows are sized for all heads, so an
-    input that fits one row block is the single block over every head and
-    key. Each row is shifted by its diagonal score instead of
-    its maximum, which the score matmul applies: the bias is 0 on the
-    diagonal, which every band holds, so the diagonal weight is exp(0) = 1
-    and every row sum is at least 1. The row sums come out of the context
-    matmul, so a block costs two matmuls, one bias add and one exp. A row
-    sum overflows float64 only when scores lie about 709 - ln(frames) or
-    more above their row's diagonal score; a row sum of inf would turn that
+    complete without an online rescaling. Rows are sized for all heads, and
+    no block holds more than one head's share of scores, so an input that
+    fits one row block runs blocks of whole heads over every row and key:
+    one over every head up to 256 frames at batch 1, two of two heads to
+    362 frames, then one per head. Each row is shifted by its diagonal
+    score instead of its maximum, which the score matmul applies: the bias
+    is 0 on the diagonal, which every band holds, so the diagonal weight is
+    exp(0) = 1 and every row sum is at least 1. The row sums come out of the
+    context matmul, so a block costs two matmuls, one bias add and one exp.
+    A row sum overflows float64 only when scores lie about 709 - ln(frames)
+    or more above their row's diagonal score; a row sum of inf would turn that
     row's context into zeros, so the block raises FloatingPointError
     instead.
 
@@ -595,10 +612,10 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
 
     Attention runs in blocks of query rows, each against every key whose
     weight can reach 1e-16 of its row sums (`_attention_forward`), so without
-    recording it holds O(batch * heads * rows * frames) attention memory
-    (about ATTENTION_BLOCK_ELEMENTS scores) instead of a full frames x frames
-    grid. The ALiBi bias on frame indices is one `alibi_bias` view built per
-    call and read by every layer and block. Each block's softmax is shifted
+    recording it holds one block of at most one head's share of
+    ATTENTION_BLOCK_ELEMENTS scores instead of a full frames x frames grid.
+    The ALiBi bias on frame indices is one `alibi_bias` view built per call
+    and read by every layer and block. Each block's softmax is shifted
     by each row's diagonal score and normalised on its context. A recorded
     pass runs the same blocks and tapes only their slices and the row sums,
     from which `backward` replays them, so its tape is O(batch * frames) per

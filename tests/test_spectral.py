@@ -71,6 +71,18 @@ def test_wav_refuses_data_that_ends_mid_sample(tmp_path):
         read_wav(path)
 
 
+def test_wav_refuses_data_shorter_than_its_header(tmp_path):
+    """A 16-bit WAV cut short by whole samples is refused naming the file,
+    the sample count its header declares and the count its data holds, not
+    read back shorter."""
+    path = tmp_path / "short.wav"
+    write_wav(path, AudioSignal(np.full(100, 0.25), RATE))
+    path.write_bytes(path.read_bytes()[:-2])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: its header declares 100 samples, but its data holds 99")):
+        read_wav(path)
+
+
 def test_audio_signal_validation():
     with pytest.raises(ValueError):
         AudioSignal(np.array([0.0, np.nan]), RATE)

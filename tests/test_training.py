@@ -386,9 +386,10 @@ def test_paper_length_pretraining_step_within_a_bounded_peak():
     """One `masked_only` pretraining step of the default model on 4 crops of
     4 s at the default frontend (501 frames each), its zero-initialized
     segments filled: the loss and gradients are finite, and the tracemalloc
-    peak stays at or under 90 MiB (about 55.1 MiB; 82.5 MiB when the whole
-    batch was stacked before slicing, 119.4 MiB when attention taped its
-    probabilities)."""
+    peak stays at or under 90 MiB (about 51.0 MiB; 55.1 MiB when a 501-frame
+    item's attention scored all four heads in one block, 82.5 MiB when the
+    whole batch was stacked before slicing, 119.4 MiB when attention taped
+    its probabilities)."""
     config = ModelConfig()
     model = init_parameters(config, np.random.default_rng(44))
     rng = np.random.default_rng(45)

@@ -583,6 +583,68 @@ def test_key_bands_at_the_default_config(monkeypatch):
         assert np.max(np.abs(field - everything)) <= 1e-14 * np.max(np.abs(everything))
 
 
+def test_key_bands_cap_every_block_at_one_heads_share():
+    """At 4 heads, batch 1 and 2, and every length from 2 to 1600 frames,
+    with rows sized as `_attention_forward` sizes them, no block scores more
+    than one head's share of ATTENTION_BLOCK_ELEMENTS, every block's keys
+    hold its rows, and every (head, row) pair lies in exactly one block: an
+    input of one row block splits its heads into blocks that each fit the
+    share (at batch 1: two blocks of two heads from 257 frames, one block
+    per head from 363 to 512), and only an input whose block over every
+    head fits the share (up to 256 frames at batch 1, 181 at batch 2) keeps
+    that single block."""
+    heads = 4
+    share = vectorfield.ATTENTION_BLOCK_ELEMENTS // heads
+    rng = np.random.default_rng(49)
+    q_all, k_all = (rng.standard_normal((2, heads, 1600, 33)) for _ in range(2))
+    for batch in (1, 2):
+        for frames in range(2, 1601):
+            q, k = q_all[:batch, :, :frames], k_all[:batch, :, :frames]
+            rows = max(1, vectorfield.ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
+            blocks = vectorfield._key_bands(q, k, rows)
+            covered = np.zeros((heads, frames), dtype=int)
+            for head_sel, sel, keys in blocks:
+                extent = [s.stop - s.start for s in (head_sel, sel, keys)]
+                assert batch * np.prod(extent) <= share, (batch, frames, extent)
+                assert keys.start <= sel.start and sel.stop <= keys.stop
+                covered[head_sel, sel] += 1
+            assert np.all(covered == 1), (batch, frames)
+            assert (len(blocks) == 1) == (batch * heads * frames ** 2 <= share)
+            if batch == 1 and frames <= 512:
+                assert len(blocks) == (1 if frames <= 256 else 2 if frames <= 362 else 4)
+
+
+@pytest.mark.parametrize("frames, groups", [(300, 2), (450, 4)])
+def test_head_blocks_keep_every_bit(monkeypatch, frames, groups):
+    """An input of one row block that splits its heads into blocks (two of
+    two heads at 300 frames, one per head at 450) gives the unrecorded
+    field, the recorded field and every `backward` gradient equal bit for
+    bit to those of the single block over every head: each head's matmuls
+    are the same calls either way."""
+    config = ModelConfig(num_layers=2, model_dim=32, num_heads=4,
+                         feature_channels=8, time_embed_dim=16, feedforward_dim=32)
+    model = randomized(config, seed=50)
+    rng = np.random.default_rng(51)
+    x, cond, seed = (rng.standard_normal((1, 8, frames)) for _ in range(3))
+    t = np.array([0.4])
+
+    def run():
+        field = forward_batch(model, x, cond, t)
+        recorded, tape = forward_batch(model, x, cond, t, record=True)
+        count = len(tape.blocks[0][0]["blocks"])
+        return field, recorded, backward(model, tape, seed), count
+
+    field, recorded, grads, count = run()
+    assert count == groups
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorfield, "_key_bands", lambda q, k, rows: [
+            (slice(0, q.shape[1]), slice(0, q.shape[2]), slice(0, q.shape[2]))])
+        one_field, one_recorded, one_grads, one_count = run()
+    assert one_count == 1
+    assert np.array_equal(field, one_field) and np.array_equal(recorded, one_recorded)
+    assert all(np.array_equal(grads[name], one_grads[name]) for name in grads)
+
+
 def test_rows_far_above_their_diagonal_see_every_key(monkeypatch):
     """A query whose score on one key lies 300 above its diagonal score
     widens its block's band to every key, and the context still matches the
@@ -631,24 +693,27 @@ def test_attention_memory_grows_linearly_in_frames():
     assert peak_mib(2501) < 150.0
 
 
-def test_inference_forward_peak_is_bounded():
-    """Without recording, activations are freed at their last use: one NFE on
-    20 s (2501 frames) at the defaults peaks at about 22 MiB, where an
-    attention sublayer builds its operands beside the qkv projection (its
-    block loop peaks at about 17 MiB) and at the output projection, not at
-    the sum of every layer's temporaries (nor at a [frames, 2 * channels]
-    input, which the split input projection never builds)."""
+@pytest.mark.parametrize("frames, bound", [(2501, 32.0), (501, 6.0)])
+def test_inference_forward_peak_is_bounded(frames, bound):
+    """Without recording, activations are freed at their last use: one NFE at
+    the defaults peaks at about 17.6 MiB on 20 s (2501 frames), where an
+    attention sublayer builds its operands beside the qkv projection and
+    runs its block loop, and at the output projection, not at the sum of
+    every layer's temporaries (nor at a [frames, 2 * channels] input, which
+    the split input projection never builds). On 4 s (501 frames), one row
+    block, each head is its own block, so the peak is about 4.6 MiB, where
+    one block over all four heads took about 10.7 MiB."""
     model = init_parameters(ModelConfig(), np.random.default_rng(27))
     rng = np.random.default_rng(28)
-    x = rng.standard_normal((1, 512, 2501))
-    cond = rng.standard_normal((1, 512, 2501))
+    x = rng.standard_normal((1, 512, frames))
+    cond = rng.standard_normal((1, 512, frames))
     tracemalloc.start()
     try:
         forward_batch(model, x, cond, np.array([0.5]))
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < 32.0
+    assert peak < bound, peak
 
 
 def test_unrecorded_field_equals_recorded(monkeypatch):

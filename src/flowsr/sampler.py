@@ -8,11 +8,21 @@ utterance. The condition is the `FeatureGrid` that `tasks.build_condition`
 returns; for target speaker extraction it spans the prompt and the mixture,
 and `tasks.trim_tse_output` cuts the prompt back off the synthesized audio.
 
+Restoration computes in float32 (mixed precision, Micikevicius et al., arXiv
+1710.03740): `generate` casts the model's parameters to float32 once per
+utterance, `sample_features` casts the condition and the float64 noise draw
+to the model's dtype, and the Euler solve runs on a float32 state, since
+`vectorfield.forward_batch` computes in its parameters' dtype. Parameters on
+disk, training, condition building and synthesis stay float64; the solved
+grid is cast back for synthesis. Called with a float64 model,
+`sample_features` and `euler_solve` stay float64 throughout.
+
 Restoration holds one state grid. The solver copies the noise draw once and
 updates that state in place, each field is dropped before the next
-evaluation, and the condition is dropped before synthesis, so at any stage
-at most the state, the condition and one stage's own work are alive. The
-peak is the field evaluation's.
+evaluation, the float64 condition is dropped once cast, and the float32
+condition and parameters are dropped before synthesis, so at any stage at
+most the state, the condition, the float32 parameters and one stage's own
+work are alive. The peak is the field evaluation's.
 """
 
 import dataclasses
@@ -27,7 +37,8 @@ from .tasks import (TaskKind, build_condition, trim_tse_output,
 from .vectorfield import VectorFieldModel, forward_batch
 
 
-# Elements per chunk of the in-place Euler update (256 KiB of float64).
+# Elements per chunk of the in-place Euler update (256 KiB of float64, 128 KiB
+# of float32).
 _UPDATE_CHUNK_ELEMENTS = 1 << 15
 
 
@@ -60,9 +71,12 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
             state it is given is the solver's own and is updated in place
             after the call, so a field that keeps it must copy it. The field
             it returns is only read, never written.
-        x0: initial state at t = 0. It is copied once, as float64, and never
-            mutated or returned; a caller that does not keep its own
-            reference lets it be freed before the first evaluation.
+        x0: initial state at t = 0. It is copied once, in
+            np.result_type(x0, float32): a float32 start stays float32,
+            float64 and integer starts give float64. It is never mutated or
+            returned; a caller that does not keep its own reference lets it
+            be freed before the first evaluation. Fields are cast to the
+            state's dtype.
         config: solver settings; the number of steps is 1 / step_size.
 
     Returns:
@@ -77,12 +91,13 @@ def euler_solve(field_fn, x0: np.ndarray, config: SolverConfig):
     before the next evaluation, so a step holds one state and one field.
     """
     n = config.num_steps
-    x = np.array(x0, dtype=np.float64)
+    x0 = np.asarray(x0)
+    x = np.array(x0, dtype=np.result_type(x0, np.float32))
     del x0  # the copy is the state; the start state need not outlive it
     evals = 0
     for k in range(n):
         t_k = k / n
-        v = np.asarray(field_fn(x, t_k), dtype=np.float64)
+        v = np.asarray(field_fn(x, t_k), dtype=x.dtype)
         evals += 1
         if v.shape != x.shape:
             raise ValueError(f"field shape {v.shape} != state shape {x.shape}")
@@ -122,15 +137,24 @@ def _add_scaled(x: np.ndarray, v: np.ndarray, scale: float) -> None:
 def sample_features(model: VectorFieldModel, cond: FeatureGrid,
                     rng: np.random.Generator,
                     solver: SolverConfig | None = None) -> FeatureGrid:
-    """Draw noise shaped like the condition and integrate the model field."""
+    """Draw noise shaped like the condition and integrate the model field,
+    in the model's dtype.
+
+    The condition and the noise, drawn as float64 whatever the model's
+    dtype so that a seed gives the same draw, are cast to the model's
+    dtype; the returned grid is float64 (`FeatureGrid`). A condition grid
+    that the caller passes without keeping a reference is freed once cast.
+    """
     solver = solver or SolverConfig()
+    values = cond.values.astype(model.dtype, copy=False)[None]
+    del cond  # a grid passed unbound is freed here, before the solve
 
     def field(x, t):
-        return forward_batch(model, x[None], cond.values[None],
-                             np.asarray([t]))[0]
+        return forward_batch(model, x[None], values, np.asarray([t]))[0]
 
     # the noise draw is not bound here, so euler_solve holds the only state
-    final, _ = euler_solve(field, rng.standard_normal(cond.values.shape), solver)
+    final, _ = euler_solve(
+        field, rng.standard_normal(values.shape[1:]).astype(model.dtype, copy=False), solver)
     return FeatureGrid(final)
 
 
@@ -146,11 +170,20 @@ def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,
     trimmed from the output; other tasks return audio of exactly the
     degraded input's length. `stft_params` and `compression` must be the
     frontend the model was trained on; a checkpoint does not record them.
+
+    The field is evaluated with a float32 copy of the model's parameters,
+    made once per call and freed before synthesis; the caller's model is
+    not changed. The condition and synthesis are computed in float64.
     """
-    cond = build_condition(task, degraded, stft_params, compression,
-                           reference=reference)
-    features = sample_features(model, cond, rng, solver=solver)
-    del cond  # synthesis does not read the condition
+    # Keyword arguments are evaluated in the order written: the condition is
+    # built before the float32 model copy exists. It is not bound here, so
+    # sample_features frees the float64 grid once it has cast it, and both
+    # float32 copies are gone when sample_features returns.
+    features = sample_features(
+        cond=build_condition(task, degraded, stft_params, compression, reference=reference),
+        model=VectorFieldModel(model.config, {name: values.astype(np.float32)
+                                              for name, values in model.params.items()}),
+        rng=rng, solver=solver)
 
     if task is TaskKind.TARGET_SPEAKER_EXTRACT:
         total = tse_prompt_samples(degraded.sample_rate) + len(degraded)

@@ -48,13 +48,22 @@ The attention and feed-forward branches of a block are each one function
 whose temporaries are locals; both, and the final layer, modulate their
 input with `_modulate` (layer norm, then the time-dependent scale and
 shift). Without recording only the hidden state and the step in progress
-stay live (see `forward_batch`): one field evaluation at the defaults peaks
-at about 4.6 MiB at 501 frames (4 s), 10.6 MiB at 1501 frames and 17.6 MiB
-at 2501 frames.
+stay live (see `forward_batch`): one float64 field evaluation at the
+defaults peaks at about 4.6 MiB at 501 frames (4 s), 10.6 MiB at 1501
+frames and 17.6 MiB at 2501 frames, and a float32 one at half that (2.3,
+5.3 and 8.8 MiB).
 
-Forward and backward passes are written directly against numpy in float64,
-with element-wise chains written in place (`out=` and augmented assignment)
-in the order of the plain formula, so the arithmetic is the same.
+Forward and backward passes are written directly against numpy and compute
+in the dtype of the model's parameters: every array they make takes that
+dtype, and state and condition grids are cast to it. Parameters are float64
+from `init_parameters` on, so training and its gradients are float64;
+`sampler.generate` restores with a float32 copy of the parameters. Only the
+times and their sinusoidal arguments stay float64, since float32
+sin(1000 t f) is off by about 6e-5, and the [batch, time_embed_dim]
+embedding is cast. Element-wise chains are written in place (`out=` and
+augmented assignment) in the order of the plain formula, so the arithmetic
+is the same, and scalars are Python floats (`math.sqrt`), which take the
+array's dtype where a numpy float64 scalar would promote it.
 `backward` consumes the `ForwardTape` recorded by
 `forward_batch(..., record=True)`, which holds only what it reads (the
 residual stream's hidden states and the modulated inputs are not taped),
@@ -81,6 +90,7 @@ T = time_embed_dim, F = feedforward_dim, N = num_layers):
 """
 
 import dataclasses
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,10 +98,10 @@ from scipy.special import erf
 
 LN_EPS = 1e-6
 TIME_SCALE = 1000.0  # sinusoidal input scaling; keeps frequencies well spread on [0, 1]
-# Score elements of one row block over all heads (8 MiB of float64). A block
-# holds at most one head's share (2 MiB at 4 heads): training crops and
-# utterances of up to 256 frames fit in one block over every head, which is
-# the dense computation unchanged.
+# Score elements of one row block over all heads (8 MiB of float64, 4 MiB of
+# float32). A block holds at most one head's share (2 MiB of float64 at 4
+# heads): training crops and utterances of up to 256 frames fit in one block
+# over every head, which is the dense computation unchanged.
 ATTENTION_BLOCK_ELEMENTS = 2 ** 20
 
 
@@ -122,10 +132,17 @@ class ModelConfig:
 
 @dataclasses.dataclass
 class VectorFieldModel:
-    """Configuration plus named parameter segments (dict of float64 arrays)."""
+    """Configuration plus named parameter segments (dict of arrays of one
+    dtype). `init_parameters`, training and checkpoints keep them float64;
+    `sampler.generate` restores with a float32 copy."""
 
     config: ModelConfig
     params: dict
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, which `forward_batch` computes in."""
+        return self.params["input_proj.weight"].dtype
 
 
 def segment_shapes(config: ModelConfig) -> dict:
@@ -174,7 +191,7 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> VectorFiel
     params = {}
     for name, shape in segment_shapes(config).items():
         if any(tag in name for tag in _ZERO_INIT_SEGMENTS) or ".bias" in name:
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, dtype=np.float64)
         else:
             fan_in, fan_out = shape[0], shape[1]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -203,15 +220,15 @@ def alibi_slopes(num_heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * h / num_heads)
 
 
-def alibi_bias(frames: int, num_heads: int) -> np.ndarray:
-    """Attention bias [heads, frames, frames]: -slope_h * |i - j|.
+def alibi_bias(frames: int, num_heads: int, dtype=np.float64) -> np.ndarray:
+    """Attention bias [heads, frames, frames]: -slope_h * |i - j|, in `dtype`.
 
     A read-only view: row i is the window of one [heads, 2 * frames - 1]
     array of offset biases that starts at offset -i, so the grid costs
     O(heads * frames) memory and no in-place operation can alter it.
     """
     offsets = np.abs(np.arange(1 - frames, frames, dtype=np.float64))
-    biases = -alibi_slopes(num_heads)[:, None] * offsets[None]
+    biases = (-alibi_slopes(num_heads)[:, None] * offsets[None]).astype(dtype, copy=False)
     return sliding_window_view(biases, frames, axis=1)[:, ::-1]
 
 
@@ -289,10 +306,11 @@ def _attention_operands(qkv, num_heads):
     """
     batch, frames, width = qkv.shape
     head_dim = width // (3 * num_heads)
-    q, k, v = (np.empty((batch, num_heads, frames, head_dim + 1)) for _ in range(3))
+    q, k, v = (np.empty((batch, num_heads, frames, head_dim + 1), dtype=qkv.dtype)
+               for _ in range(3))
     parts = [a.reshape(batch, frames, num_heads, head_dim).transpose(0, 2, 1, 3)
              for a in np.split(qkv, 3, axis=2)]
-    np.divide(parts[0], np.sqrt(head_dim), out=q[..., :-1])
+    np.divide(parts[0], math.sqrt(head_dim), out=q[..., :-1])
     k[..., :-1] = parts[1]
     v[..., :-1] = parts[2]
     np.einsum("bhld,bhld->bhl", q[..., :-1], k[..., :-1], out=q[..., -1])
@@ -380,10 +398,11 @@ def _attention_forward(q, k, v, bias, record):
     is 0 on the diagonal, which every band holds, so the diagonal weight is
     exp(0) = 1 and every row sum is at least 1. The row sums come out of the
     context matmul, so a block costs two matmuls, one bias add and one exp.
-    A row sum overflows float64 only when scores lie about 709 - ln(frames)
-    or more above their row's diagonal score; a row sum of inf would turn that
-    row's context into zeros, so the block raises FloatingPointError
-    instead.
+    A row sum overflows the compute dtype only when scores lie about
+    ln(finfo(dtype).max) - ln(frames) or more above their row's diagonal
+    score (709 - ln(frames) in float64, 88.7 - ln(frames) in float32); a row
+    sum of inf would turn that row's context into zeros, so the block raises
+    FloatingPointError instead.
 
     Recorded and unrecorded passes run the same loop and differ only in
     what they keep. Returns the context [batch, frames, heads * head_dim]
@@ -395,9 +414,9 @@ def _attention_forward(q, k, v, bias, record):
     """
     batch, heads, frames, width = q.shape
     rows = max(1, ATTENTION_BLOCK_ELEMENTS // (batch * heads * frames))
-    ctx = np.empty((batch, frames, heads, width - 1))
+    ctx = np.empty((batch, frames, heads, width - 1), dtype=q.dtype)
     blocks = _key_bands(q, k, rows)
-    row_sums = np.empty((batch, heads, frames)) if record else None
+    row_sums = np.empty((batch, heads, frames), dtype=q.dtype) if record else None
     for block in blocks:
         head_sel, sel, keys = block
         weights = _block_weights(q, k, bias, block)
@@ -405,9 +424,10 @@ def _attention_forward(q, k, v, bias, record):
         del weights  # otherwise still held while the context is normalised
         total = out[..., -1:]
         if np.isinf(total).any():
+            bound = math.log(np.finfo(q.dtype).max) - math.log(frames)
             raise FloatingPointError(
-                "attention weights overflow float64: a score lies about "
-                f"{709 - np.log(frames):.0f} or more above its row's diagonal score")
+                f"attention weights overflow {q.dtype}: a score lies about "
+                f"{bound:.1f} or more above its row's diagonal score")
         ctx[:, sel, head_sel] = (out[..., :-1] / total).transpose(0, 2, 1, 3)
         if record:
             row_sums[:, head_sel, sel] = total[..., 0]  # a copy: a view would keep `out`
@@ -432,11 +452,11 @@ def _attention_backward(dctx, ctx, q, k, v, bias, blocks, row_sums):
     every probability block.
     """
     head_dim = q.shape[-1] - 1  # q is already scaled
-    scale = np.sqrt(head_dim)
+    scale = math.sqrt(head_dim)
     row_terms = np.einsum("bhld,bhld->bhl", dctx, ctx)[..., None]
-    dq = np.empty(dctx.shape)
-    dk = np.zeros(dctx.shape)
-    dv = np.zeros(dctx.shape)
+    dq = np.empty(dctx.shape, dtype=dctx.dtype)
+    dk = np.zeros(dctx.shape, dtype=dctx.dtype)
+    dv = np.zeros(dctx.shape, dtype=dctx.dtype)
     v_t = v[..., :-1].transpose(0, 1, 3, 2)
     for block in blocks:
         head_sel, sel, keys = block
@@ -565,7 +585,7 @@ def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
     tape = dict(n=n, inv=inv, shift=shift, scale=scale, gate=gate) if record else None
     z1 = _linear(m, p[f"{name}.ffn.weight1"], p[f"{name}.ffn.bias1"])
     del n, m
-    a1 = np.divide(z1, np.sqrt(2.0))  # the standard normal CDF, then the GELU output
+    a1 = np.divide(z1, math.sqrt(2.0))  # the standard normal CDF, then the GELU output
     erf(a1, out=a1)
     a1 += 1.0
     a1 *= 0.5
@@ -575,7 +595,7 @@ def _ffn_sublayer(h_mid, p, name, shift, scale, gate, record):
         gelu_grad *= z1
         np.exp(gelu_grad, out=gelu_grad)
         gelu_grad *= z1
-        gelu_grad /= np.sqrt(2.0 * np.pi)
+        gelu_grad /= math.sqrt(2.0 * math.pi)
         gelu_grad += a1
         tape.update(gelu_grad=gelu_grad, a1=a1)
     a1 *= z1
@@ -608,7 +628,7 @@ def _ffn_sublayer_backward(dh, tape, p, name):
 
 def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
                   t: np.ndarray, record: bool = False):
-    """Batched forward pass on raw arrays.
+    """Batched forward pass on raw arrays, in the parameters' dtype.
 
     Attention runs in blocks of query rows, each against every key whose
     weight can reach 1e-16 of its row sums (`_attention_forward`), so without
@@ -630,6 +650,9 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     and the step in progress stay live, so the peak is one attention block
     beside the attention operands and the context, or the output projection.
 
+    The state and condition are cast to the model's dtype (no copy when
+    they have it already), so a float32 model's pass is float32 throughout.
+
     Args:
         x_t: state grids [batch, channels, frames].
         cond: condition grids, same shape as x_t.
@@ -641,6 +664,7 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
     """
     cfg = model.config
     p = model.params
+    x_t, cond = (np.asarray(a, dtype=model.dtype) for a in (x_t, cond))
     if x_t.shape != cond.shape:
         raise ValueError(f"state shape {x_t.shape} != condition shape {cond.shape}")
     if x_t.ndim != 3 or x_t.shape[1] != cfg.feature_channels or x_t.size == 0:
@@ -654,9 +678,10 @@ def forward_batch(model: VectorFieldModel, x_t: np.ndarray, cond: np.ndarray,
         raise ValueError(f"times shape {t.shape} != {(batch,)} for input {x_t.shape}")
     if not np.all((t >= 0.0) & (t <= 1.0)):  # also refuses NaN
         raise ValueError(f"times must lie in [0, 1], got {t}")
-    bias = alibi_bias(frames, cfg.num_heads)
+    bias = alibi_bias(frames, cfg.num_heads, model.dtype)
 
-    temb = time_embedding(t, cfg.time_embed_dim)
+    # float32 sin(1000 t f) would be off by about 6e-5: only the result is cast
+    temb = time_embedding(t, cfg.time_embed_dim).astype(model.dtype, copy=False)
     z_t = temb @ p["time_mlp.weight1"] + p["time_mlp.bias1"]
     a_t = _silu(z_t)
     c = a_t @ p["time_mlp.weight2"] + p["time_mlp.bias2"]
@@ -720,7 +745,7 @@ def backward(model: VectorFieldModel, tape: ForwardTape,
         raise ValueError(f"output_grad shape {output_grad.shape} != "
                          f"{tape.inputs['x_t'].shape}")
     silu_c = tape.inputs["silu_c"]
-    bias = alibi_bias(output_grad.shape[2], model.config.num_heads)
+    bias = alibi_bias(output_grad.shape[2], model.config.num_heads, model.dtype)
 
     # final projection and modulation
     dout = output_grad.transpose(0, 2, 1)  # [B, L, C]

@@ -24,6 +24,10 @@ No module uses `scipy.io` either: the stdlib `wave` reads and writes the
 `scipy.sparse` for them. A fresh `import flowsr, flowsr.harness` must leave
 both out of `sys.modules`, which also catches an import through another
 package.
+
+`vectorfield.py` computes in its parameters' dtype, so every `np.empty`,
+`np.zeros` and `np.ones` call there names its dtype: a bare one makes a
+float64 array, which silently promotes a float32 field back to float64.
 """
 
 import ast
@@ -41,6 +45,7 @@ FFT_MODULES = {"numpy.fft", "scipy.fft", "scipy.fftpack"}
 ARCHIVE_FUNCTIONS = {"numpy.load", "numpy.savez", "numpy.savez_compressed"}
 SIGNAL_MODULES = {"scipy.signal"}
 UNUSED_MODULES = ["scipy.signal", "scipy.io"]
+ALLOCATORS = {"empty", "zeros", "ones"}
 
 
 def violations(source):
@@ -98,6 +103,16 @@ def module_uses(source, modules):
     return found
 
 
+def untyped_allocations(source):
+    """Lines of Python `source` that call `empty`, `zeros` or `ones` of
+    numpy, as an attribute of `np` or `numpy`, without a dtype keyword."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ALLOCATORS and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any(keyword.arg == "dtype" for keyword in node.keywords)]
+
+
 def test_library_modules_follow_the_rules():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
@@ -136,6 +151,25 @@ def test_importing_the_library_leaves_out(module):
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_vectorfield_allocations_name_their_dtype():
+    source = (SRC / "vectorfield.py").read_text()
+    assert "np.empty(" in source and "np.zeros(" in source
+    assert untyped_allocations(source) == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("ctx = np.empty((2, 3))", [1]),
+    ("dk = numpy.zeros(shape)", [1]),
+    ("a = np.ones(4, np.float32)", [1]),
+    ("x = 1\ny = np.zeros(shape, order='F')", [2]),
+    ("ctx = np.empty((2, 3), dtype=q.dtype)", []),
+    ("dk = np.zeros_like(dq)", []),
+    ("ones = np.ones(3, dtype=np.float64)", []),
+])
+def test_untyped_allocations_are_detected(source, lines):
+    assert untyped_allocations(source) == lines
 
 
 @pytest.mark.parametrize("source", [

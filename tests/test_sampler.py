@@ -11,8 +11,9 @@ from flowsr.flowpath import (SIGMA_MIN, conditional_vector_field,
                              target_vector_field)
 from flowsr.sampler import (FieldDivergenceError, SolverConfig, euler_solve,
                             generate, sample_features)
-from flowsr.spectral import CompressionParams, FeatureGrid, StftParams
-from flowsr.tasks import TaskKind
+from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
+                             audio_from_features)
+from flowsr.tasks import TaskKind, build_condition
 from flowsr.vectorfield import ModelConfig, init_parameters, segment_shapes
 
 
@@ -165,6 +166,18 @@ def test_divergence_diagnostics():
         euler_solve(nan_field, np.zeros(3), SolverConfig(0.5))
 
 
+def test_state_keeps_float32_and_promotes_the_rest():
+    """A float32 start state is integrated in float32; float64 and integer
+    starts give a float64 state, as does a float32 field on a float64
+    state."""
+    for x0, dtype in ((np.ones(3, dtype=np.float32), np.float32),
+                      (np.ones(3), np.float64), (np.arange(3), np.float64)):
+        out, _ = euler_solve(lambda x, t: np.full(x.shape, 0.5, dtype=np.float32),
+                             x0, SolverConfig(0.5))
+        assert out.dtype == dtype
+        assert np.array_equal(out, x0 + 0.5)
+
+
 def test_field_shape_mismatch():
     with pytest.raises(ValueError):
         euler_solve(lambda x, t: np.zeros(5), np.zeros(3), SolverConfig(0.5))
@@ -219,6 +232,29 @@ def test_generate_length_and_determinism():
         assert np.array_equal(out.samples, again.samples)
 
 
+def test_generate_restores_from_the_float64_draw_rounded_to_float32():
+    """`generate` samples with a float32 copy of the model: on a fresh
+    model's zero field it synthesizes the float64 noise draw rounded to
+    float32, not a float32 draw of the generator, which gives other
+    numbers, and leaves the caller's float64 parameters as they are."""
+    params, comp = small_stft(), CompressionParams()
+    model_cfg = ModelConfig(num_layers=1, model_dim=8, num_heads=2,
+                            feature_channels=2 * params.num_bins,
+                            time_embed_dim=8, feedforward_dim=16)
+    model = init_parameters(model_cfg, np.random.default_rng(14))
+    degraded = AudioSignal(np.random.default_rng(15).uniform(-0.5, 0.5, 161), 16000)
+    out = generate(model, TaskKind.DENOISE, degraded, np.random.default_rng(16),
+                   params, comp, SolverConfig(0.5))
+    shape = build_condition(TaskKind.DENOISE, degraded, params, comp).values.shape
+    noise = np.random.default_rng(16).standard_normal(shape).astype(np.float32)
+    assert not np.array_equal(
+        noise, np.random.default_rng(16).standard_normal(shape, dtype=np.float32))
+    expected = audio_from_features(FeatureGrid(noise), params, comp, len(degraded),
+                                   sample_rate=16000)
+    assert np.array_equal(out.samples, expected.samples)
+    assert {values.dtype for values in model.params.values()} == {np.dtype(np.float64)}
+
+
 def test_generate_tse_trims_to_mixture_length():
     # a coarse STFT keeps the fixed 3 s prompt at about 1.5k frames
     params = StftParams(window_size=64, hop_size=32)
@@ -243,9 +279,11 @@ def test_generate_tse_trims_to_mixture_length():
 def test_sixty_seconds_restore_within_a_bounded_peak():
     """60 s at the default frontend (7501 frames) with a one-layer model: the
     output has the input's length and is finite, and the tracemalloc peak
-    stays at or under 115 MiB. That is the field evaluation beside one state
-    grid and the condition (29.3 MiB each); keeping the previous field and a
-    second state through each evaluation peaked at 148.5 MiB."""
+    stays at or under 115 MiB. A float64 solve peaked at about 111 MiB, in
+    the field evaluation beside one state grid and the condition (29.3 MiB
+    each); keeping the previous field and a second state through each
+    evaluation peaked at 148.5 MiB. The float32 solve peaks at about 66 MiB,
+    and synthesis, at about 95 MiB, sets the peak."""
     config = ModelConfig(num_layers=1)
     model = init_parameters(config, np.random.default_rng(41))
     rng = np.random.default_rng(42)

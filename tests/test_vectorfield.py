@@ -429,6 +429,103 @@ def test_overflowing_attention_raises_instead_of_a_finite_field():
             apply_gradients(state, *pretrain_gradients(state, [FeatureGrid(x[0])] * 2))
 
 
+def test_overflowing_float32_attention_raises_where_float64_does_not():
+    """float32's `exp` overflows near 88.7, not 709: a score 89 above its
+    row's diagonal score is refused in float32, naming the dtype and its
+    bound ln(finfo(float32).max) - ln(frames), and gives a finite context
+    in float64."""
+    heads, frames = 2, 12
+    values = np.random.default_rng(52).standard_normal((heads, frames, 16))
+    scores = np.zeros((heads, frames, frames))
+    scores[0, 3, 7] = 89.0
+    qkv = scored_qkv(scores, values)
+    ctx, _ = run_attention(qkv, heads, alibi_bias(frames, heads), record=False)
+    assert np.all(np.isfinite(ctx))
+    bound = np.log(np.finfo(np.float32).max) - np.log(frames)
+    assert f"{bound:.1f}" == "86.2"
+    for record in (False, True):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match=r"overflow float32: .* about 86\.2 or more"):
+            run_attention(qkv.astype(np.float32), heads,
+                          alibi_bias(frames, heads, np.float32), record)
+
+
+def float32_copy(model):
+    """The model with every parameter segment cast to float32, as
+    `sampler.generate` casts it."""
+    return VectorFieldModel(model.config, {name: values.astype(np.float32)
+                                           for name, values in model.params.items()})
+
+
+def float64_arrays(value):
+    """The shapes of the float64 arrays in an argument or result: arrays,
+    and the values of dicts, lists and tuples, recursively."""
+    if isinstance(value, np.ndarray):
+        return [value.shape] if value.dtype == np.float64 else []
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [shape for item in value for shape in float64_arrays(item)]
+    return []
+
+
+def test_float32_model_computes_in_float32(monkeypatch):
+    """A float32 model's field, tape and gradients are float32, and no
+    sublayer or attention block loop receives or returns a float64 array,
+    including when the state and condition are given as float64."""
+    seen = []
+
+    def checked(name):
+        function = getattr(vectorfield, name)
+
+        def call(*args, **kwargs):
+            result = function(*args, **kwargs)
+            seen.append((name, float64_arrays([args, kwargs]), float64_arrays(result)))
+            return result
+
+        monkeypatch.setattr(vectorfield, name, call)
+
+    for name in ("_attention_sublayer", "_ffn_sublayer", "_attention_forward"):
+        checked(name)
+    model = float32_copy(randomized(TINY, seed=53))
+    rng = np.random.default_rng(54)
+    x, cond, seed = (rng.standard_normal((2, 8, 30)) for _ in range(3))
+    t = np.array([0.2, 0.7])
+    assert forward_batch(model, x, cond, t).dtype == np.float32
+    field, tape = forward_batch(model, x.astype(np.float32), cond.astype(np.float32), t,
+                                record=True)
+    assert field.dtype == np.float32
+    assert float64_arrays([tape.inputs, tape.blocks, tape.final]) == []
+    grads = backward(model, tape, seed.astype(np.float32))
+    assert {values.dtype for values in grads.values()} == {np.dtype(np.float32)}
+    assert len(seen) == 2 * 3 * TINY.num_layers
+    assert [entry for entry in seen if entry[1] or entry[2]] == []
+
+
+@pytest.mark.parametrize("frames, banded", [(1501, 2), (501, 0)])
+def test_float32_field_stays_near_float64(monkeypatch, frames, banded):
+    """At the default config the float32 copy's field lies within 1e-5 of
+    max |field| of the float64 model's, on 1501 frames (12 s), where heads 0
+    and 1 score a band of keys, and on 501 frames, one block per head."""
+    model = randomized(ModelConfig(), seed=40, scale=0.05)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((1, 512, frames))
+    cond = rng.standard_normal((1, 512, frames))
+    expected = forward_batch(model, x, cond, np.array([0.6]))
+    counts = []
+    key_bands = vectorfield._key_bands
+
+    def count_banded(q, k, rows):
+        blocks = key_bands(q, k, rows)
+        counts.append(len(banded_heads(blocks, q.shape[2])))
+        return blocks
+
+    monkeypatch.setattr(vectorfield, "_key_bands", count_banded)
+    field = forward_batch(float32_copy(model), x, cond, np.array([0.6]))
+    assert field.dtype == np.float32 and counts == [banded] * 4
+    assert np.max(np.abs(field - expected)) <= 1e-5 * np.max(np.abs(expected))
+
+
 def test_attention_gradients_match_dense_textbook(monkeypatch):
     """`backward`'s qkv gradients on a one-layer model equal the textbook
     softmax gradient P * (dP - rowsum(dP * P)) on the dense grid, given the

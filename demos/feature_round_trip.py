@@ -2,15 +2,17 @@
 
 audio -> STFT -> magnitude compression -> real/imag packing -> (model space)
 -> unpacking -> decompression -> inverse STFT -> audio
+
+`features_from_audio` runs the first half and `audio_from_features` the
+second; the features in between are a plain float64 array.
 """
 
 import numpy as np
 
 from flowsr.audio import AudioSignal
 from flowsr.metrics import si_sdr
-from flowsr.spectral import (CompressionParams, StftParams, compress,
-                             decompress, istft, pack_features, stft,
-                             unpack_features)
+from flowsr.spectral import (CompressionParams, StftParams, audio_from_features,
+                             features_from_audio, stft)
 
 rng = np.random.default_rng(0)
 params = StftParams(window_size=510, hop_size=128)
@@ -23,20 +25,18 @@ x += 0.02 * rng.standard_normal(x.size)
 sig = AudioSignal(x, 16000)
 
 spec = stft(sig, params)
-print(f"waveform: {len(sig)} samples -> spectrogram: {spec.bins.shape} "
+print(f"waveform: {len(sig)} samples -> spectrogram: {spec.shape} "
       f"(bins x frames), hop {params.hop_size}")
 
-squeezed = compress(spec, cp)
-print(f"compression |z| -> {cp.scale} * |z|^{cp.exponent}: "
-      f"peak magnitude {np.abs(spec.bins).max():.3f} -> {np.abs(squeezed.bins).max():.3f}")
-
-grid = pack_features(squeezed)
-print(f"packed for the model: {grid.values.shape} real channels "
+grid = features_from_audio(sig, params, cp)
+print(f"packed for the model: {grid.shape} real channels "
       f"(first half real parts, second half imaginary parts)")
+squeezed = np.hypot(grid[:params.num_bins], grid[params.num_bins:])
+print(f"compression |z| -> {cp.scale} * |z|^{cp.exponent}: "
+      f"peak magnitude {np.abs(spec).max():.3f} -> {squeezed.max():.3f}")
 
 # and back out
-unpacked = unpack_features(grid, params)
-restored = istft(decompress(unpacked, cp), length=len(sig), sample_rate=sig.sample_rate)
+restored = audio_from_features(grid, params, cp, len(sig), sample_rate=sig.sample_rate)
 print(f"round-trip SI-SDR: {si_sdr(restored, sig):.1f} dB "
       f"(capped at 100 for bit-perfect reconstructions)")
 print(f"max sample error: {np.max(np.abs(restored.samples - sig.samples)):.2e}")

@@ -9,7 +9,6 @@ condition is a plain feature grid; a dropped condition is the all-zero grid.
 import numpy as np
 
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
-from flowsr.spectral import FeatureGrid
 
 rng = np.random.default_rng(3)
 
@@ -22,9 +21,9 @@ for i in range(0, L, 60):
 print(f"  covered {mask.mean():.2%} of frames")
 
 # the hidden frames really are zeroed in the condition the model sees
-features = FeatureGrid(rng.standard_normal((8, L)))
+features = rng.standard_normal((8, L))
 cond = apply_mask(features, mask)
-zeroed = np.flatnonzero(~np.any(cond.values != 0.0, axis=0))
+zeroed = np.flatnonzero(~np.any(cond != 0.0, axis=0))
 print(f"condition zeroed on {zeroed.size} frames; matches mask: "
       f"{np.array_equal(zeroed, np.flatnonzero(mask))}")
 
@@ -41,6 +40,6 @@ for _ in range(2000):
 print(f"\n2000 masks at L=1000: mean fraction {np.mean(fractions):.4f}, "
       f"shortest span ever drawn: {int(shortest)}")
 
-nulls = sum(not np.any(maybe_drop_condition(cond, 0.1, rng).values)
+nulls = sum(not np.any(maybe_drop_condition(cond, 0.1, rng))
             for _ in range(5000))
 print(f"condition dropout at p=0.1: {nulls}/5000 = {nulls / 5000:.3f} null draws")

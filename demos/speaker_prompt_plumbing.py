@@ -49,7 +49,7 @@ cond = build_condition(TaskKind.TARGET_SPEAKER_EXTRACT, mixture,
                        cfg.stft_params(), cfg.compression(),
                        reference=reference)
 frames = cfg.stft_params().num_frames(len(extended))
-print(f"condition features: {cond.values.shape} "
+print(f"condition features: {cond.shape} "
       f"(channels x frames), expected frames {frames}")
 
 # a fresh model predicts zero velocity, so the 'extraction' is just the prior

@@ -24,10 +24,8 @@ from .metrics import (MetricsReport, UtteranceScores, failure_rate,
                       si_sdr_improvement, write_report)
 from .sampler import (FieldDivergenceError, SolverConfig, euler_solve,
                       generate, sample_features)
-from .spectral import (ComplexSpectrogram, CompressionParams, FeatureGrid,
-                       StftParams, audio_from_features, compress, decompress,
-                       features_from_audio, istft, pack_features, stft,
-                       unpack_features)
+from .spectral import (CompressionParams, StftParams, audio_from_features,
+                       features_from_audio, stft)
 from .tasks import (TaskKind, bandwidth_reduce, build_condition, codec_degrade,
                     mix_at_snr, mix_two_speakers, prepend_tse_prompt,
                     trim_tse_output)

@@ -94,6 +94,8 @@ class RunConfig:
     seed: int = TrainConfig.seed
 
     def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         # constructing the component configs runs their validation
         self.stft_params()
         self.compression()
@@ -248,8 +250,8 @@ def load_manifest(path) -> list:
     """Read line-delimited manifest records, validating each line.
 
     Relative paths resolve against the manifest's directory and referenced
-    files must exist. A bad record is refused with its line number, and a
-    manifest with no records is refused by name.
+    files must exist and be regular files. A bad record is refused with its
+    line number, and a manifest with no records is refused by name.
     """
     path = Path(path)
     base = path.parent
@@ -270,8 +272,9 @@ def load_manifest(path) -> list:
                                      "reference_path")
                 for p in (rec.clean_path, rec.degraded_path,
                           rec.reference_path, rec.estimate_path):
-                    if p is not None and not Path(p).exists():
-                        raise ValueError(f"referenced file does not exist: {p}")
+                    if p is not None and not Path(p).is_file():
+                        raise ValueError(f"referenced file does not exist or is "
+                                         f"not a file: {p}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             records.append(rec)

@@ -10,13 +10,12 @@ Placement stops as soon as the masked count reaches the target, so the final
 fraction may overshoot by at most one span.
 
 A mask is a 1-D boolean frame array (True = masked), and a condition is a
-plain `FeatureGrid`: a dropped (unconditional) condition is the all-zero grid
-of the same shape, the input the model sees for "no condition".
+plain [channels, frames] feature array: a dropped (unconditional) condition
+is the all-zero array of the same shape, the input the model sees for "no
+condition".
 """
 
 import numpy as np
-
-from .spectral import FeatureGrid
 
 
 def _gap_runs(flags: np.ndarray):
@@ -77,22 +76,23 @@ def sample_mask(num_frames: int, ratio: float, min_span: int,
     return flags
 
 
-def apply_mask(clean: FeatureGrid, mask: np.ndarray) -> FeatureGrid:
-    """Zero the masked frames of `clean`; unmasked frames are copied bit-exactly."""
+def apply_mask(clean: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Zero the masked frames of `clean` in a new array; unmasked frames are
+    copied bit-exactly."""
     flags = np.asarray(mask, dtype=bool)
-    if flags.shape != (clean.num_frames,):
+    if flags.shape != (clean.shape[1],):
         raise ValueError(f"mask of shape {flags.shape} does not cover the "
-                         f"grid's {clean.num_frames} frames")
-    values = clean.values.copy()
+                         f"grid's {clean.shape[1]} frames")
+    values = clean.copy()
     values[:, flags] = 0.0
-    return FeatureGrid(values)
+    return values
 
 
-def maybe_drop_condition(cond: FeatureGrid, p: float,
-                         rng: np.random.Generator) -> FeatureGrid:
+def maybe_drop_condition(cond: np.ndarray, p: float,
+                         rng: np.random.Generator) -> np.ndarray:
     """With probability `p`, replace the condition by the all-zero grid."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop probability must lie in [0, 1], got {p}")
     if rng.random() < p:
-        return FeatureGrid(np.zeros_like(cond.values))
+        return np.zeros_like(cond)
     return cond

@@ -77,7 +77,7 @@ def lsd(estimate: AudioSignal, reference: AudioSignal, stft_params: StftParams) 
 
 def _log_magnitude(signal: AudioSignal, stft_params: StftParams) -> np.ndarray:
     """log10 of the floored STFT magnitudes, computed in one new array."""
-    mag = np.abs(stft(signal, stft_params).bins)
+    mag = np.abs(stft(signal, stft_params))
     np.maximum(mag, _LOG_FLOOR, out=mag)
     return np.log10(mag, out=mag)
 

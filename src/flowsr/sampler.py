@@ -4,9 +4,10 @@ restoration pipeline (degraded audio in, restored audio out).
 Generation starts from standard normal noise in the compressed feature domain
 and integrates dx/dt = v(x, t | condition) from t = 0 to 1 with a uniform
 step. The default step of 0.2 costs exactly five model evaluations per
-utterance. The condition is the `FeatureGrid` that `tasks.build_condition`
-returns; for target speaker extraction it spans the prompt and the mixture,
-and `tasks.trim_tse_output` cuts the prompt back off the synthesized audio.
+utterance. The condition is the float64 [channels, frames] feature array
+that `tasks.build_condition` returns; for target speaker extraction it spans
+the prompt and the mixture, and `tasks.trim_tse_output` cuts the prompt back
+off the synthesized audio.
 
 Restoration computes in float32 (mixed precision, Micikevicius et al., arXiv
 1710.03740): `generate` casts the model's parameters to float32 once per
@@ -30,8 +31,7 @@ import dataclasses
 import numpy as np
 
 from .audio import AudioSignal
-from .spectral import (CompressionParams, FeatureGrid, StftParams,
-                       audio_from_features)
+from .spectral import CompressionParams, StftParams, audio_from_features
 from .tasks import (TaskKind, build_condition, trim_tse_output,
                     tse_prompt_samples)
 from .vectorfield import VectorFieldModel, forward_batch
@@ -134,19 +134,19 @@ def _add_scaled(x: np.ndarray, v: np.ndarray, scale: float) -> None:
         x[start:start + rows] += scale * v[start:start + rows]
 
 
-def sample_features(model: VectorFieldModel, cond: FeatureGrid,
+def sample_features(model: VectorFieldModel, cond: np.ndarray,
                     rng: np.random.Generator,
-                    solver: SolverConfig | None = None) -> FeatureGrid:
+                    solver: SolverConfig | None = None) -> np.ndarray:
     """Draw noise shaped like the condition and integrate the model field,
     in the model's dtype.
 
     The condition and the noise, drawn as float64 whatever the model's
     dtype so that a seed gives the same draw, are cast to the model's
-    dtype; the returned grid is float64 (`FeatureGrid`). A condition grid
-    that the caller passes without keeping a reference is freed once cast.
+    dtype; the returned grid is float64. A condition grid that the caller
+    passes without keeping a reference is freed once cast.
     """
     solver = solver or SolverConfig()
-    values = cond.values.astype(model.dtype, copy=False)[None]
+    values = cond.astype(model.dtype, copy=False)[None]
     del cond  # a grid passed unbound is freed here, before the solve
 
     def field(x, t):
@@ -155,7 +155,7 @@ def sample_features(model: VectorFieldModel, cond: FeatureGrid,
     # the noise draw is not bound here, so euler_solve holds the only state
     final, _ = euler_solve(
         field, rng.standard_normal(values.shape[1:]).astype(model.dtype, copy=False), solver)
-    return FeatureGrid(final)
+    return np.asarray(final, dtype=np.float64)
 
 
 def generate(model: VectorFieldModel, task: TaskKind, degraded: AudioSignal,

@@ -2,18 +2,31 @@
 
 The flow-matching state space is a real-valued grid built from a one-sided
 complex spectrogram: magnitudes are power-law compressed, then real and
-imaginary parts are stacked along the channel axis. Every public function
-is pure: it reads its arguments and returns new arrays. `istft(stft(x))`
-reconstructs `x` to machine precision via window-normalized overlap-add.
+imaginary parts are stacked along the channel axis. Features are plain
+arrays, and the two pipeline functions are the frontend:
+`features_from_audio` (STFT, compression, packing) and
+`audio_from_features` (unpacking, decompression, inverse STFT). `stft`
+returns, and `istft` takes, the complex [num_bins, num_frames] spectrogram.
+Every public function is pure: it reads its arguments and returns new
+arrays. `istft(stft(x))` reconstructs `x` to machine precision via
+window-normalized overlap-add.
+
+The packed layout is a float64 grid of shape [2 * num_bins, num_frames]:
+channels 0..num_bins-1 hold the real parts of the compressed bins and
+channels num_bins..2*num_bins-1 their imaginary parts. A grid carries
+neither its `StftParams` nor a sample rate; synthesis takes both from the
+caller, and `audio_from_features` refuses a grid whose channel count is not
+``2 * params.num_bins``, as `istft` refuses a spectrogram whose row count is
+not ``params.num_bins``.
 
 Inside, the transforms work in place on the arrays they made themselves,
 and analysis mirrors synthesis: `stft` windows a strided view of the padded
 signal's frames in one product and `features_from_audio` compresses
 `stft`'s spectrum in place before packing it; `istft` windows the inverse
 transform's frames, overlap-adds them one hop offset at a time and frees
-them before normalising, and `audio_from_features` decompresses the buffer
-`unpack_features` made for it. The spectrograms made here are stored
-frames-major, so each frame is one contiguous run for the FFT.
+them before normalising, and `audio_from_features` unpacks the grid into
+one new buffer and decompresses it in place. The spectrograms made here
+are stored frames-major, so each frame is one contiguous run for the FFT.
 
 One overlap-add, `_overlap_add`, sums both `istft`'s frames and the window
 weight it divides by; `StftParams` checks reconstruction on that same
@@ -96,26 +109,6 @@ class StftParams:
 
 
 @dataclasses.dataclass
-class ComplexSpectrogram:
-    """One-sided complex STFT grid, shape [num_bins, num_frames]."""
-
-    bins: np.ndarray
-    params: StftParams
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 2:
-            raise ValueError(f"expected 2-D [bins, frames] grid, got shape {self.bins.shape}")
-        if self.bins.shape[0] != self.params.num_bins:
-            raise ValueError(f"grid has {self.bins.shape[0]} bins, "
-                             f"params imply {self.params.num_bins}")
-
-    @property
-    def num_frames(self) -> int:
-        return self.bins.shape[1]
-
-
-@dataclasses.dataclass
 class CompressionParams:
     """Power-law magnitude compression |z| -> scale * |z|**exponent."""
 
@@ -123,36 +116,11 @@ class CompressionParams:
     scale: float = 0.33
 
     def __post_init__(self):
-        if self.exponent <= 0 or self.scale <= 0:
-            raise ValueError("exponent and scale must be positive")
-
-
-@dataclasses.dataclass
-class FeatureGrid:
-    """Real-valued feature grid, shape [2 * num_bins, num_frames].
-
-    Channels 0..num_bins-1 hold real parts, channels num_bins..2*num_bins-1
-    hold imaginary parts: the order `pack_features` writes and
-    `unpack_features` reads. Unpacking needs the StftParams of the
-    frontend that made the grid.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError(f"expected 2-D [channels, frames] grid, got shape {self.values.shape}")
-        if self.values.shape[0] % 2 != 0:
-            raise ValueError(f"channel count must be even, got {self.values.shape[0]}")
-
-    @property
-    def num_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
+        for name in ("exponent", "scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"compression {name} must be positive and finite, "
+                                 f"got {value}")
 
 
 def _pad_centered(x: np.ndarray, pad_left: int, pad_right: int) -> np.ndarray:
@@ -162,7 +130,7 @@ def _pad_centered(x: np.ndarray, pad_left: int, pad_right: int) -> np.ndarray:
     return np.pad(x, (pad_left, pad_right), mode="constant")
 
 
-def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
+def stft(signal: AudioSignal, params: StftParams) -> np.ndarray:
     """Short-time Fourier transform with centered frames.
 
     The signal is padded by window_size // 2 on the left (reflectively when
@@ -176,7 +144,8 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
         params: validated analysis parameters.
 
     Returns:
-        One-sided spectrogram of shape [window_size // 2 + 1, num_frames].
+        One-sided complex spectrogram of shape [num_bins, num_frames],
+        stored frames-major.
     """
     x = signal.samples
     n = len(x)
@@ -189,8 +158,7 @@ def stft(signal: AudioSignal, params: StftParams) -> ComplexSpectrogram:
     total = (num_frames - 1) * hop + win_size
     padded = _pad_centered(x, half, total - n - half)
     frames = sliding_window_view(padded, win_size)[::hop] * params.window()
-    spec = np.fft.rfft(frames, n=win_size, axis=1).T
-    return ComplexSpectrogram(spec, params)
+    return np.fft.rfft(frames, n=win_size, axis=1).T
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -213,17 +181,19 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSignal:
+def istft(bins: np.ndarray, params: StftParams, length: int,
+          sample_rate: int) -> AudioSignal:
     """Inverse STFT by window-normalized overlap-add.
 
     The inverse transform's frames are windowed in place, overlap-added one
     hop offset at a time (`_overlap_add`) and freed before the
     normalisation by the window weight, which is summed the same way.
-    A frames-major spectrogram (see `unpack_features`) is transformed
-    without a copy.
+    A frames-major spectrogram (as `stft` and `audio_from_features` make)
+    is transformed without a copy.
 
     Args:
-        spec: spectrogram to invert.
+        bins: one-sided complex spectrogram, [params.num_bins, num_frames].
+        params: the analysis parameters that made `bins`.
         length: number of output samples; must not exceed the synthesizable
             region ``(num_frames - 1) * hop_size``.
         sample_rate: rate recorded on the result (spectrograms do not carry one).
@@ -231,16 +201,18 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSigna
     Returns:
         Waveform of exactly `length` samples.
     """
-    params = spec.params
+    if bins.ndim != 2 or bins.shape[0] != params.num_bins:
+        raise ValueError(f"spectrogram of shape {bins.shape} is not "
+                         f"({params.num_bins}, frames)")
     win_size, hop = params.window_size, params.hop_size
-    num_frames = spec.num_frames
+    num_frames = bins.shape[1]
     if length <= 0:
         raise ValueError("length must be positive")
     if length > params.max_length(num_frames):
         raise ValueError(f"length {length} exceeds the {params.max_length(num_frames)} samples "
                          f"coverable by {num_frames} frames at hop {hop}")
     window = params.window()
-    frames = np.fft.irfft(spec.bins.T, n=win_size, axis=1)
+    frames = np.fft.irfft(bins.T, n=win_size, axis=1)
     frames *= window
     out = _overlap_add(frames, hop)
     del frames
@@ -252,22 +224,12 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> AudioSigna
     return AudioSignal(out[half:half + length], sample_rate)
 
 
-def compress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrogram:
-    """Compress magnitudes as scale * |z|**exponent, preserving phase exactly.
-
-    Phase is preserved by multiplying each coefficient by a positive real
-    factor; zero maps to zero.
-    """
-    bins = spec.bins.copy(order="K")
-    _compress_in_place(bins, cp)
-    return ComplexSpectrogram(bins, spec.params)
-
-
 def _compress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
-    """`compress` on a complex array the caller owns, overwriting it.
+    """Compress the magnitudes of a complex array the caller owns as
+    scale * |z|**exponent, overwriting it and preserving phase exactly.
 
-    Each coefficient is multiplied by scale * |z|**(exponent - 1), and zero
-    stays zero."""
+    Each coefficient is multiplied by the positive real factor
+    scale * |z|**(exponent - 1), and zero stays zero."""
     mag = np.abs(bins)
     with np.errstate(divide="ignore"):
         mag **= cp.exponent - 1.0  # 0 ** negative is inf, set back to 0 below
@@ -276,15 +238,9 @@ def _compress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
     bins *= mag
 
 
-def decompress(spec: ComplexSpectrogram, cp: CompressionParams) -> ComplexSpectrogram:
-    """Exact inverse of `compress`: |w| -> (|w| / scale)**(1 / exponent)."""
-    bins = spec.bins.copy(order="K")
-    _decompress_in_place(bins, cp)
-    return ComplexSpectrogram(bins, spec.params)
-
-
 def _decompress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
-    """`decompress` on a complex array the caller owns, overwriting it.
+    """Exact inverse of `_compress_in_place`, |w| -> (|w| / scale)**(1 / exponent),
+    on a complex array the caller owns, overwriting it.
 
     Each coefficient is multiplied by (|w| / scale)**(1 / exponent) / |w|,
     and zero stays zero."""
@@ -297,49 +253,37 @@ def _decompress_in_place(bins: np.ndarray, cp: CompressionParams) -> None:
     bins *= factor
 
 
-def pack_features(spec: ComplexSpectrogram) -> FeatureGrid:
-    """Stack real and imaginary parts into a [2 * bins, frames] real grid."""
-    values = np.concatenate([spec.bins.real, spec.bins.imag], axis=0)
-    return FeatureGrid(values)
-
-
-def unpack_features(grid: FeatureGrid, params: StftParams) -> ComplexSpectrogram:
-    """Exact inverse of `pack_features`; `params` must imply the grid's bin count.
-
-    The bins are written into one new frames-major buffer, which the
-    returned spectrogram owns and `istft` transforms without a copy.
-    """
-    half = grid.num_channels // 2
-    if half != params.num_bins:
-        raise ValueError(f"grid implies {half} bins but params imply {params.num_bins}")
-    frames_major = np.empty((grid.num_frames, half), dtype=np.complex128)
-    frames_major.real = grid.values[:half].T
-    frames_major.imag = grid.values[half:].T
-    return ComplexSpectrogram(frames_major.T, params)
-
-
 def features_from_audio(signal: AudioSignal, params: StftParams,
-                        cp: CompressionParams) -> FeatureGrid:
-    """Full analysis pipeline: stft -> compress -> pack.
+                        cp: CompressionParams) -> np.ndarray:
+    """Full analysis pipeline: STFT, magnitude compression, packing.
 
-    `stft`'s own spectrum is compressed in place and then packed, so beyond
-    the grid, analysis holds the spectrum and its magnitudes.
+    Returns the float64 [2 * num_bins, num_frames] feature grid (see the
+    module docstring for its layout). `stft`'s own spectrum is compressed
+    in place and then packed, so beyond the grid, analysis holds the
+    spectrum and its magnitudes.
     """
-    spec = stft(signal, params)
-    _compress_in_place(spec.bins, cp)
-    return pack_features(spec)
+    bins = stft(signal, params)
+    _compress_in_place(bins, cp)
+    return np.concatenate([bins.real, bins.imag], axis=0)
 
 
-def audio_from_features(grid: FeatureGrid, params: StftParams, cp: CompressionParams,
+def audio_from_features(values: np.ndarray, params: StftParams, cp: CompressionParams,
                         length: int, sample_rate: int) -> AudioSignal:
-    """Full synthesis pipeline: unpack -> decompress -> istft.
+    """Full synthesis pipeline: unpacking, decompression, inverse STFT.
 
-    One complex buffer is made: `unpack_features` writes it frames-major,
-    it is decompressed in place, and `istft` reads it without a copy. So
-    beyond the grid, synthesis holds that buffer and the inverse
-    transform's frames (about 14.7 MiB at 1501 frames and the default
-    frontend).
+    `values` is a [2 * num_bins, num_frames] feature grid made at `params`
+    (see the module docstring for its layout). One complex buffer is made:
+    the grid is unpacked into it frames-major, it is decompressed in place,
+    and `istft` reads it without a copy. So beyond the grid, synthesis holds
+    that buffer and the inverse transform's frames (about 14.7 MiB at 1501
+    frames and the default frontend).
     """
-    spec = unpack_features(grid, params)
-    _decompress_in_place(spec.bins, cp)
-    return istft(spec, length, sample_rate)
+    half = params.num_bins
+    if values.ndim != 2 or values.shape[0] != 2 * half:
+        raise ValueError(f"feature grid of shape {values.shape} is not "
+                         f"({2 * half}, frames): params imply {half} bins")
+    bins = np.empty((values.shape[1], half), dtype=np.complex128).T
+    bins.real = values[:half]
+    bins.imag = values[half:]
+    _decompress_in_place(bins, cp)
+    return istft(bins, params, length, sample_rate)

@@ -32,8 +32,7 @@ import numpy as np
 from scipy.special import i0
 
 from .audio import AudioSignal
-from .spectral import (CompressionParams, FeatureGrid, StftParams,
-                       features_from_audio)
+from .spectral import CompressionParams, StftParams, features_from_audio
 
 
 class TaskKind(enum.Enum):
@@ -53,8 +52,9 @@ def tse_prompt_samples(sample_rate: int) -> int:
 
 def build_condition(task: TaskKind, degraded: AudioSignal,
                     stft_params: StftParams, compression: CompressionParams,
-                    reference: AudioSignal | None = None) -> FeatureGrid:
-    """Build the conditioning features for one utterance.
+                    reference: AudioSignal | None = None) -> np.ndarray:
+    """Build the conditioning features for one utterance: the float64
+    [2 * num_bins, frames] grid of `spectral.features_from_audio`.
 
     Denoise / bandwidth-extend / codec-restore all condition on the degraded
     signal itself. TSE conditions on the reference prompt concatenated

@@ -49,8 +49,7 @@ import numpy as np
 from .audio import AudioSignal
 from .flowpath import cfm_loss, sample_training_tuple
 from .masking import apply_mask, maybe_drop_condition, sample_mask
-from .spectral import (CompressionParams, FeatureGrid, StftParams,
-                       features_from_audio)
+from .spectral import CompressionParams, StftParams, features_from_audio
 from .tasks import TaskKind, build_condition
 from .vectorfield import (ModelConfig, VectorFieldModel, backward,
                           forward_batch, segment_shapes)
@@ -347,7 +346,7 @@ def _gradients(state: TrainState, batch: list, build) -> tuple[float, dict]:
 
 
 def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
-    """Masked-condition objective on a batch of clean FeatureGrids.
+    """Masked-condition objective on a batch of clean feature grids (arrays).
 
     Each item's condition is its grid with a sampled span mask's frames
     zeroed, dropped entirely with the configured probability; the loss
@@ -357,11 +356,11 @@ def pretrain_gradients(state: TrainState, batch: list) -> tuple[float, dict]:
     cfg = state.config
 
     def build(grid):
-        mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span,
+        mask = sample_mask(grid.shape[1], cfg.mask_ratio, cfg.mask_min_span,
                            state.rng)
         condition = maybe_drop_condition(apply_mask(grid, mask),
                                          cfg.dropout_prob, state.rng)
-        return (grid.values, condition.values,
+        return (grid, condition,
                 mask if cfg.loss_support is LossSupport.MASKED_ONLY else None)
 
     return _gradients(state, batch, build)
@@ -389,10 +388,10 @@ def finetune_gradients(state: TrainState, batch: list, stft_params: StftParams,
                                     compression, reference=pair.reference)
         x1 = build_condition(cfg.task, pair.clean, stft_params, compression,
                              reference=pair.reference)
-        if x1.values.shape != condition.values.shape:
-            raise ValueError(f"target features {x1.values.shape} != condition "
-                             f"features {condition.values.shape}")
-        return x1.values, condition.values, None
+        if x1.shape != condition.shape:
+            raise ValueError(f"target features {x1.shape} != condition "
+                             f"features {condition.shape}")
+        return x1, condition, None
 
     return _gradients(state, batch, build)
 
@@ -446,8 +445,8 @@ def make_batch(dataset: WaveformDataset, cfg: TrainConfig,
                rng: np.random.Generator):
     """Draw one training batch from the cache.
 
-    Pretrain mode returns clean FeatureGrids; finetune/scratch modes return
-    cropped TrainPairs.
+    Pretrain mode returns a list of clean feature grids (arrays);
+    finetune/scratch modes return cropped TrainPairs.
     """
     rate = dataset.pairs[0].clean.sample_rate
     crop_samples = int(round(cfg.crop_seconds * rate))

@@ -234,6 +234,7 @@ def test_load_manifest_strict_vs_skip(tmp_path):
     ('{"id": 2, "clean_path": "u1.wav", "task": "denoise"}', "'id' must be a string"),
     ('{"id": "u2", "clean_path": "u1.wav", "task": "denoise", "estimate_path": [1]}',
      "'estimate_path' must be a string"),
+    ('{"id": "u2", "clean_path": ".", "task": "denoise"}', "is not a file"),
 ])
 def test_load_manifest_refuses_a_line_of_another_shape(tmp_path, line, message):
     tone_wav(tmp_path / "u1.wav")
@@ -741,9 +742,10 @@ def test_cli_resume_refuses_another_model_config(tmp_path, capsys):
 
 def test_cli_training_checks_config_and_checkpoint_before_reading_the_corpus(
         tmp_path, capsys, monkeypatch):
-    """A bad training config, a `--resume` checkpoint of another training
-    config and a `finetune --init` checkpoint of another model config are
-    each refused before any WAV of the corpus is read."""
+    """A bad training config, a non-finite compression, a non-positive
+    sample rate, a `--resume` checkpoint of another training config and a
+    `finetune --init` checkpoint of another model config are each refused,
+    naming the value, before any WAV of the corpus is read."""
     cfg_path = write_config(tmp_path, TINY)
     manifest = tiny_corpus(tmp_path)
     ckpt = tmp_path / "pre.npz"
@@ -754,10 +756,23 @@ def test_cli_training_checks_config_and_checkpoint_before_reading_the_corpus(
     warm = write_config(tmp_path, {**TINY, "warmup_steps": "3000"}, name="warm.cfg")
     fast = write_config(tmp_path, {**TINY, "peak_lr": "0.001"}, name="fast.cfg")
     wide = write_config(tmp_path, {**TINY, "model_dim": "32"}, name="wide.cfg")
+    bad = {name: write_config(tmp_path, {**TINY, key: value}, name=f"{name}.cfg")
+           for name, key, value in [("nan_exponent", "compress_exponent", "nan"),
+                                    ("inf_scale", "compress_scale", "inf"),
+                                    ("zero_rate", "sample_rate", "0"),
+                                    ("negative_rate", "sample_rate", "-16000")]}
     fresh = str(tmp_path / "x.npz")
     cases = [
         (["pretrain", "--out", fresh, "--config", str(warm)],
          "need 0 <= warmup_steps < total_steps, got 3000 / 3"),
+        (["pretrain", "--out", fresh, "--config", str(bad["nan_exponent"])],
+         "compression exponent must be positive and finite, got nan"),
+        (["finetune", "--out", fresh, "--config", str(bad["inf_scale"])],
+         "compression scale must be positive and finite, got inf"),
+        (["pretrain", "--out", fresh, "--config", str(bad["zero_rate"])],
+         "sample_rate must be positive, got 0"),
+        (["finetune", "--out", fresh, "--config", str(bad["negative_rate"])],
+         "sample_rate must be positive, got -16000"),
         (["pretrain", "--out", str(ckpt), "--resume", "--config", str(fast)],
          "peak_lr: 5e-05 in the checkpoint, 0.001 in the run config"),
         (["finetune", "--init", str(ckpt), "--out", fresh,

@@ -16,6 +16,12 @@ Only `training.py` reads or writes `.npz` archives (`numpy.load`,
 `numpy.savez`, `numpy.savez_compressed`), so the checkpoint format is one
 module's decision.
 
+Only `spectral.py` knows the feature layout (how compressed bins are packed
+into real channels): every other module imports from it only the frontend's
+two configs (`StftParams`, `CompressionParams`), its two pipeline functions
+(`features_from_audio`, `audio_from_features`) and `stft`, and never the
+module itself.
+
 No module uses `scipy.signal`: numpy writes the Hann window (`spectral`) and
 the windowed-sinc lowpass (`tasks.lowpass_taps`) in scipy's own arithmetic,
 and importing `scipy.signal` cost about a second of every command's start.
@@ -46,6 +52,8 @@ ARCHIVE_FUNCTIONS = {"numpy.load", "numpy.savez", "numpy.savez_compressed"}
 SIGNAL_MODULES = {"scipy.signal"}
 UNUSED_MODULES = ["scipy.signal", "scipy.io"]
 ALLOCATORS = {"empty", "zeros", "ones"}
+SPECTRAL_API = {"StftParams", "CompressionParams", "features_from_audio",
+                "audio_from_features", "stft"}
 
 
 def violations(source):
@@ -113,6 +121,26 @@ def untyped_allocations(source):
             and not any(keyword.arg == "dtype" for keyword in node.keywords)]
 
 
+def spectral_imports(source):
+    """(line, name) for each name Python `source` imports from the package's
+    `spectral` module beyond SPECTRAL_API; importing the module itself is
+    named `spectral`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".spectral", "flowsr.spectral"):
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name not in SPECTRAL_API]
+            elif module in (".", "flowsr"):
+                found += [(node.lineno, "spectral") for alias in node.names
+                          if alias.name == "spectral"]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "spectral") for alias in node.names
+                      if alias.name == "flowsr.spectral"]
+    return found
+
+
 def test_library_modules_follow_the_rules():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
@@ -151,6 +179,29 @@ def test_importing_the_library_leaves_out(module):
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_only_spectral_knows_the_feature_layout():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    sources.pop("spectral.py")
+    assert sum("from .spectral import" in source for source in sources.values()) >= 5
+    imports = {name: spectral_imports(source) for name, source in sources.items()}
+    assert {name: found for name, found in imports.items() if found} == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .spectral import istft", [(1, "istft")]),
+    ("from .spectral import StftParams, _compress_in_place", [(1, "_compress_in_place")]),
+    ("x = 1\nfrom flowsr.spectral import stft, istft", [(2, "istft")]),
+    ("from . import spectral", [(1, "spectral")]),
+    ("from flowsr import spectral, tasks", [(1, "spectral")]),
+    ("import flowsr.spectral", [(1, "spectral")]),
+    ("from .spectral import (CompressionParams, StftParams, audio_from_features,\n"
+     "                       features_from_audio, stft)", []),
+    ("from .tasks import istft", []),
+])
+def test_spectral_imports_are_detected(source, found):
+    assert spectral_imports(source) == found
 
 
 def test_vectorfield_allocations_name_their_dtype():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
-from flowsr.spectral import FeatureGrid
 
 
 def span_lengths(flags):
@@ -70,35 +69,35 @@ def test_mask_covers_various_lengths():
 
 def test_apply_mask_zeroes_exactly_the_masked_columns():
     rng = np.random.default_rng(5)
-    grid = FeatureGrid(rng.standard_normal((8, 30)))
+    grid = rng.standard_normal((8, 30))
     mask = sample_mask(30, 0.5, 10, rng)
     cond = apply_mask(grid, mask)
-    assert np.all(cond.values[:, mask] == 0.0)
+    assert np.all(cond[:, mask] == 0.0)
     keep = ~mask
-    assert np.array_equal(cond.values[:, keep], grid.values[:, keep])
+    assert np.array_equal(cond[:, keep], grid[:, keep])
 
 
 def test_apply_mask_explicit_span():
-    grid = FeatureGrid(np.ones((4, 40)))
+    grid = np.ones((4, 40))
     flags = np.zeros(40, dtype=bool)
     flags[10:20] = True
     cond = apply_mask(grid, flags)
-    assert np.all(cond.values[:, 10:20] == 0.0)
-    assert np.all(cond.values[:, :10] == 1.0)
-    assert np.all(cond.values[:, 20:] == 1.0)
+    assert np.all(cond[:, 10:20] == 0.0)
+    assert np.all(cond[:, :10] == 1.0)
+    assert np.all(cond[:, 20:] == 1.0)
 
 
 def test_apply_mask_all_and_none():
-    grid = FeatureGrid(np.random.default_rng(7).standard_normal((6, 25)))
+    grid = np.random.default_rng(7).standard_normal((6, 25))
     rng = np.random.default_rng(8)
     all_mask = sample_mask(25, 1.0, 10, rng)
-    assert np.all(apply_mask(grid, all_mask).values == 0.0)
+    assert np.all(apply_mask(grid, all_mask) == 0.0)
     no_mask = sample_mask(25, 0.0, 10, rng)
-    assert np.array_equal(apply_mask(grid, no_mask).values, grid.values)
+    assert np.array_equal(apply_mask(grid, no_mask), grid)
 
 
 def test_apply_mask_length_mismatch():
-    grid = FeatureGrid(np.zeros((4, 20)))
+    grid = np.zeros((4, 20))
     mask = sample_mask(30, 0.5, 10, np.random.default_rng(9))
     with pytest.raises(ValueError, match="20 frames"):
         apply_mask(grid, mask)
@@ -107,21 +106,21 @@ def test_apply_mask_length_mismatch():
 
 
 def test_dropout_extremes():
-    grid = FeatureGrid(np.random.default_rng(10).standard_normal((4, 9)))
+    grid = np.random.default_rng(10).standard_normal((4, 9))
     rng = np.random.default_rng(11)
     for _ in range(50):
         assert maybe_drop_condition(grid, 0.0, rng) is grid
     for _ in range(50):
         dropped = maybe_drop_condition(grid, 1.0, rng)
-        assert dropped.values.shape == (4, 9)
-        assert np.all(dropped.values == 0.0)
-    assert np.all(grid.values != 0.0)  # the input grid is never zeroed
+        assert dropped.shape == (4, 9)
+        assert np.all(dropped == 0.0)
+    assert np.all(grid != 0.0)  # the input grid is never zeroed
 
 
 def test_dropout_rate():
     """Empirical drop rate over 10^4 draws stays near 10%."""
-    grid = FeatureGrid(np.random.default_rng(12).standard_normal((4, 9)))
+    grid = np.random.default_rng(12).standard_normal((4, 9))
     rng = np.random.default_rng(13)
-    drops = sum(not np.any(maybe_drop_condition(grid, 0.1, rng).values)
+    drops = sum(not np.any(maybe_drop_condition(grid, 0.1, rng))
                 for _ in range(10**4))
     assert 0.09 <= drops / 10**4 <= 0.11

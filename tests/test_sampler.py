@@ -11,10 +11,10 @@ from flowsr.flowpath import (SIGMA_MIN, conditional_vector_field,
                              target_vector_field)
 from flowsr.sampler import (FieldDivergenceError, SolverConfig, euler_solve,
                             generate, sample_features)
-from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
-                             audio_from_features)
+from flowsr.spectral import CompressionParams, StftParams, audio_from_features
 from flowsr.tasks import TaskKind, build_condition
-from flowsr.vectorfield import ModelConfig, init_parameters, segment_shapes
+from flowsr.vectorfield import (ModelConfig, VectorFieldModel, init_parameters,
+                                segment_shapes)
 
 
 TINY = ModelConfig(num_layers=2, model_dim=16, num_heads=2,
@@ -184,19 +184,25 @@ def test_field_shape_mismatch():
 
 
 def test_sample_features_zero_model_returns_prior_draw():
+    """A float32 model solves in float32, and the grid it returns is float64
+    all the same, as a float64 model's is."""
     model = tiny_model(seed=3)  # fresh init predicts a zero field
-    cond = FeatureGrid(np.random.default_rng(4).standard_normal((8, 12)))
-    out = sample_features(model, cond, np.random.default_rng(7), SolverConfig(0.2))
+    cond = np.random.default_rng(4).standard_normal((8, 12))
     expected = np.random.default_rng(7).standard_normal((8, 12))
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        cast = VectorFieldModel(model.config, {name: values.astype(dtype)
+                                               for name, values in model.params.items()})
+        out = sample_features(cast, cond, np.random.default_rng(7), SolverConfig(0.2))
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - expected)) < tol
 
 
 def test_sample_features_deterministic():
     model = tiny_model(seed=5, randomize=True)
-    cond = FeatureGrid(np.random.default_rng(6).standard_normal((8, 9)))
+    cond = np.random.default_rng(6).standard_normal((8, 9))
     a = sample_features(model, cond, np.random.default_rng(42), SolverConfig(0.2))
     b = sample_features(model, cond, np.random.default_rng(42), SolverConfig(0.2))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -205,7 +211,7 @@ def test_sample_features_rejects_non_finite_condition(bad):
     values = np.random.default_rng(8).standard_normal((8, 9))
     values[2, 4] = bad
     with pytest.raises(ValueError, match="non-finite model input"):
-        sample_features(tiny_model(), FeatureGrid(values),
+        sample_features(tiny_model(), values,
                         np.random.default_rng(9), SolverConfig(0.5))
 
 
@@ -245,11 +251,11 @@ def test_generate_restores_from_the_float64_draw_rounded_to_float32():
     degraded = AudioSignal(np.random.default_rng(15).uniform(-0.5, 0.5, 161), 16000)
     out = generate(model, TaskKind.DENOISE, degraded, np.random.default_rng(16),
                    params, comp, SolverConfig(0.5))
-    shape = build_condition(TaskKind.DENOISE, degraded, params, comp).values.shape
+    shape = build_condition(TaskKind.DENOISE, degraded, params, comp).shape
     noise = np.random.default_rng(16).standard_normal(shape).astype(np.float32)
     assert not np.array_equal(
         noise, np.random.default_rng(16).standard_normal(shape, dtype=np.float32))
-    expected = audio_from_features(FeatureGrid(noise), params, comp, len(degraded),
+    expected = audio_from_features(noise, params, comp, len(degraded),
                                    sample_rate=16000)
     assert np.array_equal(out.samples, expected.samples)
     assert {values.dtype for values in model.params.values()} == {np.dtype(np.float64)}

@@ -12,10 +12,8 @@ from scipy.signal import get_window
 from flowsr import spectral
 from flowsr.audio import AudioSignal, read_wav, write_wav
 from flowsr.metrics import si_sdr
-from flowsr.spectral import (ComplexSpectrogram, CompressionParams, FeatureGrid,
-                             StftParams, audio_from_features, compress,
-                             decompress, features_from_audio, istft,
-                             pack_features, stft, unpack_features)
+from flowsr.spectral import (CompressionParams, StftParams, audio_from_features,
+                             features_from_audio, istft, stft)
 
 RATE = 16000
 
@@ -164,15 +162,14 @@ def test_frame_count_formula():
 
 def test_stft_zero_signal():
     spec = stft(AudioSignal(np.zeros(RATE), RATE), StftParams())
-    assert spec.bins.shape == (256, 126)
-    assert np.all(spec.bins == 0)
+    assert spec.shape == (256, 126)
+    assert np.all(spec == 0)
 
 
 def test_stft_shape_matches_paper_values():
     p = StftParams(window_size=510, hop_size=128)
     spec = stft(white_noise(RATE), p)
-    assert spec.bins.shape[0] == 256
-    assert spec.bins.shape[1] == p.num_frames(RATE)
+    assert spec.shape == (256, p.num_frames(RATE))
 
 
 def test_stft_bin_center_sinusoid_energy():
@@ -187,7 +184,7 @@ def test_stft_bin_center_sinusoid_energy():
     freq = k * RATE / p.window_size  # exact bin center
     t = np.arange(2 * RATE) / RATE
     spec = stft(AudioSignal(0.4 * np.sin(2 * np.pi * freq * t), RATE), p)
-    power = np.abs(spec.bins) ** 2
+    power = np.abs(spec) ** 2
     row_share = power[k].sum() / power.sum()
     band_share = power[k - 1:k + 2].sum() / power.sum()
     assert np.argmax(power.sum(axis=1)) == k
@@ -200,8 +197,8 @@ def test_stft_linearity():
     x = white_noise(5000, seed=3)
     y = white_noise(5000, seed=4)
     mix = AudioSignal(2.0 * x.samples - 0.5 * y.samples, RATE)
-    lhs = stft(mix, p).bins
-    rhs = 2.0 * stft(x, p).bins - 0.5 * stft(y, p).bins
+    lhs = stft(mix, p)
+    rhs = 2.0 * stft(x, p) - 0.5 * stft(y, p)
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs))
 
 
@@ -215,8 +212,8 @@ def test_stft_rejects_empty():
 
 def test_istft_zero_spectrogram():
     p = StftParams()
-    spec = ComplexSpectrogram(np.zeros((256, 10), dtype=np.complex128), p)
-    out = istft(spec, length=9 * p.hop_size, sample_rate=RATE)
+    spec = np.zeros((256, 10), dtype=np.complex128)
+    out = istft(spec, p, length=9 * p.hop_size, sample_rate=RATE)
     assert np.all(out.samples == 0)
     assert len(out) == 9 * p.hop_size
 
@@ -224,7 +221,7 @@ def test_istft_zero_spectrogram():
 def test_istft_round_trip_noise():
     p = StftParams()
     sig = white_noise(RATE, seed=7)
-    rec = istft(stft(sig, p), len(sig), RATE)
+    rec = istft(stft(sig, p), p, len(sig), RATE)
     assert si_sdr(rec, sig) > 50.0
 
 
@@ -232,7 +229,7 @@ def test_istft_round_trip_various_lengths():
     p = StftParams()
     for i, n in enumerate((1600, 5000, 16001, 48000)):
         sig = white_noise(n, seed=10 + i)
-        rec = istft(stft(sig, p), n, RATE)
+        rec = istft(stft(sig, p), p, n, RATE)
         assert si_sdr(rec, sig) > 50.0, f"length {n}"
 
 
@@ -240,7 +237,7 @@ def test_istft_impulse_restored_at_offset():
     p = StftParams()
     x = np.zeros(2000)
     x[700] = 1.0
-    rec = istft(stft(AudioSignal(x, RATE), p), 2000, RATE)
+    rec = istft(stft(AudioSignal(x, RATE), p), p, 2000, RATE)
     assert np.argmax(np.abs(rec.samples)) == 700
     assert abs(rec.samples[700] - 1.0) < 1e-9
     off_peak = np.abs(np.delete(rec.samples, 700)).max()
@@ -251,13 +248,13 @@ def test_istft_length_guard():
     p = StftParams()
     spec = stft(white_noise(1000), p)
     with pytest.raises(ValueError):
-        istft(spec, p.max_length(spec.num_frames) + 1, RATE)
+        istft(spec, p, p.max_length(spec.shape[1]) + 1, RATE)
 
 
 def test_istft_preserves_sample_rate():
     p = StftParams()
     sig = AudioSignal(np.random.default_rng(0).standard_normal(8000), 8000)
-    rec = istft(stft(sig, p), 8000, sample_rate=8000)
+    rec = istft(stft(sig, p), p, 8000, sample_rate=8000)
     assert rec.sample_rate == 8000
 
 
@@ -269,17 +266,17 @@ def test_istft_matches_a_per_frame_overlap_add_bit_for_bit(window_size, hop_size
     sig = white_noise(3001, seed=18)
     spec = stft(sig, p)
     window = p.window()
-    frames = np.fft.irfft(spec.bins.T, n=p.window_size, axis=1) * window
-    out = np.zeros((spec.num_frames - 1) * p.hop_size + p.window_size)
+    frames = np.fft.irfft(spec.T, n=p.window_size, axis=1) * window
+    out = np.zeros((spec.shape[1] - 1) * p.hop_size + p.window_size)
     weight = np.zeros_like(out)
-    for f in range(spec.num_frames):
+    for f in range(spec.shape[1]):
         out[f * p.hop_size:f * p.hop_size + p.window_size] += frames[f]
         weight[f * p.hop_size:f * p.hop_size + p.window_size] += window ** 2
     covered = weight > 1e-10
     out[covered] /= weight[covered]
     half = p.window_size // 2
-    for length in (len(sig), p.max_length(spec.num_frames)):
-        assert np.array_equal(istft(spec, length, RATE).samples,
+    for length in (len(sig), p.max_length(spec.shape[1])):
+        assert np.array_equal(istft(spec, p, length, RATE).samples,
                               out[half:half + length])
 
 
@@ -293,89 +290,100 @@ def test_stft_matches_a_per_frame_transform_bit_for_bit(window_size, hop_size):
     for n in (100, 3001):
         sig = white_noise(n, seed=19)
         spec = stft(sig, p)
-        frames = spec.num_frames
+        frames = spec.shape[1]
         right = (frames - 1) * hop_size + window_size - n - half
         mode = "reflect" if n > max(half, right) else "constant"
         padded = np.pad(sig.samples, (half, right), mode=mode)
         for f in range(frames):
             frame = padded[f * hop_size:f * hop_size + window_size] * window
-            assert np.array_equal(spec.bins[:, f], np.fft.rfft(frame)), (n, f)
+            assert np.array_equal(spec[:, f], np.fft.rfft(frame)), (n, f)
 
 
 # ---------------------------------------------------------------------------
 # compression
 
+def compressed(bins, cp):
+    out = bins.copy()
+    spectral._compress_in_place(out, cp)
+    return out
+
+
+def decompressed(bins, cp):
+    out = bins.copy()
+    spectral._decompress_in_place(out, cp)
+    return out
+
+
 def test_compress_paper_values():
-    p = StftParams()
     cp = CompressionParams()  # exponent 0.5, scale 0.33
     grid = np.zeros((256, 3), dtype=np.complex128)
     grid[10, 0] = np.exp(1j * 0.7)          # |z| = 1
     grid[20, 1] = 4.0 * np.exp(1j * 2.1)    # |z| = 4
-    out = compress(ComplexSpectrogram(grid, p), cp)
-    assert abs(abs(out.bins[10, 0]) - 0.33) < 1e-12
-    assert abs(np.angle(out.bins[10, 0]) - 0.7) < 1e-9
-    assert abs(abs(out.bins[20, 1]) - 0.66) < 1e-12
-    assert abs(np.angle(out.bins[20, 1]) - 2.1) < 1e-9
-    assert out.bins[0, 2] == 0.0  # zero maps to zero
+    out = compressed(grid, cp)
+    assert abs(abs(out[10, 0]) - 0.33) < 1e-12
+    assert abs(np.angle(out[10, 0]) - 0.7) < 1e-9
+    assert abs(abs(out[20, 1]) - 0.66) < 1e-12
+    assert abs(np.angle(out[20, 1]) - 2.1) < 1e-9
+    assert out[0, 2] == 0.0  # zero maps to zero
 
 
 def test_compress_preserves_phase_everywhere():
-    p = StftParams()
     rng = np.random.default_rng(5)
     grid = rng.standard_normal((256, 20)) + 1j * rng.standard_normal((256, 20))
-    out = compress(ComplexSpectrogram(grid, p), CompressionParams())
-    ang_err = np.abs(np.angle(out.bins * np.conj(grid)))
+    out = compressed(grid, CompressionParams())
+    ang_err = np.abs(np.angle(out * np.conj(grid)))
     assert ang_err.max() < 1e-9
 
 
 def test_decompress_inverts_compress():
-    p = StftParams()
     cp = CompressionParams()
     rng = np.random.default_rng(6)
     grid = rng.standard_normal((256, 30)) + 1j * rng.standard_normal((256, 30))
-    spec = ComplexSpectrogram(grid, p)
-    back = decompress(compress(spec, cp), cp)
-    assert np.max(np.abs(back.bins - grid)) < 1e-9
+    back = decompressed(compressed(grid, cp), cp)
+    assert np.max(np.abs(back - grid)) < 1e-9
     # single magnitude: |c| = 0.33 -> |z| = 1
     one = np.zeros((256, 1), dtype=np.complex128)
     one[0, 0] = 0.33
-    z = decompress(ComplexSpectrogram(one, p), cp)
-    assert abs(abs(z.bins[0, 0]) - 1.0) < 1e-12
+    z = decompressed(one, cp)
+    assert abs(abs(z[0, 0]) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # feature packing
 
 def test_pack_shape_and_layout():
+    """Real parts fill the first num_bins channels and imaginary parts the
+    rest; at exponent 1 and scale 1 compression multiplies every bin by
+    exactly 1, so the grid holds `stft`'s own bins."""
     p = StftParams()
-    spec = ComplexSpectrogram(
-        np.random.default_rng(8).standard_normal((256, 100))
-        + 1j * np.random.default_rng(9).standard_normal((256, 100)), p)
-    grid = pack_features(spec)
-    assert grid.values.shape == (512, 100)
-    assert np.array_equal(grid.values[:256], spec.bins.real)
-    assert np.array_equal(grid.values[256:], spec.bins.imag)
+    sig = white_noise(RATE // 2, seed=8)
+    grid = features_from_audio(sig, p, CompressionParams(exponent=1.0, scale=1.0))
+    spec = stft(sig, p)
+    assert grid.dtype == np.float64
+    assert grid.shape == (512, p.num_frames(len(sig)))
+    assert np.array_equal(grid[:256], spec.real)
+    assert np.array_equal(grid[256:], spec.imag)
 
 
-def test_pack_purely_real():
-    p = StftParams()
-    spec = ComplexSpectrogram(np.ones((256, 5), dtype=np.complex128), p)
-    grid = pack_features(spec)
-    assert np.all(grid.values[256:] == 0)
-
-
-def test_pack_unpack_round_trip_bit_exact():
-    p = StftParams()
-    rng = np.random.default_rng(11)
-    spec = ComplexSpectrogram(
-        rng.standard_normal((256, 40)) + 1j * rng.standard_normal((256, 40)), p)
-    back = unpack_features(pack_features(spec), spec.params)
-    assert np.array_equal(back.bins, spec.bins)
-
-
-def test_unpack_rejects_odd_channels():
-    with pytest.raises(ValueError):
-        FeatureGrid(np.zeros((3, 4)))
+@pytest.mark.parametrize("fn, shape", [
+    (audio_from_features, (3, 40)),
+    (audio_from_features, (2 * 129, 40)),
+    (audio_from_features, (512,)),
+    (istft, (255, 40)),
+    (istft, (512, 40)),
+    (istft, (256,)),
+], ids=["features-odd-channels", "features-wrong-bins", "features-1d",
+        "spectrogram-odd-rows", "spectrogram-wrong-bins", "spectrogram-1d"])
+def test_synthesis_refuses_a_grid_of_another_shape(fn, shape):
+    """Synthesis refuses, naming both shapes, a grid that the default
+    frontend (256 bins, 512 feature channels) did not make."""
+    p, cp = StftParams(), CompressionParams()
+    if fn is istft:
+        args, expected = (np.zeros(shape, dtype=np.complex128), p), "(256, frames)"
+    else:
+        args, expected = (np.zeros(shape), p, cp), "(512, frames)"
+    with pytest.raises(ValueError, match=re.escape(f"of shape {shape} is not {expected}")):
+        fn(*args, 10 * p.hop_size, RATE)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -383,7 +391,7 @@ def test_audio_from_features_rejects_non_finite_grid(bad):
     # grids are not scanned on construction; the synthesized AudioSignal is
     p, cp = StftParams(), CompressionParams()
     grid = features_from_audio(white_noise(RATE // 4, seed=14), p, cp)
-    grid.values[3, 5] = bad
+    grid[3, 5] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
         audio_from_features(grid, p, cp, RATE // 4, RATE)
 
@@ -420,10 +428,9 @@ def test_synthesis_matches_the_textbook_pipeline_bit_for_bit():
     out[covered] /= weight[covered]
     length = p.max_length(40)
     half = p.window_size // 2
-    audio = audio_from_features(FeatureGrid(values), p, cp, length, RATE)
+    audio = audio_from_features(values, p, cp, length, RATE)
     assert np.array_equal(audio.samples, out[half:half + length])
-    assert np.array_equal(decompress(ComplexSpectrogram(bins, p), cp).bins,
-                          bins * factor)
+    assert np.array_equal(decompressed(bins, cp), bins * factor)
 
 
 def test_public_transforms_leave_their_inputs_unchanged():
@@ -432,12 +439,11 @@ def test_public_transforms_leave_their_inputs_unchanged():
     p, cp = StftParams(), CompressionParams()
     sig = white_noise(RATE // 2, seed=16)
     spec = stft(sig, p)
-    grid = pack_features(compress(spec, cp))
-    inputs = [sig.samples, spec.bins, grid.values]
+    grid = features_from_audio(sig, p, cp)
+    inputs = [sig.samples, spec, grid]
     before = [a.copy() for a in inputs]
-    results = [compress(spec, cp).bins, decompress(spec, cp).bins,
-               unpack_features(grid, p).bins,
-               istft(spec, len(sig), RATE).samples,
+    results = [stft(sig, p), features_from_audio(sig, p, cp),
+               istft(spec, p, len(sig), RATE).samples,
                audio_from_features(grid, p, cp, len(sig), RATE).samples]
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
@@ -452,7 +458,7 @@ def test_synthesis_holds_one_buffer_beside_its_input():
     15.5 MiB beyond it. An unpacked, a decompressed and a windowed copy took
     it to 18.1 MiB."""
     p, cp = StftParams(), CompressionParams()
-    grid = FeatureGrid(np.random.default_rng(17).standard_normal((2 * p.num_bins, 1501)))
+    grid = np.random.default_rng(17).standard_normal((2 * p.num_bins, 1501))
     tracemalloc.start()
     try:
         audio = audio_from_features(grid, p, cp, 12 * RATE, RATE)
@@ -480,11 +486,11 @@ def test_analysis_compresses_the_spectrum_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 14.5
-    bins = stft(sig, p).bins
+    bins = stft(sig, p)
     mag = np.abs(bins)
     factor = np.zeros_like(mag)
     nz = mag > 0
     assert not nz.all()
     factor[nz] = cp.scale * mag[nz] ** (cp.exponent - 1.0)
-    textbook = pack_features(ComplexSpectrogram(bins * factor, p))
-    assert np.array_equal(grid.values, textbook.values)
+    bins *= factor
+    assert np.array_equal(grid, np.concatenate([bins.real, bins.imag]))

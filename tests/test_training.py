@@ -15,8 +15,8 @@ from flowsr.audio import AudioSignal
 from flowsr.flowpath import sample_training_tuple
 from flowsr.masking import apply_mask, maybe_drop_condition, sample_mask
 from flowsr.sampler import generate
-from flowsr.spectral import (CompressionParams, FeatureGrid, StftParams,
-                             audio_from_features, features_from_audio, istft)
+from flowsr.spectral import (CompressionParams, StftParams, audio_from_features,
+                             features_from_audio, istft)
 from flowsr.tasks import (TaskKind, build_condition, prepend_tse_prompt,
                           tse_prompt_samples)
 from flowsr.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossSupport,
@@ -208,13 +208,13 @@ def replay_pretrain_loss(cfg, grids, seed, support):
     rng = np.random.default_rng(seed)
     losses = []
     for grid in grids:
-        mask = sample_mask(grid.num_frames, cfg.mask_ratio, cfg.mask_min_span, rng)
+        mask = sample_mask(grid.shape[1], cfg.mask_ratio, cfg.mask_min_span, rng)
         cond = apply_mask(grid, mask)
         maybe_drop_condition(cond, cfg.dropout_prob, rng)
-        tup = sample_training_tuple(grid.values, rng)
+        tup = sample_training_tuple(grid, rng)
         if support is LossSupport.MASKED_ONLY:
             fm = mask.astype(np.float64)
-            denom = max(fm.sum() * grid.num_channels, 1.0)
+            denom = max(fm.sum() * grid.shape[0], 1.0)
             losses.append(float((tup.target**2 * fm[None, :]).sum() / denom))
         else:
             losses.append(float((tup.target**2).mean()))
@@ -224,7 +224,7 @@ def replay_pretrain_loss(cfg, grids, seed, support):
 def test_pretrain_zero_init_loss_is_mean_squared_target():
     state = tiny_state(seed=1)
     rng = np.random.default_rng(50)
-    grids = [FeatureGrid(rng.standard_normal((8, 30))) for _ in range(3)]
+    grids = [rng.standard_normal((8, 30)) for _ in range(3)]
     expected = replay_pretrain_loss(state.config, grids, state.config.seed,
                                     LossSupport.ALL_FRAMES)
     loss, grads = pretrain_gradients(state, grids)
@@ -235,7 +235,7 @@ def test_pretrain_zero_init_loss_is_mean_squared_target():
 def test_pretrain_masked_only_support():
     state = tiny_state(seed=2, loss_support=LossSupport.MASKED_ONLY)
     rng = np.random.default_rng(51)
-    grids = [FeatureGrid(rng.standard_normal((8, 40))) for _ in range(2)]
+    grids = [rng.standard_normal((8, 40)) for _ in range(2)]
     expected = replay_pretrain_loss(state.config, grids, state.config.seed,
                                     LossSupport.MASKED_ONLY)
     loss, _ = pretrain_gradients(state, grids)
@@ -244,7 +244,7 @@ def test_pretrain_masked_only_support():
 
 def test_pretrain_deterministic_across_runs():
     rng = np.random.default_rng(52)
-    grids = [FeatureGrid(rng.standard_normal((8, 25))) for _ in range(2)]
+    grids = [rng.standard_normal((8, 25)) for _ in range(2)]
     histories = []
     for _ in range(2):
         state = tiny_state(seed=3)
@@ -261,7 +261,7 @@ def test_pretrain_learns_on_fixed_batch():
     state = tiny_state(seed=4, peak_lr=1e-2, final_lr=1e-4,
                        warmup_steps=5, total_steps=200, clip_norm=None)
     rng = np.random.default_rng(53)
-    grids = [FeatureGrid(0.5 * rng.standard_normal((8, 20)))]
+    grids = [0.5 * rng.standard_normal((8, 20))]
     first, last = None, None
     for _ in range(60):
         loss = apply_gradients(state, *pretrain_gradients(state, grids))
@@ -304,7 +304,7 @@ def assert_slices_match_one_pass(monkeypatch, frames, gradients):
 @pytest.mark.parametrize("support", list(LossSupport))
 def test_pretrain_micro_batches_match_one_pass(monkeypatch, support):
     rng = np.random.default_rng(74)
-    grids = [FeatureGrid(rng.standard_normal((8, 20))) for _ in range(7)]
+    grids = [rng.standard_normal((8, 20)) for _ in range(7)]
     cfg = TrainConfig(loss_support=support, dropout_prob=0.3, seed=12)
     assert_slices_match_one_pass(
         monkeypatch, 20,
@@ -319,7 +319,7 @@ def test_finetune_micro_batches_match_one_pass(monkeypatch):
         degraded = AudioSignal(clean.samples + 0.1 * rng.standard_normal(400), 16000)
         pairs.append(TrainPair(clean=clean, degraded=degraded))
     frames = features_from_audio(pairs[0].clean, SMALL_STFT,
-                                 CompressionParams()).num_frames
+                                 CompressionParams()).shape[1]
     cfg = TrainConfig.for_mode(TrainMode.FINETUNE, task=TaskKind.DENOISE, seed=14)
     assert_slices_match_one_pass(
         monkeypatch, frames,
@@ -338,7 +338,7 @@ def test_training_step_memory_does_not_grow_with_the_batch():
         state = init_train_state(init_parameters(config, np.random.default_rng(16)),
                                  TrainConfig())
         rng = np.random.default_rng(items)
-        grids = [FeatureGrid(rng.standard_normal((8, 128))) for _ in range(items)]
+        grids = [rng.standard_normal((8, 128)) for _ in range(items)]
         tracemalloc.start()
         try:
             pretrain_gradients(state, grids)
@@ -369,7 +369,7 @@ def test_gate_config_step_peak_holds_one_slice():
             pairs.append(TrainPair(clean=clean, degraded=AudioSignal(
                 clean.samples + 0.1 * rng.standard_normal(8000), 16000)))
         assert features_from_audio(pairs[0].clean, stft_params,
-                                   compression).values.shape == (128, 128)
+                                   compression).shape == (128, 128)
         tracemalloc.start()
         try:
             finetune_gradients(state, pairs, stft_params, compression)
@@ -429,7 +429,7 @@ def test_finetune_replay_consumes_no_dropout_draws():
     expected = []
     for p in pairs:
         x1 = features_from_audio(p.clean, SMALL_STFT, CompressionParams())
-        tup = sample_training_tuple(x1.values, replay)
+        tup = sample_training_tuple(x1, replay)
         expected.append(float((tup.target**2).mean()))
     loss, _ = finetune_gradients(state, pairs, SMALL_STFT, CompressionParams())
     assert loss == pytest.approx(float(np.mean(expected)), abs=1e-12)
@@ -451,8 +451,8 @@ def test_finetune_tse_targets_include_prompt():
     replay = np.random.default_rng(cfg.seed)
     target_audio = prepend_tse_prompt(clean, reference)
     x1 = features_from_audio(target_audio, SMALL_STFT, CompressionParams())
-    assert x1.num_frames == SMALL_STFT.num_frames(prompt_samples + rate)
-    tup = sample_training_tuple(x1.values, replay)
+    assert x1.shape[1] == SMALL_STFT.num_frames(prompt_samples + rate)
+    tup = sample_training_tuple(x1, replay)
     expected = float((tup.target**2).mean())
     loss, _ = finetune_gradients(state, [pair], SMALL_STFT, CompressionParams())
     assert loss == pytest.approx(expected, abs=1e-12)
@@ -471,7 +471,7 @@ def test_finetune_requires_pairs():
 def test_non_finite_loss_aborts():
     state = tiny_state(seed=9)
     state.model.params["input_proj.weight"][0, 0] = np.nan
-    grids = [FeatureGrid(np.random.default_rng(57).standard_normal((8, 12)))]
+    grids = [np.random.default_rng(57).standard_normal((8, 12))]
     with pytest.raises((RuntimeError, ValueError)):
         apply_gradients(state, *pretrain_gradients(state, grids))
 
@@ -529,8 +529,8 @@ def test_make_batch_modes():
                        np.random.default_rng(60))
     assert len(batch) == 2
     for grid in batch:
-        assert isinstance(grid, FeatureGrid)
-        assert grid.num_frames == SMALL_STFT.num_frames(1600)
+        assert grid.dtype == np.float64
+        assert grid.shape[1] == SMALL_STFT.num_frames(1600)
     fin_cfg = TrainConfig.for_mode(TrainMode.FINETUNE, task=TaskKind.DENOISE,
                                    batch_seconds=0.2, crop_seconds=0.1)
     crops = make_batch(dataset, fin_cfg, SMALL_STFT, CompressionParams(),
@@ -867,7 +867,7 @@ def test_mixed_shape_batch_is_refused():
     the shapes found."""
     state = tiny_state(seed=8)
     rng = np.random.default_rng(57)
-    grids = [FeatureGrid(rng.standard_normal((8, n))) for n in (20, 24)]
+    grids = [rng.standard_normal((8, n)) for n in (20, 24)]
     with pytest.raises(ValueError, match=r"\(8, 20\), \(8, 24\)"):
         pretrain_gradients(state, grids)
 
@@ -878,7 +878,7 @@ def test_mixed_shape_batch_is_refused():
         clean = AudioSignal(rng.uniform(-0.5, 0.5, n), 16000)
         degraded = AudioSignal(clean.samples + 0.1 * rng.standard_normal(n), 16000)
         pairs.append(TrainPair(clean=clean, degraded=degraded))
-    shapes = [features_from_audio(p.clean, SMALL_STFT, CompressionParams()).values.shape
+    shapes = [features_from_audio(p.clean, SMALL_STFT, CompressionParams()).shape
               for p in pairs]
     assert shapes[0] != shapes[1]
     with pytest.raises(ValueError, match=re.escape(f"{shapes[0]}, {shapes[1]}")):
@@ -909,7 +909,7 @@ def test_mixed_shape_batch_in_a_later_slice_is_refused_without_state_change(
     rng = np.random.default_rng(23)
     apply_gradients(state, 1.0, {k: rng.standard_normal(p.shape)
                                  for k, p in state.model.params.items()})
-    grids = [FeatureGrid(rng.standard_normal((8, n))) for n in (20, 20, 24)]
+    grids = [rng.standard_normal((8, n)) for n in (20, 20, 24)]
     recorded = []
     record = training.forward_batch
     monkeypatch.setattr(training, "forward_batch",
@@ -936,7 +936,7 @@ def test_slicing_leaves_the_rng_where_one_pass_does(monkeypatch):
     in slices of one item and in one slice of the whole batch leaves the
     same generator state."""
     rng = np.random.default_rng(26)
-    grids = [FeatureGrid(rng.standard_normal((8, 20))) for _ in range(5)]
+    grids = [rng.standard_normal((8, 20)) for _ in range(5)]
     cfg = TrainConfig(dropout_prob=0.3, seed=27)
     states = []
     for frames_per_slice in (20, 5 * 20):

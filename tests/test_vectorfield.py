@@ -11,7 +11,6 @@ from flowsr import training, vectorfield
 from flowsr.flowpath import cfm_loss
 from flowsr.masking import maybe_drop_condition
 from flowsr.sampler import sample_features
-from flowsr.spectral import FeatureGrid
 from flowsr.training import (TrainConfig, apply_gradients, init_train_state,
                              pretrain_gradients)
 from flowsr.vectorfield import (ModelConfig, VectorFieldModel, _ln_forward,
@@ -249,8 +248,8 @@ def test_forward_dropped_condition_matches_zero_features():
     model = randomized(TINY, seed=8)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((8, 10))
-    cond = FeatureGrid(rng.standard_normal((8, 10)))
-    dropped = maybe_drop_condition(cond, 1.0, rng).values
+    cond = rng.standard_normal((8, 10))
+    dropped = maybe_drop_condition(cond, 1.0, rng)
     as_dropped = forward_batch(model, x[None], dropped[None], np.array([0.2]))[0]
     as_zeros = forward_batch(model, x[None], np.zeros((1, 8, 10)), np.array([0.2]))[0]
     assert np.array_equal(as_dropped, as_zeros)
@@ -423,10 +422,10 @@ def test_overflowing_attention_raises_instead_of_a_finite_field():
     assert np.max(scores - np.diagonal(scores, axis1=2, axis2=3)[..., None]) > 709.0
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            sample_features(model, FeatureGrid(cond[0]), rng)
+            sample_features(model, cond[0], rng)
         state = init_train_state(model, TrainConfig())
         with pytest.raises(FloatingPointError, match="overflow"):
-            apply_gradients(state, *pretrain_gradients(state, [FeatureGrid(x[0])] * 2))
+            apply_gradients(state, *pretrain_gradients(state, [x[0]] * 2))
 
 
 def test_overflowing_float32_attention_raises_where_float64_does_not():
